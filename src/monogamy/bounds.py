@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import MeasureKind, concurrence_pure, concurrence_two_qubit, pair_value, pure_cut_value
-from .qstate import DensityMatrix, Ket, PartitionSpec, partial_trace
+from .qstate import Ket, PartitionSpec
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -51,27 +51,30 @@ _STEP_GAMMA = {
 }
 
 
+def _checked_alpha(kind: MeasureKind, alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha={alpha!r} is not finite")
+    if alpha < kind.alpha_floor - ALPHA_ATOL:
+        raise ValueError(
+            f"alpha={alpha!r} below the {kind.label} floor {kind.alpha_floor!r}"
+        )
+    return alpha
+
+
 def step_factor(kind: MeasureKind, alpha: float) -> float:
     """Per-step ladder factor 2^(alpha/gamma) - 1.
 
     Equals 1 at the measure's floor exponent and grows from there; it
     always dominates the prior linear factor returned by prior_factor.
     """
-    alpha = float(alpha)
-    if alpha < kind.alpha_floor - ALPHA_ATOL:
-        raise ValueError(
-            f"alpha={alpha!r} below the {kind.label} floor {kind.alpha_floor!r}"
-        )
+    alpha = _checked_alpha(kind, alpha)
     return 2.0 ** (alpha / _STEP_GAMMA[kind.name]) - 1.0
 
 
 def prior_factor(kind: MeasureKind, alpha: float) -> float:
     """Earlier linear per-step factor: alpha/2, alpha/sqrt(2), or 1."""
-    alpha = float(alpha)
-    if alpha < kind.alpha_floor - ALPHA_ATOL:
-        raise ValueError(
-            f"alpha={alpha!r} below the {kind.label} floor {kind.alpha_floor!r}"
-        )
+    alpha = _checked_alpha(kind, alpha)
     if kind.name == "tsallis":
         return 1.0
     return alpha / _STEP_GAMMA[kind.name]
@@ -116,10 +119,6 @@ class WeightLadder:
             )
         if self.base < 1.0 - ALPHA_ATOL:
             raise ValueError(f"ladder base must be >= 1, got {self.base!r}")
-
-    @classmethod
-    def unit(cls, count: int) -> "WeightLadder":
-        return cls(1.0, count, 1)
 
     def powers(self) -> np.ndarray:
         p = list(range(self.split))
@@ -175,10 +174,6 @@ class PreconditionVerdict:
     def any_undetermined(self) -> bool:
         return any(v is Verdict.UNDETERMINED for v in self.verdicts)
 
-    @property
-    def all_hold(self) -> bool:
-        return all(v is Verdict.HOLDS for v in self.verdicts)
-
 
 def _chain_preconditions(pair_conc: Sequence[float], cut_cap: float) -> PreconditionVerdict:
     n_pairs = len(pair_conc)
@@ -214,10 +209,7 @@ def precondition_check(psi: Ket, focus: int, order: Sequence[int] | None = None)
     """Check the chain-ordering hypothesis for a focus qubit and pair order."""
     n = psi.n_qubits
     order = _resolve_order(n, focus, order)
-    proj = psi.to_density_matrix()
-    pair_conc = [
-        concurrence_two_qubit(partial_trace(proj, (focus, b))) for b in order
-    ]
+    pair_conc = [concurrence_two_qubit(psi.marginal((focus, b))) for b in order]
     cut_cap = concurrence_pure(psi, PartitionSpec.focus_vs_rest(focus, n))
     return _chain_preconditions(pair_conc, cut_cap)
 
@@ -296,10 +288,9 @@ def monogamy_report(
     if n < 3:
         raise ValueError(f"need at least three qubits, got {n}")
     given = _resolve_order(n, focus, order)
-    h = step_factor(measure, alpha)  # also validates alpha against the floor
-    proj = psi.to_density_matrix()
+    h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
 
-    pair_rhos = {b: partial_trace(proj, (focus, b)) for b in given}
+    pair_rhos = {b: psi.marginal((focus, b)) for b in given}
     pair_conc = {b: concurrence_two_qubit(pair_rhos[b]) for b in given}
     cut_cap = concurrence_pure(psi, PartitionSpec.focus_vs_rest(focus, n))
 
@@ -361,6 +352,9 @@ def monogamy_report(
 def alpha_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive grid lo, lo+step, ... capped at hi (within rounding)."""
     lo, hi, step = float(lo), float(hi), float(step)
+    for name, v in (("start", lo), ("end", hi), ("step", step)):
+        if not math.isfinite(v):
+            raise ValueError(f"alpha grid {name}={v!r} is not finite")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo - ALPHA_ATOL:

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .bounds import BoundReport, alpha_grid, alpha_sweep, monogamy_report
+from .bounds import BoundReport, alpha_grid, alpha_sweep, monogamy_report, step_factor
 from .measures import CONCURRENCE, CREN, EOF, MeasureKind, tsallis_kind
 from .qstate import StateFileError, load_state
 from .states import SchmidtParams, gsd3, haar_random, w_state
@@ -163,6 +163,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_state(args) -> int:
+    if not math.isfinite(args.tolerance):
+        raise ValueError(f"tolerance={args.tolerance!r} is not finite")
     psi = load_state(args.state)
     measure = _parse_measure(args.measure or "concurrence", args.q)
     alpha = args.alpha if args.alpha is not None else measure.alpha_floor
@@ -239,15 +241,13 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one measure")
         if not self.alphas:
             raise ValueError("campaign needs at least one exponent")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance={self.tolerance!r} is not finite")
         for a in self.alphas:
             if a == "floor":
                 continue
-            a = float(a)
             for kind in self.measures:
-                if a < kind.alpha_floor - 1e-12:
-                    raise ValueError(
-                        f"alpha={a} below the {kind.label} floor {kind.alpha_floor}"
-                    )
+                step_factor(kind, a)  # rejects non-finite or below-floor alphas
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import spin_flip_mus
 from .qstate import (
     DensityMatrix,
     Ket,
     PartitionSpec,
     hermitian_eigenvalues,
-    partial_trace,
     partial_transpose,
     purity,
     trace_norm,
@@ -35,6 +33,9 @@ _ALPHA_FLOORS = {
     "cren": 2.0,
     "tsallis": 1.0,
 }
+
+# sign pattern of the two-qubit spin flip: antidiag(-1, 1, 1, -1)
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def tsallis_g(q: float, x: float) -> float:
 
 def _reduced_eigenvalues(psi: Ket, cut: PartitionSpec) -> np.ndarray:
     cut.validate_for(psi.n_qubits)
-    rho_a = partial_trace(psi.to_density_matrix(), cut.side_a)
+    rho_a = psi.marginal(cut.side_a)
     vals = hermitian_eigenvalues(rho_a.entries)
     # eigenvalues within rounding of zero enter entropies and roots as 0
     return np.where(vals < 0.0, 0.0, vals)
@@ -132,8 +133,23 @@ def _reduced_eigenvalues(psi: Ket, cut: PartitionSpec) -> np.ndarray:
 def concurrence_pure(psi: Ket, cut: PartitionSpec) -> float:
     """sqrt(2 (1 - Tr rho_A^2)) across the cut of a pure state."""
     cut.validate_for(psi.n_qubits)
-    rho_a = partial_trace(psi.to_density_matrix(), cut.side_a)
+    rho_a = psi.marginal(cut.side_a)
     return math.sqrt(max(2.0 * (1.0 - purity(rho_a)), 0.0))
+
+
+def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
+    """Descending square roots of the spin-flip product spectrum.
+
+    The flipped matrix is S rho* S with S = sigma_y (x) sigma_y, written
+    entrywise as s_i s_j conj(rho)[3-i, 3-j].  Eigenvalues of rho @ flipped
+    are real and nonnegative up to rounding; tiny negative parts (within
+    1e-10 of zero for valid density input) are clipped before the root.
+    """
+    flipped = (_FLIP_SIGNS[:, None] * _FLIP_SIGNS[None, :]) * rho.conj()[::-1, ::-1]
+    ev = np.linalg.eigvals(rho @ flipped)
+    mus = np.sqrt(np.maximum(ev.real, 0.0))
+    mus.sort()
+    return mus[::-1]
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:

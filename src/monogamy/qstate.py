@@ -8,8 +8,11 @@ at index 4.  Register factors keep their original order through partial
 operations; tracing qubit 1 out of (0, 1, 2) leaves the register (0, 2).
 
 All operators are dense complex128 numpy arrays.  Partial traces are
-computed by direct index-arithmetic summation over the traced factors
-rather than by reshuffling the matrix.
+computed by reshaping: a ket's marginal reshapes the amplitudes to one
+axis per qubit, moves the kept axes to the front and takes M M^dagger of
+the resulting 2^k x 2^(n-k) matrix, so no 2^n x 2^n projector is built;
+a density matrix is reshaped to one row and one column axis per factor
+and its traced factors are contracted with einsum.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from ._kernels import ptrace_sum
 
 NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
@@ -63,6 +64,20 @@ class Ket:
         """Rank-one projector onto this ket, one factor per qubit."""
         entries = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix((2,) * self.n_qubits, entries)
+
+    def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
+        """Reduced state of the qubits in ``keep``, in register order.
+
+        Built from the amplitudes alone: with M the 2^k x 2^(n-k) matrix
+        whose rows are the kept qubits' basis states, the marginal is
+        M M^dagger.  Costs O(4^k 2^(n-k)) rather than the O(4^n) of
+        tracing the projector.
+        """
+        kept = _sorted_keep(keep, self.n_qubits)
+        traced = [i for i in range(self.n_qubits) if i not in kept]
+        m = self.amplitudes.reshape((2,) * self.n_qubits).transpose(kept + traced)
+        m = m.reshape(2 ** len(kept), -1)
+        return DensityMatrix((2,) * len(kept), m @ m.conj().T)
 
 
 @dataclass(frozen=True)
@@ -141,19 +156,15 @@ class PartitionSpec:
             )
 
 
-def _strides(dims: Sequence[int]) -> np.ndarray:
-    strides = np.ones(len(dims), dtype=np.int64)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
-
-
-def _subset_offsets(dims: Sequence[int], subset: Sequence[int], strides: np.ndarray) -> np.ndarray:
-    # row-major enumeration of the subset's multi-indices as linear offsets
-    off = np.zeros(1, dtype=np.int64)
-    for i in subset:
-        off = (off[:, None] + strides[i] * np.arange(dims[i], dtype=np.int64)[None, :]).ravel()
-    return off
+def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
+    kept = sorted(int(i) for i in keep)
+    if not kept:
+        raise ValueError("must keep at least one factor")
+    if len(set(kept)) != len(kept):
+        raise ValueError(f"duplicate indices in keep={tuple(keep)}")
+    if kept[0] < 0 or kept[-1] >= n_factors:
+        raise ValueError(f"keep={tuple(keep)} out of range for {n_factors} factors")
+    return kept
 
 
 def tensor(a, b):
@@ -169,24 +180,20 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every factor not listed in ``keep``.
 
     Kept factors stay in their original register order regardless of the
-    order they are listed in.  The reduction sums entries whose kept
-    row/column indices match, entry by entry.
+    order they are listed in.  The matrix is reshaped to one row and one
+    column axis per factor, and each traced factor's row axis is
+    contracted with its column axis.
     """
-    keep_sorted = sorted(int(i) for i in keep)
-    if not keep_sorted:
-        raise ValueError("must keep at least one factor")
-    if len(set(keep_sorted)) != len(keep_sorted):
-        raise ValueError(f"duplicate indices in keep={tuple(keep)}")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= rho.n_factors:
-        raise ValueError(
-            f"keep={tuple(keep)} out of range for {rho.n_factors} factors"
-        )
-    traced = [i for i in range(rho.n_factors) if i not in keep_sorted]
-    strides = _strides(rho.dims)
-    keep_off = _subset_offsets(rho.dims, keep_sorted, strides)
-    trace_off = _subset_offsets(rho.dims, traced, strides)
-    reduced = ptrace_sum(rho.entries, keep_off, trace_off)
-    return DensityMatrix(tuple(rho.dims[i] for i in keep_sorted), reduced)
+    kept = _sorted_keep(keep, rho.n_factors)
+    k = rho.n_factors
+    rows = list(range(k))
+    # a traced factor shares its row label, so einsum sums its diagonal
+    cols = [k + i if i in kept else i for i in range(k)]
+    out = kept + [k + i for i in kept]
+    t = rho.entries.reshape(rho.dims + rho.dims)
+    dk = int(np.prod([rho.dims[i] for i in kept]))
+    reduced = np.einsum(t, rows + cols, out).reshape(dk, dk)
+    return DensityMatrix(tuple(rho.dims[i] for i in kept), reduced)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
@@ -211,17 +218,6 @@ def hermitian_eigenvalues(m: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     if np.abs(m - m.conj().T).max() > atol:
         raise ValueError("matrix is not hermitian within tolerance")
     return np.linalg.eigvalsh(m)[::-1]
-
-
-def hermitian_eigensystem(m: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and matching eigenvector columns."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > atol:
-        raise ValueError("matrix is not hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -269,7 +265,8 @@ def load_state(path) -> Ket:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            # bool is an int subclass, but true/false is no amplitude
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise StateFileError(
                 f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}"

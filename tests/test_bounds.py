@@ -8,6 +8,7 @@ from monogamy import (
     CREN,
     EOF,
     Ket,
+    PartitionSpec,
     Verdict,
     WeightLadder,
     alpha_grid,
@@ -19,6 +20,7 @@ from monogamy import (
     power_split_margin,
     precondition_check,
     prior_factor,
+    pure_cut_value,
     step_factor,
     tensor,
     tsallis_kind,
@@ -74,6 +76,21 @@ def test_step_factor_rejects_below_floor():
         prior_factor(tsallis_kind(2.5), 0.5)
 
 
+def test_non_finite_exponents_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError, match="not finite"):
+                step_factor(kind, bad)
+            with pytest.raises(ValueError, match="not finite"):
+                prior_factor(kind, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            alpha_grid(bad, 3.0, 0.1)
+        with pytest.raises(ValueError, match="not finite"):
+            alpha_grid(2.0, bad, 0.1)
+        with pytest.raises(ValueError, match="not finite"):
+            alpha_grid(2.0, 3.0, bad)
+
+
 def test_power_split_margin_values():
     assert power_split_margin(0.0, 3.0) == 0.0
     assert power_split_margin(1.0, 3.0) == 0.0
@@ -95,7 +112,7 @@ def test_weight_ladder_patterns():
     assert list(WeightLadder(2.0, 4, 2).weights()) == [1.0, 2.0, 8.0, 4.0]
     assert list(WeightLadder(2.0, 4, 3).weights()) == [1.0, 2.0, 4.0, 8.0]
     assert list(WeightLadder(3.0, 2, 1).weights()) == [1.0, 3.0]
-    assert list(WeightLadder.unit(5).weights()) == [1.0] * 5
+    assert list(WeightLadder(1.0, 5, 1).weights()) == [1.0] * 5
 
 
 def test_weight_ladder_validation():
@@ -291,3 +308,17 @@ def test_alpha_sweep_singleton_matches_single_report():
     swept = alpha_sweep(psi, 0, CONCURRENCE, [2.5])
     assert len(swept) == 1
     assert swept[0] == single
+
+
+def test_wide_register_analysis_builds_no_projector(monkeypatch):
+    # every bound reads 2x2 and 4x4 marginals taken straight from the ket
+    def no_projector(self):
+        raise AssertionError(f"built a {self.dim}x{self.dim} projector")
+
+    psi = haar_random(10, 2024)
+    monkeypatch.setattr(Ket, "to_density_matrix", no_projector)
+    cut = PartitionSpec.focus_vs_rest(0, 10)
+    assert len(precondition_check(psi, 0).verdicts) == 8
+    for kind in ALL_KINDS:
+        report = monogamy_report(psi, 0, kind, kind.alpha_floor)
+        assert report.lhs == pure_cut_value(kind, psi, cut) ** kind.alpha_floor

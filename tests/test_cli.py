@@ -36,6 +36,28 @@ def test_usage_errors_exit_2(capsys, state_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--tolerance", "nan"],
+        ["--verify", "--samples", "2", "--alphas", "nan"],
+        ["--verify", "--samples", "2", "--alphas", "inf"],
+        ["--verify", "--samples", "2", "--tolerance", "nan"],
+        ["--example", "1", "--alpha-step", "nan"],
+        ["--example", "1", "--alpha-max", "inf"],
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, state_file, capsys):
+    if argv[0] not in ("--verify", "--example"):
+        argv = ["--state", state_file] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert "asserted" not in captured.out and "result: ok" not in captured.out
+
+
 def test_malformed_state_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n_qubits": 2,\n "amplitudes": [[1, 0],]}\n')
@@ -149,6 +171,11 @@ def test_verify_small_campaign(capsys, tmp_path):
         assert asserted + undet + inapp == tested
         assert asserted == 20  # three-qubit comparisons are exact
         assert float(cells[7]) > -1e-9
+
+
+def test_verify_runs_on_twelve_qubits(capsys):
+    assert main(["--verify", "--n-qubits", "12", "--samples", "3"]) == 0
+    assert "result: ok" in capsys.readouterr().out
 
 
 def test_verify_deduplicates_resolved_floor(capsys, tmp_path):

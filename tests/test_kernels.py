@@ -1,78 +1,22 @@
-import importlib.util
-import os
-import subprocess
-import sys
-
 import numpy as np
 
-from monogamy._kernels import (
-    NUMBA_ENABLED,
-    ptrace_sum,
-    ptrace_sum_numpy,
-    spin_flip_mus,
-    spin_flip_mus_numpy,
-    warm_up,
-)
-from monogamy.qstate import _strides, _subset_offsets
+from monogamy.measures import spin_flip_mus
 
 np_rng = np.random.default_rng(31415)
 
-
-def random_hermitian(dim):
-    z = np_rng.normal(size=(dim, dim)) + 1j * np_rng.normal(size=(dim, dim))
-    h = z + z.conj().T
-    return h / np.abs(h).max()
-
-
-def test_ptrace_paths_agree():
-    dims = (2, 2, 2, 2)
-    strides = _strides(dims)
-    entries = random_hermitian(16)
-    for keep in [(0,), (2,), (0, 3), (1, 2), (0, 1, 2)]:
-        trace_out = tuple(i for i in range(4) if i not in keep)
-        keep_off = _subset_offsets(dims, keep, strides)
-        trace_off = _subset_offsets(dims, trace_out, strides)
-        fast = ptrace_sum(entries, keep_off, trace_off)
-        slow = ptrace_sum_numpy(entries, keep_off, trace_off)
-        assert np.abs(fast - slow).max() < 1e-13
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def test_spin_flip_paths_agree():
+    # the entrywise sign pattern must match the explicit sigma_y (x) sigma_y product
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
     for _ in range(25):
         z = np_rng.normal(size=(4, 4)) + 1j * np_rng.normal(size=(4, 4))
         rho = z @ z.conj().T
         rho /= np.trace(rho).real
-        fast = spin_flip_mus(np.ascontiguousarray(rho))
-        slow = spin_flip_mus_numpy(rho)
-        assert fast.shape == (4,)
-        assert np.all(np.diff(slow) <= 1e-15)  # descending
-        assert np.abs(fast - slow).max() < 1e-12
-
-
-def test_warm_up_runs():
-    warm_up()
-
-
-def _probe_flag(extra_env):
-    env = {k: v for k, v in os.environ.items() if k != "MONOGAMY_PURE_NUMPY"}
-    env.update(extra_env)
-    code = "import monogamy._kernels as k; print(k.NUMBA_ENABLED)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
-
-
-def test_pure_numpy_env_flag_disables_numba():
-    assert _probe_flag({"MONOGAMY_PURE_NUMPY": "1"}) == "False"
-    assert _probe_flag({"MONOGAMY_PURE_NUMPY": "true"}) == "False"
-    assert _probe_flag({"MONOGAMY_PURE_NUMPY": "0"}) == _probe_flag({})
-
-
-def test_numba_is_active_by_default_here():
-    # numba is optional: the compiled path must be on exactly when numba is
-    # installed and no pure-numpy run was requested; otherwise the
-    # pure-numpy fallback is active
-    pure_numpy = os.environ.get("MONOGAMY_PURE_NUMPY", "").strip().lower() in ("1", "true", "yes")
-    numba_installed = importlib.util.find_spec("numba") is not None
-    assert NUMBA_ENABLED == (numba_installed and not pure_numpy)
+        mus = spin_flip_mus(rho)
+        ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy)
+        expected = np.sort(np.sqrt(np.maximum(ev.real, 0.0)))[::-1]
+        assert mus.shape == (4,)
+        assert np.all(np.diff(mus) <= 1e-15)  # descending
+        assert np.abs(mus - expected).max() < 1e-12

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,7 +10,6 @@ from monogamy import (
     Ket,
     PartitionSpec,
     StateFileError,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     load_state,
     partial_trace,
@@ -97,6 +97,25 @@ def test_partial_trace_matches_loop_oracle(keep):
     assert np.abs(got.entries - expected).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ket_marginal_matches_loop_oracle(n):
+    psi = Ket(n, random_ket(np_rng, 2**n))
+    proj = psi.to_density_matrix().entries
+    for k in range(1, n + 1):
+        for keep in itertools.combinations(range(n), k):
+            got = psi.marginal(keep)
+            assert got.dims == (2,) * k
+            assert np.abs(got.entries - ptrace_loops(proj, (2,) * n, keep)).max() < 1e-13
+
+
+def test_ket_marginal_keeps_register_order_and_rejects_bad_keep():
+    psi = Ket(4, random_ket(np_rng, 16))
+    assert np.array_equal(psi.marginal((3, 0, 2)).entries, psi.marginal((0, 2, 3)).entries)
+    for bad in [(), (1, 1), (4,), (-1,)]:
+        with pytest.raises(ValueError):
+            psi.marginal(bad)
+
+
 def test_partial_trace_keeps_register_order():
     # keep order must not matter: factors stay in original order
     rho = random_dm(np_rng, (2, 2, 2))
@@ -175,14 +194,6 @@ def test_hermitian_eigenvalues_descending_and_trace():
         hermitian_eigenvalues(g)
 
 
-def test_hermitian_eigensystem_reconstructs():
-    g = np_rng.standard_normal((6, 6)) + 1j * np_rng.standard_normal((6, 6))
-    h = g + g.conj().T
-    vals, vecs = hermitian_eigensystem(h)
-    residual = np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h).max()
-    assert residual < 1e-10
-
-
 def test_trace_norm_hermitian_equals_abs_eigenvalue_sum():
     g = np_rng.standard_normal((5, 5)) + 1j * np_rng.standard_normal((5, 5))
     h = g + g.conj().T
@@ -234,4 +245,12 @@ def test_state_file_diagnostics(tmp_path):
         load_state(path)
     path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[1.0, 0.0], "x"]}))
     with pytest.raises(StateFileError, match="amplitude 1"):
+        load_state(path)
+
+
+def test_state_file_rejects_boolean_amplitudes(tmp_path):
+    # JSON true is a Python int subclass, but it is no amplitude
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[True, 0], [0, 0]]}))
+    with pytest.raises(StateFileError, match="amplitude 0"):
         load_state(path)
