@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, concurrence_pure, concurrence_two_qubit, pair_value, pure_cut_value
-from .qstate import Ket, PartitionSpec
+from .measures import CONCURRENCE, MeasureKind, concurrence_two_qubit, cut_value_of_marginal, value_of_concurrence
+from .qstate import DensityMatrix, Ket
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -69,7 +69,10 @@ def step_factor(kind: MeasureKind, alpha: float) -> float:
     always dominates the prior linear factor returned by prior_factor.
     """
     alpha = _checked_alpha(kind, alpha)
-    return 2.0 ** (alpha / _STEP_GAMMA[kind.name]) - 1.0
+    try:
+        return 2.0 ** (alpha / _STEP_GAMMA[kind.name]) - 1.0
+    except OverflowError:
+        raise ValueError(f"alpha={alpha!r} is too large: 2^(alpha/gamma) overflows") from None
 
 
 def prior_factor(kind: MeasureKind, alpha: float) -> float:
@@ -127,7 +130,12 @@ class WeightLadder:
         return np.array(p, dtype=np.int64)
 
     def weights(self) -> np.ndarray:
-        return np.asarray(self.base, dtype=np.float64) ** self.powers()
+        p = self.powers()
+        try:
+            float(self.base) ** max(p.tolist())  # raises where numpy would return inf
+        except OverflowError:
+            raise ValueError(f"ladder weights overflow: base {self.base!r}, {self.count} terms") from None
+        return np.asarray(self.base, dtype=np.float64) ** p
 
 
 class Verdict(Enum):
@@ -153,21 +161,18 @@ class PreconditionVerdict:
     verdicts: tuple[Verdict, ...]
     exact: tuple[bool, ...]
 
-    def ge_certified(self, i: int) -> bool:
-        """Pair i certifiably dominates its remainder cut (ties count)."""
-        return self.pair_concurrences[i] >= self.certified_upper[i] - PRECONDITION_ATOL
-
-    def le_certified(self, i: int) -> bool:
-        """Pair i is certifiably dominated by its remainder cut (ties count)."""
-        return self.pair_concurrences[i] <= self.certified_lower[i] + PRECONDITION_ATOL
-
     def certifies_split(self, m: int) -> bool:
-        """Whether the ordering hypothesis for split position m is certified."""
+        """Whether the ordering hypothesis for split position m is certified.
+
+        Pairs before position m must certifiably dominate their remainder
+        cut and the later ones be certifiably dominated by it; ties count.
+        """
         n_cmp = len(self.verdicts)
         if not (1 <= m <= n_cmp + 1):
             raise ValueError(f"split {m} outside [1, {n_cmp + 1}]")
-        head = all(self.ge_certified(i) for i in range(min(m, n_cmp)))
-        tail = all(self.le_certified(i) for i in range(m, n_cmp))
+        c, lo, hi = self.pair_concurrences, self.certified_lower, self.certified_upper
+        head = all(c[i] >= hi[i] - PRECONDITION_ATOL for i in range(min(m, n_cmp)))
+        tail = all(c[i] <= lo[i] + PRECONDITION_ATOL for i in range(m, n_cmp))
         return head and tail
 
     @property
@@ -205,15 +210,6 @@ def _chain_preconditions(pair_conc: Sequence[float], cut_cap: float) -> Precondi
     )
 
 
-def precondition_check(psi: Ket, focus: int, order: Sequence[int] | None = None) -> PreconditionVerdict:
-    """Check the chain-ordering hypothesis for a focus qubit and pair order."""
-    n = psi.n_qubits
-    order = _resolve_order(n, focus, order)
-    pair_conc = [concurrence_two_qubit(psi.marginal((focus, b))) for b in order]
-    cut_cap = concurrence_pure(psi, PartitionSpec.focus_vs_rest(focus, n))
-    return _chain_preconditions(pair_conc, cut_cap)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluation of the weighted bound against its baselines.
@@ -247,23 +243,88 @@ class BoundReport:
         return self.preconditions.certifies_split(self.m)
 
 
-def _resolve_order(n: int, focus: int, order: Sequence[int] | None) -> tuple[int, ...]:
-    if not (0 <= focus < n):
-        raise ValueError(f"focus {focus} out of range for {n} qubits")
-    rest = [i for i in range(n) if i != focus]
-    if order is None:
-        return tuple(rest)
-    order = tuple(int(i) for i in order)
-    if sorted(order) != rest:
-        raise ValueError(
-            f"order {order} is not a permutation of the non-focus qubits {rest}"
+def precondition_check(psi: Ket, focus: int, order: Sequence[int] | None = None) -> PreconditionVerdict:
+    """Check the chain-ordering hypothesis for a focus qubit and pair order."""
+    return ChainAnalysis.of(psi, focus, order).given_verdicts
+
+
+@dataclass(frozen=True)
+class ChainAnalysis:
+    """Everything the bounds read from one state, computed once.
+
+    The pair concurrences keyed by partner qubit, the focus marginal
+    rho_A, the pair order as given and as ranked by descending
+    concurrence (ties keep their given position), and the chain verdicts
+    for both orders.  None of it depends on the measure or the exponent,
+    so one analysis serves every report.
+    """
+
+    focus: int
+    given: tuple[int, ...]
+    ranked: tuple[int, ...]
+    concurrence: dict[int, float]
+    rho_a: DensityMatrix
+    given_verdicts: PreconditionVerdict
+    ranked_verdicts: PreconditionVerdict
+
+    @classmethod
+    def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
+        if not (0 <= focus < psi.n_qubits):
+            raise ValueError(f"focus {focus} out of range for {psi.n_qubits} qubits")
+        rest = [i for i in range(psi.n_qubits) if i != focus]
+        given = tuple(rest) if order is None else tuple(int(i) for i in order)
+        if sorted(given) != rest:
+            raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
+        conc = {b: concurrence_two_qubit(psi.marginal((focus, b))) for b in given}
+        rho_a = psi.marginal((focus,))
+        cut_cap = cut_value_of_marginal(CONCURRENCE, rho_a)
+        ranked = tuple(sorted(given, key=lambda b: -conc[b]))
+        verdicts = [_chain_preconditions([conc[b] for b in o], cut_cap) for o in (given, ranked)]
+        return cls(focus, given, ranked, conc, rho_a, *verdicts)
+
+    def report(self, measure: MeasureKind, alpha: float, m: int | None = None) -> BoundReport:
+        """The weighted bound for one measure and exponent; see monogamy_report."""
+        n_pairs = len(self.given)
+        if n_pairs < 2:
+            raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
+        h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
+        top = n_pairs - 1
+        if m is None:
+            # the ascending ladder first, then the largest certified split
+            candidates = [(top, self.ranked_verdicts)]
+            candidates += [(c, self.given_verdicts) for c in range(top - 1, 0, -1)]
+            m = next((c for c, pre in candidates if pre.certifies_split(c)), top)
+        elif not (1 <= int(m) <= top):
+            raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
+        m = int(m)
+        order, pre = (self.ranked, self.ranked_verdicts) if m == top else (self.given, self.given_verdicts)
+
+        lhs = cut_value_of_marginal(measure, self.rho_a) ** alpha
+        pvals = np.array([value_of_concurrence(measure, self.concurrence[b]) for b in order])
+        powered = pvals**alpha
+
+        weights = WeightLadder(h, n_pairs, m).weights()
+        prior = WeightLadder(prior_factor(measure, alpha), n_pairs, m).weights()
+        new_bound = float(weights @ powered)
+        baseline_weighted = float(prior @ powered)
+        baseline_sum = float(powered.sum())
+
+        return BoundReport(
+            measure=measure,
+            alpha=float(alpha),
+            m=m,
+            focus=self.focus,
+            order=order,
+            lhs=lhs,
+            pair_values=tuple(float(v) for v in pvals),
+            weights=tuple(float(w) for w in weights),
+            new_bound=new_bound,
+            baseline_weighted=baseline_weighted,
+            baseline_sum=baseline_sum,
+            residual_new=lhs - new_bound,
+            residual_gap=new_bound - max(baseline_weighted, baseline_sum),
+            preconditions=pre,
         )
-    return order
-
-
-def _descending(values: Sequence[float], items: Sequence) -> list:
-    idx = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return [items[i] for i in idx]
 
 
 def monogamy_report(
@@ -284,69 +345,7 @@ def monogamy_report(
     certified, the report falls back to the ascending ladder with the
     verdicts attached and ``asserted`` False.
     """
-    n = psi.n_qubits
-    if n < 3:
-        raise ValueError(f"need at least three qubits, got {n}")
-    given = _resolve_order(n, focus, order)
-    h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
-
-    pair_rhos = {b: psi.marginal((focus, b)) for b in given}
-    pair_conc = {b: concurrence_two_qubit(pair_rhos[b]) for b in given}
-    cut_cap = concurrence_pure(psi, PartitionSpec.focus_vs_rest(focus, n))
-
-    sorted_order = tuple(_descending([pair_conc[b] for b in given], list(given)))
-    pre_sorted = _chain_preconditions([pair_conc[b] for b in sorted_order], cut_cap)
-
-    n_pairs = n - 1
-    if m is None:
-        if pre_sorted.certifies_split(n_pairs - 1):
-            m, eff_order, pre = n_pairs - 1, sorted_order, pre_sorted
-        else:
-            pre_given = _chain_preconditions([pair_conc[b] for b in given], cut_cap)
-            for cand in range(n_pairs - 2, 0, -1):
-                if pre_given.certifies_split(cand):
-                    m, eff_order, pre = cand, given, pre_given
-                    break
-            else:
-                m, eff_order, pre = n_pairs - 1, sorted_order, pre_sorted
-    else:
-        m = int(m)
-        if not (1 <= m <= n_pairs - 1):
-            raise ValueError(f"m={m} outside [1, {n_pairs - 1}] for {n_pairs} pairs")
-        if m == n_pairs - 1:
-            eff_order, pre = sorted_order, pre_sorted
-        else:
-            eff_order = given
-            pre = _chain_preconditions([pair_conc[b] for b in given], cut_cap)
-
-    cut = PartitionSpec.focus_vs_rest(focus, n)
-    lhs = pure_cut_value(measure, psi, cut) ** alpha
-    pvals = np.array([pair_value(measure, pair_rhos[b]) for b in eff_order])
-    powered = pvals**alpha
-
-    ladder = WeightLadder(h, n_pairs, m)
-    prior = WeightLadder(prior_factor(measure, alpha), n_pairs, m)
-    weights = ladder.weights()
-    new_bound = float(weights @ powered)
-    baseline_weighted = float(prior.weights() @ powered)
-    baseline_sum = float(powered.sum())
-
-    return BoundReport(
-        measure=measure,
-        alpha=float(alpha),
-        m=m,
-        focus=focus,
-        order=eff_order,
-        lhs=lhs,
-        pair_values=tuple(float(v) for v in pvals),
-        weights=tuple(float(w) for w in weights),
-        new_bound=new_bound,
-        baseline_weighted=baseline_weighted,
-        baseline_sum=baseline_sum,
-        residual_new=lhs - new_bound,
-        residual_gap=new_bound - max(baseline_weighted, baseline_sum),
-        preconditions=pre,
-    )
+    return ChainAnalysis.of(psi, focus, order).report(measure, alpha, m)
 
 
 def alpha_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -371,5 +370,6 @@ def alpha_sweep(
     order: Sequence[int] | None = None,
     m: int | None = None,
 ) -> list[BoundReport]:
-    """monogamy_report across an exponent grid."""
-    return [monogamy_report(psi, focus, measure, a, order=order, m=m) for a in alphas]
+    """monogamy_report across an exponent grid, from one analysis of the state."""
+    analysis = ChainAnalysis.of(psi, focus, order)
+    return [analysis.report(measure, a, m) for a in alphas]

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .bounds import BoundReport, alpha_grid, alpha_sweep, monogamy_report, step_factor
+from .bounds import BoundReport, ChainAnalysis, alpha_grid, alpha_sweep, monogamy_report, step_factor
 from .measures import CONCURRENCE, CREN, EOF, MeasureKind, tsallis_kind
 from .qstate import StateFileError, load_state
 from .states import SchmidtParams, gsd3, haar_random, w_state
@@ -264,7 +264,7 @@ class CampaignRow:
 
 def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     """Run the campaign; returns summary rows and a violation flag."""
-    states = [haar_random(config.n_qubits, config.seed + k) for k in range(config.samples)]
+    analyses = [ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0) for k in range(config.samples)]
     rows: list[CampaignRow] = []
     violation = False
     for measure in config.measures:
@@ -277,8 +277,8 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
             n_asserted = n_undet = n_inapp = 0
             min_new = math.inf
             min_gap = math.inf
-            for psi in states:
-                report = monogamy_report(psi, 0, measure, alpha)
+            for analysis in analyses:
+                report = analysis.report(measure, alpha)
                 min_gap = min(min_gap, report.residual_gap)
                 if report.asserted:
                     n_asserted += 1

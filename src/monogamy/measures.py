@@ -122,19 +122,9 @@ def tsallis_g(q: float, x: float) -> float:
     return (1.0 - hi**q - lo**q) / (q - 1.0)
 
 
-def _reduced_eigenvalues(psi: Ket, cut: PartitionSpec) -> np.ndarray:
-    cut.validate_for(psi.n_qubits)
-    rho_a = psi.marginal(cut.side_a)
-    vals = hermitian_eigenvalues(rho_a.entries)
-    # eigenvalues within rounding of zero enter entropies and roots as 0
-    return np.where(vals < 0.0, 0.0, vals)
-
-
 def concurrence_pure(psi: Ket, cut: PartitionSpec) -> float:
     """sqrt(2 (1 - Tr rho_A^2)) across the cut of a pure state."""
-    cut.validate_for(psi.n_qubits)
-    rho_a = psi.marginal(cut.side_a)
-    return math.sqrt(max(2.0 * (1.0 - purity(rho_a)), 0.0))
+    return pure_cut_value(CONCURRENCE, psi, cut)
 
 
 def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
@@ -180,20 +170,7 @@ def eof(state, cut: PartitionSpec | None = None) -> float:
     across ``cut``; two-qubit density matrices take the closed form
     eof_f(C^2).  Mixed states on anything but (2, 2) are not supported.
     """
-    if isinstance(state, Ket):
-        if cut is None:
-            raise ValueError("pure-state entanglement of formation needs a cut")
-        lam = _reduced_eigenvalues(state, cut)
-        nz = lam[lam > 0.0]
-        return float(-(nz * np.log2(nz)).sum())
-    if isinstance(state, DensityMatrix):
-        if cut is not None:
-            raise ValueError("cut is only meaningful for pure input")
-        if state.dims != (2, 2):
-            raise ValueError(f"mixed-state closed form needs dims (2, 2), got {state.dims}")
-        c = concurrence_two_qubit(state)
-        return eof_f(c * c)
-    raise TypeError(f"expected Ket or DensityMatrix, got {type(state).__name__}")
+    return _state_value(EOF, state, cut)
 
 
 def tsallis(state, q: float, cut: PartitionSpec | None = None) -> float:
@@ -202,21 +179,18 @@ def tsallis(state, q: float, cut: PartitionSpec | None = None) -> float:
     Pure kets take (1 - Tr rho_A^q) / (q - 1) across ``cut``; two-qubit
     density matrices take the closed form g_q(C^2).
     """
-    q = float(q)
-    if not (2.0 - DOMAIN_ATOL <= q <= 3.0 + DOMAIN_ATOL):
-        raise ValueError(f"q={q!r} outside the supported range [2, 3]")
+    return _state_value(tsallis_kind(q), state, cut)
+
+
+def _state_value(kind: MeasureKind, state, cut: PartitionSpec | None) -> float:
     if isinstance(state, Ket):
         if cut is None:
-            raise ValueError("pure-state tsallis entanglement needs a cut")
-        lam = _reduced_eigenvalues(state, cut)
-        return float((1.0 - (lam**q).sum()) / (q - 1.0))
+            raise ValueError(f"pure-state {kind.label} needs a cut")
+        return pure_cut_value(kind, state, cut)
     if isinstance(state, DensityMatrix):
         if cut is not None:
             raise ValueError("cut is only meaningful for pure input")
-        if state.dims != (2, 2):
-            raise ValueError(f"mixed-state closed form needs dims (2, 2), got {state.dims}")
-        c = concurrence_two_qubit(state)
-        return tsallis_g(q, c * c)
+        return pair_value(kind, state)
     raise TypeError(f"expected Ket or DensityMatrix, got {type(state).__name__}")
 
 
@@ -231,28 +205,47 @@ def negativity(rho: DensityMatrix, subsystem: int) -> float:
     return max(val, 0.0)
 
 
-def pure_cut_value(kind: MeasureKind, psi: Ket, cut: PartitionSpec) -> float:
-    """Value of ``kind`` on a pure state across ``cut``.
+def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
+    """Value of ``kind`` on a pure state whose side-A reduced state is ``rho_a``.
 
-    The convex-roof extended negativity of a pure state reduces to
-    (Tr sqrt(rho_A))^2 - 1 over the reduced spectrum.
+    Concurrence is sqrt(2 (1 - Tr rho_A^2)); the others read the reduced
+    spectrum: the base-2 von Neumann entropy for EOF, (1 - Tr rho_A^q) /
+    (q - 1) for tsallis, and (Tr sqrt(rho_A))^2 - 1 for the convex-roof
+    extended negativity.
     """
     if kind.name == "concurrence":
-        return concurrence_pure(psi, cut)
+        return math.sqrt(max(2.0 * (1.0 - purity(rho_a)), 0.0))
+    lam = hermitian_eigenvalues(rho_a.entries)
+    # eigenvalues within rounding of zero enter entropies and roots as 0
+    lam = np.where(lam < 0.0, 0.0, lam)
     if kind.name == "eof":
-        return eof(psi, cut)
+        nz = lam[lam > 0.0]
+        return float(-(nz * np.log2(nz)).sum())
     if kind.name == "tsallis":
-        return tsallis(psi, kind.q, cut)
-    lam = _reduced_eigenvalues(psi, cut)
+        q = float(kind.q)
+        return float((1.0 - (lam**q).sum()) / (q - 1.0))
     return max(float(np.sqrt(lam).sum() ** 2 - 1.0), 0.0)
+
+
+def pure_cut_value(kind: MeasureKind, psi: Ket, cut: PartitionSpec) -> float:
+    """Value of ``kind`` on a pure state across ``cut``."""
+    cut.validate_for(psi.n_qubits)
+    return cut_value_of_marginal(kind, psi.marginal(cut.side_a))
+
+
+def value_of_concurrence(kind: MeasureKind, c: float) -> float:
+    """Two-qubit value of ``kind`` from the pair concurrence ``c``.
+
+    Concurrence and CREN take C itself, EOF takes eof_f(C^2) and tsallis
+    takes g_q(C^2).
+    """
+    if kind.name == "eof":
+        return eof_f(c * c)
+    if kind.name == "tsallis":
+        return tsallis_g(kind.q, c * c)
+    return c
 
 
 def pair_value(kind: MeasureKind, rho: DensityMatrix) -> float:
     """Value of ``kind`` on a two-qubit mixed state via its closed form."""
-    if kind.name == "concurrence":
-        return concurrence_two_qubit(rho)
-    if kind.name == "eof":
-        return eof(rho)
-    if kind.name == "tsallis":
-        return tsallis(rho, kind.q)
-    return cren_two_qubit(rho)
+    return value_of_concurrence(kind, concurrence_two_qubit(rho))

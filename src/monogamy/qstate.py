@@ -27,6 +27,7 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
+EIGVALS_HERMITICITY_ATOL = 1e-10
 STATE_FILE_NORM_ATOL = 1e-6
 
 
@@ -210,12 +211,12 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.order, rho.order))
 
 
-def hermitian_eigenvalues(m: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a hermitian matrix, descending."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > atol:
+    if np.abs(m - m.conj().T).max() > EIGVALS_HERMITICITY_ATOL:
         raise ValueError("matrix is not hermitian within tolerance")
     return np.linalg.eigvalsh(m)[::-1]
 
@@ -249,10 +250,12 @@ def load_state(path) -> Ket:
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be an object")
     try:
-        n = int(data["n_qubits"])
+        n = data["n_qubits"]
         raw = data["amplitudes"]
     except KeyError as exc:
         raise StateFileError(f"{path}: missing key {exc.args[0]!r}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise StateFileError(f"{path}: n_qubits must be an integer, got {n!r}")
     if n < 1:
         raise StateFileError(f"{path}: n_qubits must be positive, got {n}")
     if not isinstance(raw, list) or len(raw) != 2**n:

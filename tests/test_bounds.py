@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import monogamy
 from monogamy import (
     CONCURRENCE,
+    ChainAnalysis,
     CREN,
     EOF,
     Ket,
@@ -89,6 +91,18 @@ def test_non_finite_exponents_are_rejected():
             alpha_grid(2.0, bad, 0.1)
         with pytest.raises(ValueError, match="not finite"):
             alpha_grid(2.0, 3.0, bad)
+
+
+def test_oversized_exponents_are_rejected():
+    with pytest.raises(ValueError, match="overflow"):
+        step_factor(CONCURRENCE, 2100.0)
+    with pytest.raises(ValueError, match="overflow"):
+        step_factor(tsallis_kind(2.0), 1100.0)
+    assert math.isfinite(step_factor(tsallis_kind(2.0), 1000.0))
+    with pytest.raises(ValueError, match="overflow"):
+        WeightLadder(1e200, 3, 2).weights()
+    with pytest.raises(ValueError, match="overflow"):
+        monogamy_report(haar_random(6, 1), 0, CONCURRENCE, 1000.0)
 
 
 def test_power_split_margin_values():
@@ -308,6 +322,28 @@ def test_alpha_sweep_singleton_matches_single_report():
     swept = alpha_sweep(psi, 0, CONCURRENCE, [2.5])
     assert len(swept) == 1
     assert swept[0] == single
+
+
+def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
+    psi = haar_random(5, 31)
+    grid = [2.0, 2.5, 3.0, 4.0]
+    expected = [monogamy_report(psi, 0, EOF, a, order=(4, 2, 3, 1)) for a in grid]
+    analysis = ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1))
+    assert analysis.given_verdicts == precondition_check(psi, 0, order=(4, 2, 3, 1))
+    assert [analysis.report(EOF, a) for a in grid] == expected
+
+    calls = []
+    original = monogamy.bounds.concurrence_two_qubit
+    monkeypatch.setattr(monogamy.bounds, "concurrence_two_qubit", lambda rho: calls.append(1) or original(rho))
+    assert alpha_sweep(psi, 0, EOF, grid, order=(4, 2, 3, 1)) == expected
+    assert len(calls) == 4  # one per pair, not one per pair and exponent
+
+
+def test_ranked_order_keeps_ties_in_given_order():
+    # all W-state pairs tie, so ranking keeps the caller's order
+    analysis = ChainAnalysis.of(w_state(5), 2, order=(4, 0, 3, 1))
+    assert analysis.ranked == analysis.given == (4, 0, 3, 1)
+    assert monogamy_report(w_state(5), 2, CONCURRENCE, 2.0, order=(4, 0, 3, 1)).order == (4, 0, 3, 1)
 
 
 def test_wide_register_analysis_builds_no_projector(monkeypatch):

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
-from monogamy import CONCURRENCE, monogamy_report, save_state
-from monogamy.cli import main
+import monogamy
+from monogamy import CONCURRENCE, CREN, EOF, haar_random, monogamy_report, save_state, tsallis_kind, w_state
+from monogamy.cli import CampaignConfig, main, run_campaign
 from monogamy.states import SchmidtParams, gsd3
+
+ALL_KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0))
 
 
 def scenario1_state():
@@ -56,6 +59,24 @@ def test_non_finite_numbers_exit_2(argv, state_file, capsys):
     captured = capsys.readouterr()
     assert "not finite" in captured.err
     assert "asserted" not in captured.out and "result: ok" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "W3", "--alpha", "2100"],  # 2^(alpha/2) overflows a float
+        ["--verify", "--samples", "2", "--alphas", "1500"],
+        # 2^500 - 1 is finite, but its fourth power, the top weight at n = 6, is not
+        ["--verify", "--n-qubits", "6", "--samples", "1", "--measure", "concurrence", "--alphas", "1000"],
+    ],
+)
+def test_oversized_exponents_exit_2(argv, tmp_path, capsys):
+    w3 = tmp_path / "w3.json"
+    save_state(w_state(3), w3)
+    assert main([str(w3) if a == "W3" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err
+    assert "result: ok" not in captured.out and "asserted" not in captured.out
 
 
 def test_malformed_state_file_reports_line(tmp_path, capsys):
@@ -211,3 +232,42 @@ def test_env_seed_overrides_flag(capsys, monkeypatch):
     monkeypatch.setenv("MONOGAMY_SEED", "not-a-seed")
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def _campaign(n_qubits, samples):
+    config = CampaignConfig(n_qubits=n_qubits, samples=samples, seed=0, measures=ALL_KINDS,
+                            alphas=("floor", 2.0, 3.0), tolerance=1e-9)
+    return config, run_campaign(config)
+
+
+def test_campaign_analyses_each_pair_once(monkeypatch):
+    # the pair concurrences depend on the state alone, not on the 10 (measure, alpha) rows
+    calls = []
+    original = monogamy.measures.concurrence_two_qubit
+
+    def counted(rho):
+        calls.append(rho)
+        return original(rho)
+
+    monkeypatch.setattr(monogamy.bounds, "concurrence_two_qubit", counted)
+    monkeypatch.setattr(monogamy.measures, "concurrence_two_qubit", counted)
+    _, (rows, violation) = _campaign(4, 4)
+    assert len(rows) == 10 and not violation
+    assert len(calls) == 4 * 3
+
+
+def test_campaign_rows_match_state_by_state_reports():
+    config, (rows, _) = _campaign(4, 40)
+    states = [haar_random(4, config.seed + k) for k in range(config.samples)]
+    assert sum(r.undetermined for r in rows) > 0
+    for row in rows:
+        reports = [monogamy_report(psi, 0, row.measure, row.alpha) for psi in states]
+        asserted = [r for r in reports if r.asserted]
+        undetermined = [r for r in reports if not r.asserted and r.preconditions.any_undetermined]
+        assert (row.asserted, row.undetermined) == (len(asserted), len(undetermined))
+        assert row.inapplicable == row.tested - len(asserted) - len(undetermined)
+        assert row.min_residual_gap == min(r.residual_gap for r in reports)
+        if asserted:
+            assert row.min_residual_new == min(r.residual_new for r in asserted)
+        else:
+            assert math.isnan(row.min_residual_new)

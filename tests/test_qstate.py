@@ -248,6 +248,15 @@ def test_state_file_diagnostics(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("n_qubits", [3.9, True, "3"])
+def test_state_file_requires_integer_qubit_count(tmp_path, n_qubits):
+    path = tmp_path / "state.json"
+    amp = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+    path.write_text(json.dumps({"n_qubits": n_qubits, "amplitudes": amp}))
+    with pytest.raises(StateFileError, match="n_qubits must be an integer"):
+        load_state(path)
+
+
 def test_state_file_rejects_boolean_amplitudes(tmp_path):
     # JSON true is a Python int subclass, but it is no amplitude
     path = tmp_path / "state.json"
