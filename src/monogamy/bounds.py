@@ -4,8 +4,9 @@ For a pure state on qubits {A, B_1, ..., B_{N-1}} and a measure M with
 exponent alpha, the cut value M(A | B_1...B_{N-1})^alpha is bounded from
 below by a weighted sum over the two-qubit pair values M(A, B_i)^alpha.
 The weights form a geometric ladder in the per-step factor
-h = 2^(alpha/gamma) - 1 (gamma is 2 for concurrence and its negativity
-twin, sqrt(2) for entanglement of formation, 1 for tsallis), and the
+h = 2^(alpha/gamma) - 1 (gamma is the measure's floor exponent: 2 for
+concurrence and its negativity twin, sqrt(2) for entanglement of
+formation, 1 for tsallis), and the
 ladder's shape is controlled by a split position m: the first m weights
 ascend h^0..h^{m-1}, the trailing pairs take h^{m+1} except for the very
 last, which takes h^m.  m = N-2 degenerates to the fully ascending
@@ -42,14 +43,6 @@ from .qstate import DensityMatrix, Ket
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
 
-# gamma in the per-step factor 2^(alpha/gamma) - 1
-_STEP_GAMMA = {
-    "concurrence": 2.0,
-    "cren": 2.0,
-    "eof": math.sqrt(2.0),
-    "tsallis": 1.0,
-}
-
 
 def _checked_alpha(kind: MeasureKind, alpha: float) -> float:
     alpha = float(alpha)
@@ -57,20 +50,20 @@ def _checked_alpha(kind: MeasureKind, alpha: float) -> float:
         raise ValueError(f"alpha={alpha!r} is not finite")
     if alpha < kind.alpha_floor - ALPHA_ATOL:
         raise ValueError(
-            f"alpha={alpha!r} below the {kind.label} floor {kind.alpha_floor!r}"
+            f"alpha={alpha!r} below the {kind.name} floor {kind.alpha_floor!r}"
         )
     return alpha
 
 
 def step_factor(kind: MeasureKind, alpha: float) -> float:
-    """Per-step ladder factor 2^(alpha/gamma) - 1.
+    """Per-step ladder factor 2^(alpha/gamma) - 1, gamma the floor exponent.
 
     Equals 1 at the measure's floor exponent and grows from there; it
     always dominates the prior linear factor returned by prior_factor.
     """
     alpha = _checked_alpha(kind, alpha)
     try:
-        return 2.0 ** (alpha / _STEP_GAMMA[kind.name]) - 1.0
+        return 2.0 ** (alpha / kind.alpha_floor) - 1.0
     except OverflowError:
         raise ValueError(f"alpha={alpha!r} is too large: 2^(alpha/gamma) overflows") from None
 
@@ -80,7 +73,7 @@ def prior_factor(kind: MeasureKind, alpha: float) -> float:
     alpha = _checked_alpha(kind, alpha)
     if kind.name == "tsallis":
         return 1.0
-    return alpha / _STEP_GAMMA[kind.name]
+    return alpha / kind.alpha_floor
 
 
 def power_split_margin(t: float, x: float) -> float:
@@ -243,20 +236,19 @@ class BoundReport:
         return self.preconditions.certifies_split(self.m)
 
 
-def precondition_check(psi: Ket, focus: int, order: Sequence[int] | None = None) -> PreconditionVerdict:
-    """Check the chain-ordering hypothesis for a focus qubit and pair order."""
-    return ChainAnalysis.of(psi, focus, order).given_verdicts
-
-
 @dataclass(frozen=True)
 class ChainAnalysis:
     """Everything the bounds read from one state, computed once.
 
     The pair concurrences keyed by partner qubit, the focus marginal
-    rho_A, the pair order as given and as ranked by descending
-    concurrence (ties keep their given position), and the chain verdicts
-    for both orders.  None of it depends on the measure or the exponent,
-    so one analysis serves every report.
+    rho_A (whose spectrum it carries), the pair order as given and as
+    ranked by descending concurrence (ties keep their given position), the
+    chain verdicts for both orders, and the ladder split a report picks
+    when none is asked for: the fully ascending ladder (m = N-2, ranked
+    order) if certified, else the largest certified split of the given
+    order, else N-2 uncertified.  ``split`` is None below three qubits.
+    None of it depends on the measure or the exponent, so one analysis
+    serves every report.
     """
 
     focus: int
@@ -266,6 +258,7 @@ class ChainAnalysis:
     rho_a: DensityMatrix
     given_verdicts: PreconditionVerdict
     ranked_verdicts: PreconditionVerdict
+    split: int | None
 
     @classmethod
     def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
@@ -279,8 +272,12 @@ class ChainAnalysis:
         rho_a = psi.marginal((focus,))
         cut_cap = cut_value_of_marginal(CONCURRENCE, rho_a)
         ranked = tuple(sorted(given, key=lambda b: -conc[b]))
-        verdicts = [_chain_preconditions([conc[b] for b in o], cut_cap) for o in (given, ranked)]
-        return cls(focus, given, ranked, conc, rho_a, *verdicts)
+        given_pre, ranked_pre = [_chain_preconditions([conc[b] for b in o], cut_cap) for o in (given, ranked)]
+        # the ascending ladder first, then the largest certified split
+        top = len(given) - 1
+        candidates = [(top, ranked_pre)] + [(c, given_pre) for c in range(top - 1, 0, -1)]
+        split = next((c for c, pre in candidates if pre.certifies_split(c)), top) if top >= 1 else None
+        return cls(focus, given, ranked, conc, rho_a, given_pre, ranked_pre, split)
 
     def report(self, measure: MeasureKind, alpha: float, m: int | None = None) -> BoundReport:
         """The weighted bound for one measure and exponent; see monogamy_report."""
@@ -290,10 +287,7 @@ class ChainAnalysis:
         h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
         top = n_pairs - 1
         if m is None:
-            # the ascending ladder first, then the largest certified split
-            candidates = [(top, self.ranked_verdicts)]
-            candidates += [(c, self.given_verdicts) for c in range(top - 1, 0, -1)]
-            m = next((c for c, pre in candidates if pre.certifies_split(c)), top)
+            m = self.split
         elif not (1 <= int(m) <= top):
             raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
         m = int(m)
@@ -337,8 +331,8 @@ def monogamy_report(
 ) -> BoundReport:
     """Evaluate the weighted bound for one pure state, measure and exponent.
 
-    ``m`` selects the ladder split; ``None`` scans for the largest
-    certified split, preferring the fully ascending ladder (m = N-2).
+    ``m`` selects the ladder split; ``None`` takes the largest certified
+    split, preferring the fully ascending ladder (m = N-2).
     When the ascending ladder is used the pairs are reordered by
     descending pair concurrence (ties keep their original position); the
     split ladders use the caller's order as given.  If no split is

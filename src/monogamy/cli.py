@@ -181,7 +181,7 @@ def cmd_state(args) -> int:
     print(f"qubits: {psi.n_qubits}  focus: {report.focus}  pair order: "
           + ",".join(str(b) for b in report.order))
     print(
-        f"measure: {measure.label}  q: {_fmt(q)}  alpha: {_fmt(report.alpha)}  "
+        f"measure: {measure.name}  q: {_fmt(q)}  alpha: {_fmt(report.alpha)}  "
         f"m: {report.m}  asserted: {'yes' if report.asserted else 'no'}"
     )
     print("verdicts: " + ",".join(v.value for v in report.preconditions.verdicts))
@@ -192,7 +192,7 @@ def cmd_state(args) -> int:
         print(f"{field}: {_fmt(getattr(report, field))}")
     if args.out is not None:
         row = ",".join(
-            [measure.label]
+            [measure.name]
             + [
                 _fmt(v)
                 for v in (
@@ -235,6 +235,14 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_qubits < 3:
             raise ValueError(f"campaign needs at least 3 qubits, got {self.n_qubits}")
+        # a Haar draw holds two float64 vectors and the complex128 ket at once
+        needed = (8 + 8 + 16) * 2**self.n_qubits
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if needed > physical:
+            raise ValueError(
+                f"{self.n_qubits} qubits need 2^{self.n_qubits + 5} bytes of dense memory, "
+                f"more than the {physical / 2**30:.3g} GiB of physical memory"
+            )
         if self.samples < 1:
             raise ValueError(f"campaign needs at least 1 sample, got {self.samples}")
         if not self.measures:
@@ -332,7 +340,7 @@ def cmd_verify(args) -> int:
         q = r.measure.q if r.measure.q is not None else math.nan
         csv_lines.append(
             ",".join(
-                [r.measure.label]
+                [r.measure.name]
                 + [
                     _fmt(v)
                     for v in (q, r.alpha)
@@ -342,7 +350,7 @@ def cmd_verify(args) -> int:
             )
         )
         print(
-            f"  {r.measure.label:<12} q={_fmt(q):<4} alpha={_fmt(r.alpha):<14} "
+            f"  {r.measure.name:<12} q={_fmt(q):<4} alpha={_fmt(r.alpha):<14} "
             f"tested={r.tested} asserted={r.asserted} undetermined={r.undetermined} "
             f"inapplicable={r.inapplicable} min_residual_new={_fmt(r.min_residual_new)} "
             f"min_residual_gap={_fmt(r.min_residual_gap)}"

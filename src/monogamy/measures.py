@@ -15,7 +15,6 @@ from .qstate import (
     DensityMatrix,
     Ket,
     PartitionSpec,
-    hermitian_eigenvalues,
     partial_transpose,
     purity,
     trace_norm,
@@ -26,7 +25,8 @@ EIG_CLIP_ATOL = 1e-10
 
 _MEASURE_NAMES = ("concurrence", "eof", "cren", "tsallis")
 
-# exponent floors: smallest power for which the weighted bounds apply
+# exponent floors: smallest power for which the weighted bounds apply; each
+# is also the gamma of the ladder's per-step factor 2^(alpha/gamma) - 1
 _ALPHA_FLOORS = {
     "concurrence": 2.0,
     "eof": math.sqrt(2.0),
@@ -64,10 +64,6 @@ class MeasureKind:
     @property
     def alpha_floor(self) -> float:
         return _ALPHA_FLOORS[self.name]
-
-    @property
-    def label(self) -> str:
-        return self.name
 
 
 CONCURRENCE = MeasureKind("concurrence")
@@ -185,7 +181,7 @@ def tsallis(state, q: float, cut: PartitionSpec | None = None) -> float:
 def _state_value(kind: MeasureKind, state, cut: PartitionSpec | None) -> float:
     if isinstance(state, Ket):
         if cut is None:
-            raise ValueError(f"pure-state {kind.label} needs a cut")
+            raise ValueError(f"pure-state {kind.name} needs a cut")
         return pure_cut_value(kind, state, cut)
     if isinstance(state, DensityMatrix):
         if cut is not None:
@@ -215,7 +211,7 @@ def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
     """
     if kind.name == "concurrence":
         return math.sqrt(max(2.0 * (1.0 - purity(rho_a)), 0.0))
-    lam = hermitian_eigenvalues(rho_a.entries)
+    lam = rho_a.eigenvalues
     # eigenvalues within rounding of zero enter entropies and roots as 0
     lam = np.where(lam < 0.0, 0.0, lam)
     if kind.name == "eof":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
-EIGVALS_HERMITICITY_ATOL = 1e-10
 STATE_FILE_NORM_ATOL = 1e-6
 
 
@@ -86,11 +85,14 @@ class DensityMatrix:
     """Density operator on a register with factor dimensions ``dims``.
 
     Construction validates hermiticity (entrywise, 1e-12), unit trace
-    (1e-12) and positivity (smallest eigenvalue >= -1e-10).
+    (1e-12) and positivity (smallest eigenvalue >= -1e-10).  The spectrum
+    that the positivity check computes is kept as ``eigenvalues``,
+    read-only and descending.
     """
 
     dims: tuple[int, ...]
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -107,13 +109,16 @@ class DensityMatrix:
         tr = entries.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")
-        smallest = float(np.linalg.eigvalsh(entries)[0])
+        eigenvalues = np.linalg.eigvalsh(entries)[::-1]
+        smallest = float(eigenvalues[-1])
         if smallest < -PSD_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
         entries = np.ascontiguousarray(entries)
         entries.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def n_factors(self) -> int:
@@ -209,16 +214,6 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     t = rho.entries.reshape(rho.dims + rho.dims)
     t = t.swapaxes(subsystem, k + subsystem)
     return np.ascontiguousarray(t.reshape(rho.order, rho.order))
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a hermitian matrix, descending."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > EIGVALS_HERMITICITY_ATOL:
-        raise ValueError("matrix is not hermitian within tolerance")
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def trace_norm(m: np.ndarray) -> float:

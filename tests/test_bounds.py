@@ -20,7 +20,6 @@ from monogamy import (
     monogamy_report,
     partial_trace,
     power_split_margin,
-    precondition_check,
     prior_factor,
     pure_cut_value,
     step_factor,
@@ -150,7 +149,7 @@ def test_weights_never_below_one():
 def test_precondition_three_qubits_always_exact():
     for k in range(20):
         psi = haar_random(3, 100 + k)
-        pre = precondition_check(psi, 0)
+        pre = ChainAnalysis.of(psi, 0).given_verdicts
         assert len(pre.verdicts) == 1
         assert pre.exact == (True,)
         assert pre.certified_lower == pre.certified_upper
@@ -161,7 +160,7 @@ def test_precondition_w4_frozen_verdicts():
     # all pairs sit at 1/2; the first remainder cut is bracketed by
     # [sqrt(1/2), sqrt(3)/2] so the >= comparison certifiably fails,
     # while the final two-body comparison holds with equality
-    pre = precondition_check(w_state(4), 0)
+    pre = ChainAnalysis.of(w_state(4), 0).given_verdicts
     assert [v.value for v in pre.verdicts] == ["Fails", "Holds"]
     assert abs(pre.pair_concurrences[0] - 0.5) < 1e-12
     assert abs(pre.certified_lower[0] - math.sqrt(0.5)) < 1e-12
@@ -185,12 +184,12 @@ def test_precondition_w4_bracket_contains_decomposition_oracle_value():
         cut_dim=4,
         polish_rounds=200,
     )
-    pre = precondition_check(w4, 0)
+    pre = ChainAnalysis.of(w4, 0).given_verdicts
     assert pre.certified_lower[0] - 1e-6 <= sampled <= pre.certified_upper[0] + 1e-6
 
 
 def test_precondition_ghz4_is_undetermined():
-    pre = precondition_check(ghz_state(4), 0)
+    pre = ChainAnalysis.of(ghz_state(4), 0).given_verdicts
     assert pre.verdicts[0] is Verdict.UNDETERMINED  # bracket [0, 1] straddles 0
     assert pre.verdicts[1] is Verdict.HOLDS  # exact 0 >= 0
     assert pre.any_undetermined
@@ -199,7 +198,7 @@ def test_precondition_ghz4_is_undetermined():
 def test_precondition_bracket_ordering_random_states():
     for k in range(30):
         psi = haar_random(4, 500 + k)
-        pre = precondition_check(psi, 0)
+        pre = ChainAnalysis.of(psi, 0).given_verdicts
         for lo, hi in zip(pre.certified_lower, pre.certified_upper):
             assert lo <= hi + 1e-12
 
@@ -329,7 +328,7 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
     grid = [2.0, 2.5, 3.0, 4.0]
     expected = [monogamy_report(psi, 0, EOF, a, order=(4, 2, 3, 1)) for a in grid]
     analysis = ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1))
-    assert analysis.given_verdicts == precondition_check(psi, 0, order=(4, 2, 3, 1))
+    assert analysis.given_verdicts == ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1)).given_verdicts
     assert [analysis.report(EOF, a) for a in grid] == expected
 
     calls = []
@@ -337,6 +336,19 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
     monkeypatch.setattr(monogamy.bounds, "concurrence_two_qubit", lambda rho: calls.append(1) or original(rho))
     assert alpha_sweep(psi, 0, EOF, grid, order=(4, 2, 3, 1)) == expected
     assert len(calls) == 4  # one per pair, not one per pair and exponent
+
+
+def test_analysis_fixes_the_auto_split_for_every_row():
+    # the split depends on the verdicts alone, so every auto report takes the analysis's
+    for n in range(3, 7):
+        for psi in (w_state(n), ghz_state(n), haar_random(n, 700 + n)):
+            analysis = ChainAnalysis.of(psi, 0)
+            for kind in ALL_KINDS:
+                for alpha in (kind.alpha_floor, 3.0):
+                    auto = analysis.report(kind, alpha)
+                    assert auto.m == analysis.split
+                    assert auto == analysis.report(kind, alpha, analysis.split)
+    assert ChainAnalysis.of(ghz_state(2), 0).split is None
 
 
 def test_ranked_order_keeps_ties_in_given_order():
@@ -354,7 +366,7 @@ def test_wide_register_analysis_builds_no_projector(monkeypatch):
     psi = haar_random(10, 2024)
     monkeypatch.setattr(Ket, "to_density_matrix", no_projector)
     cut = PartitionSpec.focus_vs_rest(0, 10)
-    assert len(precondition_check(psi, 0).verdicts) == 8
+    assert len(ChainAnalysis.of(psi, 0).given_verdicts.verdicts) == 8
     for kind in ALL_KINDS:
         report = monogamy_report(psi, 0, kind, kind.alpha_floor)
         assert report.lhs == pure_cut_value(kind, psi, cut) ** kind.alpha_floor

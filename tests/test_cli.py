@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import monogamy
@@ -199,6 +200,17 @@ def test_verify_runs_on_twelve_qubits(capsys):
     assert "result: ok" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_register_larger_than_memory(capsys, monkeypatch):
+    # the guard runs before any draw, so nothing is allocated even if it regresses
+    def no_draw(n, seed):
+        raise AssertionError(f"drew a {n}-qubit state")
+
+    monkeypatch.setattr(monogamy.cli, "haar_random", no_draw)
+    assert main(["--verify", "--n-qubits", "40", "--samples", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 40 qubits need") and err.count("\n") == 1
+
+
 def test_verify_deduplicates_resolved_floor(capsys, tmp_path):
     # 'floor' resolves to 2 for concurrence, so floor,2,3 runs twice, not thrice
     out = tmp_path / "rows.csv"
@@ -251,9 +263,14 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(monogamy.bounds, "concurrence_two_qubit", counted)
     monkeypatch.setattr(monogamy.measures, "concurrence_two_qubit", counted)
+    # ... and so are the spectra: one per validated marginal, three pairs and rho_A
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(1) or eigvalsh(m))
     _, (rows, violation) = _campaign(4, 4)
     assert len(rows) == 10 and not violation
     assert len(calls) == 4 * 3
+    assert len(spectra) == 4 * 4
 
 
 def test_campaign_rows_match_state_by_state_reports():

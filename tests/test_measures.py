@@ -28,6 +28,7 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
+from monogamy.measures import spin_flip_mus
 from monogamy.states import SchmidtParams, gsd3
 from oracles import min_avg_concurrence, random_ket, random_mixed
 
@@ -278,3 +279,20 @@ def test_superadditivity_spot_checks():
         assert eof_f(s) ** rt2 - eof_f(x * x) ** rt2 - eof_f(y * y) ** rt2 > -1e-10
         for q in (2.0, 2.5, 3.0):
             assert tsallis_g(q, s) - tsallis_g(q, x * x) - tsallis_g(q, y * y) > -1e-10
+
+
+def test_spin_flip_paths_agree():
+    # the entrywise sign pattern must match the explicit sigma_y (x) sigma_y product
+    rng = np.random.default_rng(31415)
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(sigma_y, sigma_y)
+    for _ in range(25):
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = z @ z.conj().T
+        rho /= np.trace(rho).real
+        mus = spin_flip_mus(rho)
+        ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy)
+        expected = np.sort(np.sqrt(np.maximum(ev.real, 0.0)))[::-1]
+        assert mus.shape == (4,)
+        assert np.all(np.diff(mus) <= 1e-15)  # descending
+        assert np.abs(mus - expected).max() < 1e-12

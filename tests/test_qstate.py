@@ -10,7 +10,6 @@ from monogamy import (
     Ket,
     PartitionSpec,
     StateFileError,
-    hermitian_eigenvalues,
     load_state,
     partial_trace,
     partial_transpose,
@@ -184,14 +183,16 @@ def test_partial_transpose_involution_and_trace():
         partial_transpose(rho, 3)
 
 
-def test_hermitian_eigenvalues_descending_and_trace():
-    g = np_rng.standard_normal((8, 8)) + 1j * np_rng.standard_normal((8, 8))
-    h = g + g.conj().T
-    vals = hermitian_eigenvalues(h)
-    assert np.all(np.diff(vals) <= 0)
-    assert abs(vals.sum() - np.trace(h).real) < 1e-10
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(g)
+def test_density_matrix_eigenvalues_descending_and_trace():
+    # the spectrum the positivity check computes is kept, not recomputed
+    psi = Ket(4, random_ket(np_rng, 16))
+    for rho in (random_dm(np_rng, (2, 4)), psi.to_density_matrix(), psi.marginal((0,)), psi.marginal((1, 3))):
+        vals = rho.eigenvalues
+        assert vals.shape == (rho.order,)
+        assert np.all(np.diff(vals) <= 0)
+        assert abs(vals.sum() - np.trace(rho.entries).real) < 1e-12
+        assert np.array_equal(vals, np.linalg.eigvalsh(rho.entries)[::-1])
+        assert not vals.flags.writeable
 
 
 def test_trace_norm_hermitian_equals_abs_eigenvalue_sum():
