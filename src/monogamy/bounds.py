@@ -3,41 +3,48 @@
 For a pure state on qubits {A, B_1, ..., B_{N-1}} and a measure M with
 exponent alpha, the cut value M(A | B_1...B_{N-1})^alpha is bounded from
 below by a weighted sum over the two-qubit pair values M(A, B_i)^alpha.
-The weights form a geometric ladder in the per-step factor
-h = 2^(alpha/gamma) - 1 (gamma is the measure's floor exponent: 2 for
+The weights form a geometric ladder in the per-step factor h = 2^x - 1,
+x = alpha/gamma, where gamma is the measure's floor exponent: 2 for
 concurrence and its negativity twin, sqrt(2) for entanglement of
-formation, 1 for tsallis), and the
-ladder's shape is controlled by a split position m: the first m weights
-ascend h^0..h^{m-1}, the trailing pairs take h^{m+1} except for the very
-last, which takes h^m.  m = N-2 degenerates to the fully ascending
-ladder h^0..h^{N-2}.
+formation, 1 for tsallis.  The ladder's shape is set by a split position
+m: the first m weights ascend h^0..h^{m-1}, the trailing pairs take
+h^{m+1} except the very last, which takes h^m.  m = N-2 is the fully
+ascending ladder h^0..h^{N-2}.
 
-The bound with split m is certified only under an ordering hypothesis on
-the chain: the first m pair concurrences must dominate the concurrence
-of the matching remainder cut, and the later ones must be dominated by
-it.  Remainder cuts live on mixed states, where the concurrence has no
-closed form, so the hypothesis is checked against a certified bracket:
+Why the ladder holds.  Number the pairs 0..N-2 in chain order, let
+p_i = M(A, B_i)^gamma and S_i = p_i + ... + p_{N-2}.
 
-* lower bound: root of the summed squared pair concurrences further down
-  the chain (squared-concurrence monogamy),
-* upper bound: sqrt(2 (1 - Tr rho_A^2)), which dominates the convex roof
-  because the pure-state concurrence is concave in the reduced state.
+* Top step: every N-qubit pure state has M(A | rest)^gamma >= S_0, so
+  the cut value M^alpha is at least S_0^x.  For C this is the CKW
+  inequality (Osborne and Verstraete, PRL 96, 220503 (2006)), and CREN
+  equals C on a qubit focus; for EOF it is the monogamy of E^sqrt(2)
+  (Bai, Xu and Wang, PRL 113, 100503 (2014)); for T_q with 2 <= q <= 3
+  it is Kim, PRA 81, 062328 (2010).
+* Head step: when p_i >= S_{i+1}, S_i^x = p_i^x (1 + S_{i+1}/p_i)^x is
+  at least p_i^x + h S_{i+1}^x, the inequality power_split_margin
+  encodes.
+* Tail step: when p_i <= S_{i+1}, the same inequality gives
+  S_i^x >= S_{i+1}^x + h p_i^x.
 
-Each comparison gets a verdict: Holds (certified >=), Fails (certified
-<), or Undetermined (the bracket straddles the pair value).  Only the
-final two-body comparison is always exact; for N = 3 every comparison is
-exact.
+Head steps for i < m and tail steps for m <= i <= N-3 chain from S_0^x
+down to S_{N-2}^x = p_{N-2}^x, and their factors of h add up to exactly
+the powers of WeightLadder.  So split m is proven when p_i >= S_{i+1}
+for every i < m and p_i <= S_{i+1} for every m <= i <= N-3.  Both are
+comparisons between numbers the analysis already holds, one per chain
+position, with ties within PRECONDITION_ATOL counted either way; they
+depend on the measure but not on alpha.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import CONCURRENCE, MeasureKind, concurrence_two_qubit, cut_value_of_marginal, value_of_concurrence
+from .measures import MeasureKind, concurrence_two_qubit, cut_value_of_marginal, value_of_concurrence
 from .qstate import DensityMatrix, Ket
 
 ALPHA_ATOL = 1e-12
@@ -134,73 +141,51 @@ class WeightLadder:
 class Verdict(Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
 class PreconditionVerdict:
-    """Certified chain-ordering comparisons for one pair order.
+    """Chain comparisons of one pair order under one measure.
 
-    Comparison i (0-based, one per pair except the last) weighs the pair
-    concurrence ``pair_concurrences[i]`` against the concurrence of the
-    cut A | remaining pairs, bracketed by ``certified_lower[i]`` and
-    ``certified_upper[i]``.  ``exact[i]`` marks comparisons where the
-    bracket collapses to the exact two-qubit value.
+    ``powers[i]`` is p_i, the i-th pair value raised to the measure's
+    floor exponent, for every pair in chain order.  Comparison i (one per
+    pair except the last) weighs p_i against ``tails[i]`` = S_{i+1}, the
+    sum of the later powers; ``verdicts[i]`` is Holds when
+    p_i >= S_{i+1} - PRECONDITION_ATOL and Fails otherwise.
     """
 
-    pair_concurrences: tuple[float, ...]
-    certified_lower: tuple[float, ...]
-    certified_upper: tuple[float, ...]
+    powers: tuple[float, ...]
+    tails: tuple[float, ...]
     verdicts: tuple[Verdict, ...]
-    exact: tuple[bool, ...]
 
     def certifies_split(self, m: int) -> bool:
-        """Whether the ordering hypothesis for split position m is certified.
+        """Whether the ordering hypothesis for split position m is proven.
 
-        Pairs before position m must certifiably dominate their remainder
-        cut and the later ones be certifiably dominated by it; ties count.
+        Pairs before position m must dominate the sum of the later powers,
+        and the later ones (but the last) be dominated by it; ties count.
         """
         n_cmp = len(self.verdicts)
         if not (1 <= m <= n_cmp + 1):
             raise ValueError(f"split {m} outside [1, {n_cmp + 1}]")
-        c, lo, hi = self.pair_concurrences, self.certified_lower, self.certified_upper
-        head = all(c[i] >= hi[i] - PRECONDITION_ATOL for i in range(min(m, n_cmp)))
-        tail = all(c[i] <= lo[i] + PRECONDITION_ATOL for i in range(m, n_cmp))
+        head = all(v is Verdict.HOLDS for v in self.verdicts[:m])
+        tail = all(p <= s + PRECONDITION_ATOL for p, s in zip(self.powers[m:], self.tails[m:]))
         return head and tail
 
-    @property
-    def any_undetermined(self) -> bool:
-        return any(v is Verdict.UNDETERMINED for v in self.verdicts)
+
+def _chain_preconditions(powers: Sequence[float]) -> PreconditionVerdict:
+    tails = tuple(accumulate(reversed(powers[1:])))[::-1]
+    verdicts = tuple(Verdict.HOLDS if p >= s - PRECONDITION_ATOL else Verdict.FAILS for p, s in zip(powers, tails))
+    return PreconditionVerdict(tuple(powers), tails, verdicts)
 
 
-def _chain_preconditions(pair_conc: Sequence[float], cut_cap: float) -> PreconditionVerdict:
-    n_pairs = len(pair_conc)
-    lowers: list[float] = []
-    uppers: list[float] = []
-    verdicts: list[Verdict] = []
-    exact: list[bool] = []
-    for i in range(n_pairs - 1):
-        if i == n_pairs - 2:
-            # remainder is a single partner: the cut is an exact two-qubit value
-            lo = hi = pair_conc[-1]
-            exact.append(True)
-        else:
-            tail = pair_conc[i + 1 :]
-            lo = math.sqrt(sum(c * c for c in tail))
-            hi = cut_cap
-            exact.append(False)
-        c = pair_conc[i]
-        if c >= hi - PRECONDITION_ATOL:
-            verdicts.append(Verdict.HOLDS)
-        elif c < lo - PRECONDITION_ATOL:
-            verdicts.append(Verdict.FAILS)
-        else:
-            verdicts.append(Verdict.UNDETERMINED)
-        lowers.append(lo)
-        uppers.append(hi)
-    return PreconditionVerdict(
-        tuple(pair_conc[:-1]), tuple(lowers), tuple(uppers), tuple(verdicts), tuple(exact)
-    )
+class Certificate(NamedTuple):
+    """What one measure reads from an analysis; see ChainAnalysis.certificate."""
+
+    cut_value: float
+    pair_values: dict[int, float]
+    given: PreconditionVerdict
+    ranked: PreconditionVerdict
+    split: int | None
 
 
 @dataclass(frozen=True)
@@ -241,14 +226,11 @@ class ChainAnalysis:
     """Everything the bounds read from one state, computed once.
 
     The pair concurrences keyed by partner qubit, the focus marginal
-    rho_A (whose spectrum it carries), the pair order as given and as
-    ranked by descending concurrence (ties keep their given position), the
-    chain verdicts for both orders, and the ladder split a report picks
-    when none is asked for: the fully ascending ladder (m = N-2, ranked
-    order) if certified, else the largest certified split of the given
-    order, else N-2 uncertified.  ``split`` is None below three qubits.
-    None of it depends on the measure or the exponent, so one analysis
-    serves every report.
+    rho_A (whose spectrum it carries), and the pair order as given and as
+    ranked by descending concurrence (ties keep their given position).
+    One analysis serves every report; the cut and pair values and the
+    chain verdicts, which depend on the measure alone, are kept per
+    measure (see certificate).
     """
 
     focus: int
@@ -256,9 +238,7 @@ class ChainAnalysis:
     ranked: tuple[int, ...]
     concurrence: dict[int, float]
     rho_a: DensityMatrix
-    given_verdicts: PreconditionVerdict
-    ranked_verdicts: PreconditionVerdict
-    split: int | None
+    _certificates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
@@ -269,15 +249,28 @@ class ChainAnalysis:
         if sorted(given) != rest:
             raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
         conc = {b: concurrence_two_qubit(psi.marginal((focus, b))) for b in given}
-        rho_a = psi.marginal((focus,))
-        cut_cap = cut_value_of_marginal(CONCURRENCE, rho_a)
         ranked = tuple(sorted(given, key=lambda b: -conc[b]))
-        given_pre, ranked_pre = [_chain_preconditions([conc[b] for b in o], cut_cap) for o in (given, ranked)]
-        # the ascending ladder first, then the largest certified split
-        top = len(given) - 1
-        candidates = [(top, ranked_pre)] + [(c, given_pre) for c in range(top - 1, 0, -1)]
-        split = next((c for c, pre in candidates if pre.certifies_split(c)), top) if top >= 1 else None
-        return cls(focus, given, ranked, conc, rho_a, given_pre, ranked_pre, split)
+        return cls(focus, given, ranked, conc, psi.marginal((focus,)))
+
+    def certificate(self, measure: MeasureKind) -> Certificate:
+        """The cut value, the pair values keyed by partner and the chain
+        verdicts of the given and the ranked order under ``measure``, and the
+        auto split: the fully ascending ladder (m = N-2, ranked order) if
+        proven, else the largest proven split of the given order, else N-2
+        unproven (None below three qubits).  Computed once per measure.
+        """
+        cert = self._certificates.get(measure)
+        if cert is None:
+            values = {b: value_of_concurrence(measure, c) for b, c in self.concurrence.items()}
+            given_pre, ranked_pre = [
+                _chain_preconditions([values[b] ** measure.alpha_floor for b in o]) for o in (self.given, self.ranked)
+            ]
+            top = len(self.given) - 1
+            candidates = [(top, ranked_pre)] + [(c, given_pre) for c in range(top - 1, 0, -1)]
+            split = next((c for c, pre in candidates if pre.certifies_split(c)), top) if top >= 1 else None
+            cut = cut_value_of_marginal(measure, self.rho_a)
+            cert = self._certificates[measure] = Certificate(cut, values, given_pre, ranked_pre, split)
+        return cert
 
     def report(self, measure: MeasureKind, alpha: float, m: int | None = None) -> BoundReport:
         """The weighted bound for one measure and exponent; see monogamy_report."""
@@ -285,16 +278,17 @@ class ChainAnalysis:
         if n_pairs < 2:
             raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
         h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
+        cert = self.certificate(measure)
         top = n_pairs - 1
         if m is None:
-            m = self.split
+            m = cert.split
         elif not (1 <= int(m) <= top):
             raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
         m = int(m)
-        order, pre = (self.ranked, self.ranked_verdicts) if m == top else (self.given, self.given_verdicts)
+        order, pre = (self.ranked, cert.ranked) if m == top else (self.given, cert.given)
 
-        lhs = cut_value_of_marginal(measure, self.rho_a) ** alpha
-        pvals = np.array([value_of_concurrence(measure, self.concurrence[b]) for b in order])
+        lhs = cert.cut_value**alpha
+        pvals = np.array([cert.pair_values[b] for b in order])
         powered = pvals**alpha
 
         weights = WeightLadder(h, n_pairs, m).weights()

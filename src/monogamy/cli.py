@@ -235,12 +235,12 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_qubits < 3:
             raise ValueError(f"campaign needs at least 3 qubits, got {self.n_qubits}")
-        # a Haar draw holds two float64 vectors and the complex128 ket at once
-        needed = (8 + 8 + 16) * 2**self.n_qubits
+        # peak of a draw and its analysis: the ket, Ket.marginal's transposed copy and its conjugate
+        needed = 3 * 16 * 2**self.n_qubits
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if needed > physical:
             raise ValueError(
-                f"{self.n_qubits} qubits need 2^{self.n_qubits + 5} bytes of dense memory, "
+                f"{self.n_qubits} qubits need {needed / 2**30:.3g} GiB of dense memory, "
                 f"more than the {physical / 2**30:.3g} GiB of physical memory"
             )
         if self.samples < 1:
@@ -282,7 +282,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
             if alpha in seen:  # 'floor' can coincide with an explicit entry
                 continue
             seen.add(alpha)
-            n_asserted = n_undet = n_inapp = 0
+            n_asserted = 0
             min_new = math.inf
             min_gap = math.inf
             for analysis in analyses:
@@ -293,18 +293,14 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
                     min_new = min(min_new, report.residual_new)
                     if report.residual_new < -config.tolerance:
                         violation = True
-                elif report.preconditions.any_undetermined:
-                    n_undet += 1
-                else:
-                    n_inapp += 1
             rows.append(
                 CampaignRow(
                     measure=measure,
                     alpha=alpha,
                     tested=config.samples,
                     asserted=n_asserted,
-                    undetermined=n_undet,
-                    inapplicable=n_inapp,
+                    undetermined=0,  # the pair-sum certificate decides every comparison
+                    inapplicable=config.samples - n_asserted,
                     min_residual_new=min_new if n_asserted else math.nan,
                     min_residual_gap=min_gap,
                 )

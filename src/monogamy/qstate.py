@@ -80,14 +80,15 @@ class Ket:
         return DensityMatrix((2,) * len(kept), m @ m.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Density operator on a register with factor dimensions ``dims``.
 
     Construction validates hermiticity (entrywise, 1e-12), unit trace
     (1e-12) and positivity (smallest eigenvalue >= -1e-10).  The spectrum
     that the positivity check computes is kept as ``eigenvalues``,
-    read-only and descending.
+    read-only and descending.  Two density matrices are equal when their
+    dims and entries are.
     """
 
     dims: tuple[int, ...]
@@ -119,6 +120,11 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.entries, other.entries)
 
     @property
     def n_factors(self) -> int:

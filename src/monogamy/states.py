@@ -78,15 +78,17 @@ def haar_random(n: int, seed: int) -> Ket:
     ``numpy.random.default_rng(seed)``; the real parts are drawn first as
     ``standard_normal(2**n)``, then the imaginary parts, and the vector
     is normalized.  Identical seeds therefore yield identical states on
-    every platform numpy supports.
+    every platform numpy supports.  Both draws fill one complex vector,
+    which is normalized in place.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
     rng = np.random.default_rng(int(seed))
-    re = rng.standard_normal(2**n)
-    im = rng.standard_normal(2**n)
-    amp = re + 1j * im
+    amp = np.empty(2**n, dtype=np.complex128)
+    amp.real = rng.standard_normal(2**n)
+    amp.imag = rng.standard_normal(2**n)
     norm = np.linalg.norm(amp)
     if norm == 0.0:
         raise ValueError("degenerate zero draw")
-    return Ket(n, amp / norm)
+    amp /= norm
+    return Ket(n, amp)

@@ -125,3 +125,15 @@ def random_mixed(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
 def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def w_class_amplitudes(n: int, seed: int) -> np.ndarray:
+    """A W-class ket: normalized complex Gaussians from default_rng(seed) on
+    |0...0> and the n single-excitation basis states, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    amp = np.zeros(2**n, dtype=complex)
+    amp[0] = z[0]
+    for k in range(n):
+        amp[1 << (n - 1 - k)] = z[k + 1]
+    return amp / np.linalg.norm(amp)

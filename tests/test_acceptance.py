@@ -183,8 +183,12 @@ def test_criterion_08_larger_register_campaigns():
         for r in rows:
             if r.asserted:
                 ok &= r.min_residual_new >= -1e-9
-        undet = sum(r.undetermined for r in rows) / sum(r.tested for r in rows)
-        details.append(f"n={n} undetermined {100 * undet:.1f}%")
+        tested = sum(r.tested for r in rows)
+        asserted = sum(r.asserted for r in rows)
+        ok &= asserted > 0
+        shares = [f"{k} {100 * sum(getattr(r, k) for r in rows) / tested:.1f}%"
+                  for k in ("asserted", "undetermined", "inapplicable")]
+        details.append(f"n={n} " + " ".join(shares))
     _check(8, ok, "; ".join(details), t0, budget=120.0)
 
 

@@ -18,7 +18,6 @@ from monogamy import (
     ghz_state,
     haar_random,
     monogamy_report,
-    partial_trace,
     power_split_margin,
     prior_factor,
     pure_cut_value,
@@ -28,7 +27,7 @@ from monogamy import (
     w_state,
 )
 from monogamy.states import SchmidtParams, gsd3
-from oracles import min_avg_concurrence
+from oracles import w_class_amplitudes
 
 np_rng = np.random.default_rng(4242)
 
@@ -147,60 +146,49 @@ def test_weights_never_below_one():
 
 
 def test_precondition_three_qubits_always_exact():
+    # one comparison, p_0 against the last pair's own power; every measure
+    # is increasing in C, so the concurrences decide it and ranking proves it
     for k in range(20):
-        psi = haar_random(3, 100 + k)
-        pre = ChainAnalysis.of(psi, 0).given_verdicts
-        assert len(pre.verdicts) == 1
-        assert pre.exact == (True,)
-        assert pre.certified_lower == pre.certified_upper
-        assert pre.verdicts[0] is not Verdict.UNDETERMINED
+        analysis = ChainAnalysis.of(haar_random(3, 100 + k), 0)
+        c0, c1 = (analysis.concurrence[b] for b in analysis.given)
+        for kind in ALL_KINDS:
+            cert = analysis.certificate(kind)
+            assert cert.given.tails == cert.given.powers[1:]
+            assert cert.given.verdicts == ((Verdict.HOLDS if c0 >= c1 else Verdict.FAILS),)
+            assert cert.ranked.verdicts == (Verdict.HOLDS,)
+            assert cert.split == 1
 
 
 def test_precondition_w4_frozen_verdicts():
-    # all pairs sit at 1/2; the first remainder cut is bracketed by
-    # [sqrt(1/2), sqrt(3)/2] so the >= comparison certifiably fails,
-    # while the final two-body comparison holds with equality
-    pre = ChainAnalysis.of(w_state(4), 0).given_verdicts
-    assert [v.value for v in pre.verdicts] == ["Fails", "Holds"]
-    assert abs(pre.pair_concurrences[0] - 0.5) < 1e-12
-    assert abs(pre.certified_lower[0] - math.sqrt(0.5)) < 1e-12
-    assert abs(pre.certified_upper[0] - math.sqrt(3.0) / 2.0) < 1e-12
-    assert pre.exact == (False, True)
-    assert not pre.certifies_split(1)
-    assert not pre.certifies_split(2)
-    assert not pre.any_undetermined
+    # all pairs sit at C = 1/2, so the first power falls short of the two
+    # after it, while the final comparison ties with the last power and holds
+    analysis = ChainAnalysis.of(w_state(4), 0)
+    for kind in ALL_KINDS:
+        pre = analysis.certificate(kind).given
+        assert [v.value for v in pre.verdicts] == ["Fails", "Holds"]
+        assert not pre.certifies_split(1)
+        assert not pre.certifies_split(2)
+    pre = analysis.certificate(CONCURRENCE).given
+    assert np.allclose(pre.powers, 0.25, rtol=0.0, atol=1e-12)
+    assert np.allclose(pre.tails, (0.5, 0.25), rtol=0.0, atol=1e-12)
 
 
-def test_precondition_w4_bracket_contains_decomposition_oracle_value():
-    # independent check that the certified interval is honest: minimize the
-    # decomposition-averaged cut concurrence on the 2x4 marginal directly
-    w4 = w_state(4)
-    sub = partial_trace(w4.to_density_matrix(), (0, 2, 3))
-    sampled = min_avg_concurrence(
-        np.asarray(sub.entries),
-        np.random.default_rng(8),
-        n_samples=10_000,
-        n_terms=6,
-        cut_dim=4,
-        polish_rounds=200,
-    )
-    pre = ChainAnalysis.of(w4, 0).given_verdicts
-    assert pre.certified_lower[0] - 1e-6 <= sampled <= pre.certified_upper[0] + 1e-6
+def test_precondition_ghz4_holds_with_zero_bound():
+    # no GHZ4 pair is entangled: every power and sum is 0, every comparison ties
+    r = monogamy_report(ghz_state(4), 0, CONCURRENCE, 2.0)
+    assert [v.value for v in r.preconditions.verdicts] == ["Holds", "Holds"]
+    assert r.asserted
+    assert r.m == 2
+    assert r.new_bound == 0.0
 
 
-def test_precondition_ghz4_is_undetermined():
-    pre = ChainAnalysis.of(ghz_state(4), 0).given_verdicts
-    assert pre.verdicts[0] is Verdict.UNDETERMINED  # bracket [0, 1] straddles 0
-    assert pre.verdicts[1] is Verdict.HOLDS  # exact 0 >= 0
-    assert pre.any_undetermined
-
-
-def test_precondition_bracket_ordering_random_states():
-    for k in range(30):
-        psi = haar_random(4, 500 + k)
-        pre = ChainAnalysis.of(psi, 0).given_verdicts
-        for lo, hi in zip(pre.certified_lower, pre.certified_upper):
-            assert lo <= hi + 1e-12
+def test_certificate_depends_on_the_measure():
+    # on this W-class state the first pair outweighs the other two in
+    # E^sqrt(2) but not in C^2, so the verdicts are kept per measure
+    analysis = ChainAnalysis.of(Ket(4, w_class_amplitudes(4, 51)), 0)
+    assert [v.value for v in analysis.certificate(CONCURRENCE).given.verdicts] == ["Fails", "Holds"]
+    assert [v.value for v in analysis.certificate(EOF).given.verdicts] == ["Holds", "Holds"]
+    assert analysis.certificate(EOF) is analysis.certificate(EOF)
 
 
 def test_monogamy_report_scenario1_frozen():
@@ -258,11 +246,7 @@ def test_report_auto_split_on_four_qubits():
 
     w4 = monogamy_report(w_state(4), 0, CONCURRENCE, 2.0)
     assert not w4.asserted  # no split certifies for W4
-    assert not w4.preconditions.any_undetermined
-
-    g4 = monogamy_report(ghz_state(4), 0, CONCURRENCE, 2.0)
-    assert not g4.asserted
-    assert g4.preconditions.any_undetermined
+    assert w4.m == 2  # so the ascending ladder is reported unasserted
 
 
 def test_report_validation():
@@ -328,7 +312,7 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
     grid = [2.0, 2.5, 3.0, 4.0]
     expected = [monogamy_report(psi, 0, EOF, a, order=(4, 2, 3, 1)) for a in grid]
     analysis = ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1))
-    assert analysis.given_verdicts == ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1)).given_verdicts
+    assert analysis == ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1))
     assert [analysis.report(EOF, a) for a in grid] == expected
 
     calls = []
@@ -339,16 +323,27 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
 
 
 def test_analysis_fixes_the_auto_split_for_every_row():
-    # the split depends on the verdicts alone, so every auto report takes the analysis's
+    # the split depends on the measure's verdicts alone, so every auto report
+    # of one measure takes its certificate's split, whatever the exponent
     for n in range(3, 7):
         for psi in (w_state(n), ghz_state(n), haar_random(n, 700 + n)):
             analysis = ChainAnalysis.of(psi, 0)
             for kind in ALL_KINDS:
+                split = analysis.certificate(kind).split
                 for alpha in (kind.alpha_floor, 3.0):
                     auto = analysis.report(kind, alpha)
-                    assert auto.m == analysis.split
-                    assert auto == analysis.report(kind, alpha, analysis.split)
-    assert ChainAnalysis.of(ghz_state(2), 0).split is None
+                    assert auto.m == split
+                    assert auto == analysis.report(kind, alpha, split)
+    assert ChainAnalysis.of(ghz_state(2), 0).certificate(CONCURRENCE).split is None
+
+
+def test_analyses_compare_by_value():
+    # equality reads the state's numbers, not the per-measure certificates kept so far
+    first, second = ChainAnalysis.of(w_state(4), 0), ChainAnalysis.of(w_state(4), 0)
+    first.certificate(EOF)
+    assert first == second
+    assert first != ChainAnalysis.of(ghz_state(4), 0)
+    assert first != ChainAnalysis.of(haar_random(4, 5), 0)
 
 
 def test_ranked_order_keeps_ties_in_given_order():
@@ -366,7 +361,7 @@ def test_wide_register_analysis_builds_no_projector(monkeypatch):
     psi = haar_random(10, 2024)
     monkeypatch.setattr(Ket, "to_density_matrix", no_projector)
     cut = PartitionSpec.focus_vs_rest(0, 10)
-    assert len(ChainAnalysis.of(psi, 0).given_verdicts.verdicts) == 8
     for kind in ALL_KINDS:
         report = monogamy_report(psi, 0, kind, kind.alpha_floor)
+        assert len(report.preconditions.verdicts) == 8
         assert report.lhs == pure_cut_value(kind, psi, cut) ** kind.alpha_floor

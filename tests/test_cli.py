@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import monogamy
-from monogamy import CONCURRENCE, CREN, EOF, haar_random, monogamy_report, save_state, tsallis_kind, w_state
+from monogamy import (
+    CONCURRENCE, CREN, EOF, ChainAnalysis, haar_random, monogamy_report, save_state, tsallis_kind, w_state,
+)
 from monogamy.cli import CampaignConfig, main, run_campaign
 from monogamy.states import SchmidtParams, gsd3
 
@@ -211,6 +213,35 @@ def test_verify_rejects_a_register_larger_than_memory(capsys, monkeypatch):
     assert err.startswith("error: 40 qubits need") and err.count("\n") == 1
 
 
+def test_memory_guard_admits_exactly_the_peak_of_a_draw_and_its_analysis(monkeypatch):
+    # a host whose physical memory is one byte either side of 48 * 2^n
+    n = 30
+    for spare, admitted in ((0, True), (-1, False)):
+        fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 48 * 2**n + spare}
+        monkeypatch.setattr(monogamy.cli.os, "sysconf", fake.__getitem__)
+        try:
+            CampaignConfig(n_qubits=n, samples=1, seed=0, measures=ALL_KINDS, alphas=("floor",), tolerance=1e-9)
+        except ValueError as exc:
+            assert not admitted and "48 GiB" in str(exc)
+        else:
+            assert admitted
+
+
+def test_memory_guard_covers_the_measured_peak():
+    # tracemalloc sees numpy's buffers: the draw and the analysis stay within 48 * 2^n
+    import tracemalloc
+
+    ChainAnalysis.of(haar_random(4, 0), 0)  # first calls allocate numpy's caches
+    n = 16
+    tracemalloc.start()
+    try:
+        ChainAnalysis.of(haar_random(n, 0), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 40 * 2**n < peak <= 48 * 2**n + 2**n
+
+
 def test_verify_deduplicates_resolved_floor(capsys, tmp_path):
     # 'floor' resolves to 2 for concurrence, so floor,2,3 runs twice, not thrice
     out = tmp_path / "rows.csv"
@@ -267,22 +298,26 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(1) or eigvalsh(m))
+    # ... and the chain verdicts depend on the measure, not the exponent: two orders per measure
+    chains = []
+    certify = monogamy.bounds._chain_preconditions
+    monkeypatch.setattr(monogamy.bounds, "_chain_preconditions", lambda p: chains.append(1) or certify(p))
     _, (rows, violation) = _campaign(4, 4)
     assert len(rows) == 10 and not violation
     assert len(calls) == 4 * 3
     assert len(spectra) == 4 * 4
+    assert len(chains) == 4 * len(ALL_KINDS) * 2
 
 
 def test_campaign_rows_match_state_by_state_reports():
     config, (rows, _) = _campaign(4, 40)
     states = [haar_random(4, config.seed + k) for k in range(config.samples)]
-    assert sum(r.undetermined for r in rows) > 0
+    assert sum(r.asserted for r in rows) > 0
     for row in rows:
         reports = [monogamy_report(psi, 0, row.measure, row.alpha) for psi in states]
         asserted = [r for r in reports if r.asserted]
-        undetermined = [r for r in reports if not r.asserted and r.preconditions.any_undetermined]
-        assert (row.asserted, row.undetermined) == (len(asserted), len(undetermined))
-        assert row.inapplicable == row.tested - len(asserted) - len(undetermined)
+        assert (row.asserted, row.undetermined) == (len(asserted), 0)
+        assert row.inapplicable == row.tested - len(asserted)
         assert row.min_residual_gap == min(r.residual_gap for r in reports)
         if asserted:
             assert row.min_residual_new == min(r.residual_new for r in asserted)

@@ -99,6 +99,18 @@ def test_haar_random_seed_contract():
     assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
 
 
+def test_haar_random_keeps_its_stream():
+    # filling one complex vector in place gives the bits of (re + 1j*im) / norm
+    for n in range(1, 11):
+        for seed in (0, 1, 7, 2**31 + 5):
+            rng = np.random.default_rng(seed)
+            re = rng.standard_normal(2**n)
+            im = rng.standard_normal(2**n)
+            amp = re + 1j * im
+            expected = amp / np.linalg.norm(amp)
+            assert haar_random(n, seed).amplitudes.tobytes() == expected.tobytes()
+
+
 def test_haar_random_mean_reduced_purity():
     # known moment for a 2x2 bipartition: E[Tr rho_A^2] = (2+2)/(2*2+1) = 4/5,
     # reproduced by an independent Monte-Carlo run before freezing
