@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measures import MeasureKind, concurrence_two_qubit, cut_value_of_marginal, value_of_concurrence
-from .qstate import DensityMatrix, Ket
+from .qstate import DensityMatrix, Ket, physical_memory
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -346,7 +346,10 @@ def alpha_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo - ALPHA_ATOL:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if 8 * (span + 1) > physical_memory():  # also catches a step so small that span is inf
+        raise ValueError(f"alpha grid of {span + 1:.3g} points needs more than physical memory")
+    count = int(math.floor(span)) + 1
     return lo + step * np.arange(count)
 
 

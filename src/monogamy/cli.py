@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bounds import BoundReport, ChainAnalysis, alpha_grid, alpha_sweep, monogamy_report, step_factor
 from .measures import CONCURRENCE, CREN, EOF, MeasureKind, tsallis_kind
-from .qstate import StateFileError, load_state
+from .qstate import StateFileError, load_state, physical_memory
 from .states import SchmidtParams, gsd3, haar_random, w_state
 
 EXIT_OK = 0
@@ -235,12 +235,14 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_qubits < 3:
             raise ValueError(f"campaign needs at least 3 qubits, got {self.n_qubits}")
-        # peak of a draw and its analysis: the ket, Ket.marginal's transposed copy and its conjugate
-        needed = 3 * 16 * 2**self.n_qubits
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if needed > physical:
+        # peak of a draw and its analysis: the ket, Ket.marginal's transposed copy and its conjugate;
+        # from physical's bit length on 2^n alone exceeds it, so a huge 2^n is never built
+        n, physical = self.n_qubits, physical_memory()
+        if n >= physical.bit_length() or 3 * 16 * 2**n > physical:
+            # past 2^1000 bytes the GiB figure would overflow a float
+            needed = f"{3 * 16 * 2**n / 2**30:.3g} GiB" if n <= 1000 else f"over 2^{n} bytes"
             raise ValueError(
-                f"{self.n_qubits} qubits need {needed / 2**30:.3g} GiB of dense memory, "
+                f"{n} qubits need {needed} of dense memory, "
                 f"more than the {physical / 2**30:.3g} GiB of physical memory"
             )
         if self.samples < 1:

@@ -1,20 +1,21 @@
 """Entanglement measures for pure multiqubit cuts and two-qubit mixed states.
 
-Four measures share a common shape: an exact value on pure-state
-bipartitions, and a closed form on arbitrary two-qubit mixed states
-driven by the spin-flip concurrence.
+Each measure is two maps: a pure-state cut value read from the side-A reduced
+state, ``cut_value_of_marginal(kind, rho_a)`` or ``pure_cut_value(kind, psi,
+side_a)`` with the cut named by its side-A qubits; and a two-qubit closed form
+in the pair concurrence C, ``value_of_concurrence(kind, c)`` or ``pair_value(kind, rho)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .qstate import (
     DensityMatrix,
     Ket,
-    PartitionSpec,
     partial_transpose,
     purity,
     trace_norm,
@@ -118,9 +119,9 @@ def tsallis_g(q: float, x: float) -> float:
     return (1.0 - hi**q - lo**q) / (q - 1.0)
 
 
-def concurrence_pure(psi: Ket, cut: PartitionSpec) -> float:
-    """sqrt(2 (1 - Tr rho_A^2)) across the cut of a pure state."""
-    return pure_cut_value(CONCURRENCE, psi, cut)
+def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
+    """sqrt(2 (1 - Tr rho_A^2)) across the cut of ``side_a`` against the rest."""
+    return pure_cut_value(CONCURRENCE, psi, side_a)
 
 
 def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
@@ -148,46 +149,6 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
     mus = spin_flip_mus(rho.entries)
     return max(0.0, float(mus[0] - mus[1] - mus[2] - mus[3]))
-
-
-def cren_two_qubit(rho: DensityMatrix) -> float:
-    """Convex-roof extended negativity of a two-qubit state.
-
-    On two qubits this coincides with the concurrence, so the same
-    closed form is used verbatim.
-    """
-    return concurrence_two_qubit(rho)
-
-
-def eof(state, cut: PartitionSpec | None = None) -> float:
-    """Entanglement of formation.
-
-    Pure kets take the von Neumann entropy (base 2) of the reduced state
-    across ``cut``; two-qubit density matrices take the closed form
-    eof_f(C^2).  Mixed states on anything but (2, 2) are not supported.
-    """
-    return _state_value(EOF, state, cut)
-
-
-def tsallis(state, q: float, cut: PartitionSpec | None = None) -> float:
-    """Tsallis-q entanglement, q in [2, 3].
-
-    Pure kets take (1 - Tr rho_A^q) / (q - 1) across ``cut``; two-qubit
-    density matrices take the closed form g_q(C^2).
-    """
-    return _state_value(tsallis_kind(q), state, cut)
-
-
-def _state_value(kind: MeasureKind, state, cut: PartitionSpec | None) -> float:
-    if isinstance(state, Ket):
-        if cut is None:
-            raise ValueError(f"pure-state {kind.name} needs a cut")
-        return pure_cut_value(kind, state, cut)
-    if isinstance(state, DensityMatrix):
-        if cut is not None:
-            raise ValueError("cut is only meaningful for pure input")
-        return pair_value(kind, state)
-    raise TypeError(f"expected Ket or DensityMatrix, got {type(state).__name__}")
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
@@ -223,10 +184,11 @@ def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
     return max(float(np.sqrt(lam).sum() ** 2 - 1.0), 0.0)
 
 
-def pure_cut_value(kind: MeasureKind, psi: Ket, cut: PartitionSpec) -> float:
-    """Value of ``kind`` on a pure state across ``cut``."""
-    cut.validate_for(psi.n_qubits)
-    return cut_value_of_marginal(kind, psi.marginal(cut.side_a))
+def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:
+    """Value of ``kind`` on a pure state across the cut of ``side_a`` against the rest."""
+    if set(side_a) >= set(range(psi.n_qubits)):
+        raise ValueError(f"side A {tuple(side_a)} holds every qubit, so side B is empty")
+    return cut_value_of_marginal(kind, psi.marginal(side_a))
 
 
 def value_of_concurrence(kind: MeasureKind, c: float) -> float:

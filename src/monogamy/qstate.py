@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,9 +35,9 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into a valid ket."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
-    """Pure state of an ``n_qubits`` register with unit-norm amplitudes."""
+    """Pure state of an ``n_qubits`` register with unit-norm amplitudes, compared by value."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -56,9 +57,10 @@ class Ket:
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
+    def __eq__(self, other):
+        if not isinstance(other, Ket):
+            return NotImplemented
+        return self.n_qubits == other.n_qubits and np.array_equal(self.amplitudes, other.amplitudes)
 
     def to_density_matrix(self) -> "DensityMatrix":
         """Rank-one projector onto this ket, one factor per qubit."""
@@ -135,39 +137,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Bipartition of a register into two disjoint index groups."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-    def __post_init__(self):
-        a = tuple(int(i) for i in self.side_a)
-        b = tuple(int(i) for i in self.side_b)
-        if not a or not b:
-            raise ValueError("both sides of a partition must be non-empty")
-        if len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise ValueError("partition sides must not repeat indices")
-        if set(a) & set(b):
-            raise ValueError(f"partition sides overlap: {sorted(set(a) & set(b))}")
-        object.__setattr__(self, "side_a", a)
-        object.__setattr__(self, "side_b", b)
-
-    @classmethod
-    def focus_vs_rest(cls, focus: int, n_qubits: int) -> "PartitionSpec":
-        rest = tuple(i for i in range(n_qubits) if i != focus)
-        return cls((focus,), rest)
-
-    def validate_for(self, n_factors: int) -> None:
-        indices = set(self.side_a) | set(self.side_b)
-        if indices != set(range(n_factors)):
-            raise ValueError(
-                f"partition {self.side_a}|{self.side_b} does not cover a "
-                f"{n_factors}-factor register"
-            )
-
-
 def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
     kept = sorted(int(i) for i in keep)
     if not kept:
@@ -177,15 +146,6 @@ def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
     if kept[0] < 0 or kept[-1] >= n_factors:
         raise ValueError(f"keep={tuple(keep)} out of range for {n_factors} factors")
     return kept
-
-
-def tensor(a, b):
-    """Kronecker product of two kets or two density matrices."""
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -233,6 +193,11 @@ def purity(rho: DensityMatrix) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def load_state(path) -> Ket:
     """Read a ket from a JSON state file.
 
@@ -259,11 +224,11 @@ def load_state(path) -> Ket:
         raise StateFileError(f"{path}: n_qubits must be an integer, got {n!r}")
     if n < 1:
         raise StateFileError(f"{path}: n_qubits must be positive, got {n}")
-    if not isinstance(raw, list) or len(raw) != 2**n:
-        raise StateFileError(
-            f"{path}: expected {2**n} amplitude pairs, got "
-            f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
-        )
+    found = len(raw) if isinstance(raw, list) else type(raw).__name__
+    # a list holds fewer than 2^63 items, so 2**n is built and printed only below that
+    if not isinstance(raw, list) or n >= 63 or len(raw) != 2**n:
+        expected = 2**n if n < 63 else f"2^{n}"
+        raise StateFileError(f"{path}: expected {expected} amplitude pairs, got {found}")
     amp = np.empty(2**n, dtype=np.complex128)
     for i, pair in enumerate(raw):
         if (

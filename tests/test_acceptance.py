@@ -14,13 +14,10 @@ from monogamy import (
     CREN,
     EOF,
     DensityMatrix,
-    PartitionSpec,
     alpha_grid,
     alpha_sweep,
     concurrence_pure,
     concurrence_two_qubit,
-    cren_two_qubit,
-    eof,
     eof_f,
     monogamy_report,
     pair_value,
@@ -36,7 +33,7 @@ from oracles import min_avg_concurrence, random_mixed
 
 RT2 = math.sqrt(2.0)
 ALL_KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0))
-CUT3 = PartitionSpec.focus_vs_rest(0, 3)
+CUT3 = (0,)
 
 
 def _check(num, ok, detail, started, budget=None):
@@ -78,8 +75,8 @@ def test_criterion_01_first_demo_state_and_curve_ordering():
 def test_criterion_02_w_state_formation_values_and_ordering():
     t0 = time.perf_counter()
     psi = w_state(3)
-    cut = eof(psi, CUT3)
-    pair = eof(partial_trace(psi.to_density_matrix(), (0, 1)))
+    cut = pure_cut_value(EOF, psi, CUT3)
+    pair = pair_value(EOF, partial_trace(psi.to_density_matrix(), (0, 1)))
     ok = abs(cut - 0.918296) < 1e-5
     ok &= abs(pair - 0.550048) < 1e-5
     _, margin = _sweep_margins(psi, EOF, alpha_grid(RT2, 5.0, 0.05))
@@ -92,8 +89,8 @@ def test_criterion_03_negativity_demo_state_and_ordering():
     psi, _ = _scenario(3, 2.0)
     proj = psi.to_density_matrix()
     cut = pure_cut_value(CREN, psi, CUT3)
-    pair_b = cren_two_qubit(partial_trace(proj, (0, 1)))
-    pair_c = cren_two_qubit(partial_trace(proj, (0, 2)))
+    pair_b = pair_value(CREN, partial_trace(proj, (0, 1)))
+    pair_c = pair_value(CREN, partial_trace(proj, (0, 2)))
     ok = abs(cut - 2 * math.sqrt(3) / 5) < 1e-10
     ok &= abs(pair_b - 0.4) < 1e-10 and abs(pair_c - 0.4) < 1e-10
     _, margin = _sweep_margins(psi, CREN, alpha_grid(2.0, 5.0, 0.05))
@@ -216,7 +213,7 @@ def test_criterion_10_structural_identities():
     rng = np.random.default_rng(77)
     for k in range(20):
         dm = DensityMatrix((2, 2), random_mixed(rng, 4, rank=(2, 3, 4)[k % 3]))
-        ok &= cren_two_qubit(dm) == concurrence_two_qubit(dm)
+        ok &= pair_value(CREN, dm) == concurrence_two_qubit(dm)
 
     worst = 0.0
     for k in (1, 2, 3, 4):

@@ -10,7 +10,6 @@ from monogamy import (
     CREN,
     EOF,
     Ket,
-    PartitionSpec,
     Verdict,
     WeightLadder,
     alpha_grid,
@@ -22,7 +21,6 @@ from monogamy import (
     prior_factor,
     pure_cut_value,
     step_factor,
-    tensor,
     tsallis_kind,
     w_state,
 )
@@ -43,7 +41,7 @@ def scenario1_state():
 def bell_times_product():
     bell = Ket(2, np.array([1.0, 0.0, 0.0, 1.0]) / RT2)
     zeros = Ket(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    return tensor(bell, zeros)
+    return Ket(4, np.kron(bell.amplitudes, zeros.amplitudes))
 
 
 def test_step_factor_values():
@@ -356,11 +354,11 @@ def test_ranked_order_keeps_ties_in_given_order():
 def test_wide_register_analysis_builds_no_projector(monkeypatch):
     # every bound reads 2x2 and 4x4 marginals taken straight from the ket
     def no_projector(self):
-        raise AssertionError(f"built a {self.dim}x{self.dim} projector")
+        raise AssertionError(f"built a {2**self.n_qubits}x{2**self.n_qubits} projector")
 
     psi = haar_random(10, 2024)
     monkeypatch.setattr(Ket, "to_density_matrix", no_projector)
-    cut = PartitionSpec.focus_vs_rest(0, 10)
+    cut = (0,)
     for kind in ALL_KINDS:
         report = monogamy_report(psi, 0, kind, kind.alpha_floor)
         assert len(report.preconditions.verdicts) == 8

@@ -82,6 +82,34 @@ def test_oversized_exponents_exit_2(argv, tmp_path, capsys):
     assert "result: ok" not in captured.out and "asserted" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--verify", "--n-qubits", "1100", "--samples", "1"], "error: 1100 qubits need over 2^1100 bytes"),
+        (["--example", "1", "--alpha-step", "1e-12"], "error: alpha grid of 3e+12 points"),
+        (["--state", "HUGE"], "huge.json: expected 2^20000 amplitude pairs, got 1"),
+    ],
+    ids=["verify-1100-qubits", "example-step-1e-12", "state-20000-qubits"],
+)
+def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
+    # each guard decides before allocating; these stand-ins fail the test if one regresses
+    def no_draw(n, seed):
+        raise AssertionError(f"drew a {n}-qubit state")
+
+    def small_arange(count, *args, arange=np.arange, **kwargs):
+        assert count <= 10**6, f"asked numpy for {count} grid points"
+        return arange(count, *args, **kwargs)
+
+    monkeypatch.setattr(monogamy.cli, "haar_random", no_draw)
+    monkeypatch.setattr(np, "arange", small_arange)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n_qubits": 20000, "amplitudes": [[1, 0]]}\n')
+    assert main([str(huge) if a == "HUGE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and "result: ok" not in captured.out
+
+
 def test_malformed_state_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n_qubits": 2,\n "amplitudes": [[1, 0],]}\n')

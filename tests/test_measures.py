@@ -10,12 +10,9 @@ from monogamy import (
     DensityMatrix,
     Ket,
     MeasureKind,
-    PartitionSpec,
     binary_entropy,
     concurrence_pure,
     concurrence_two_qubit,
-    cren_two_qubit,
-    eof,
     eof_f,
     ghz_state,
     haar_random,
@@ -23,7 +20,6 @@ from monogamy import (
     pair_value,
     partial_trace,
     pure_cut_value,
-    tsallis,
     tsallis_g,
     tsallis_kind,
     w_state,
@@ -35,7 +31,7 @@ from oracles import min_avg_concurrence, random_ket, random_mixed
 np_rng = np.random.default_rng(77)
 
 BELL = Ket(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-CUT3 = PartitionSpec.focus_vs_rest(0, 3)
+CUT3 = (0,)
 
 
 def two_qubit(entries):
@@ -101,9 +97,9 @@ def test_tsallis_g_closed_forms():
 
 
 def test_concurrence_pure_known_states():
-    assert abs(concurrence_pure(BELL, PartitionSpec((0,), (1,))) - 1.0) < 1e-14
+    assert abs(concurrence_pure(BELL, (0,)) - 1.0) < 1e-14
     product = Ket(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert concurrence_pure(product, PartitionSpec((0,), (1,))) == 0.0
+    assert concurrence_pure(product, (0,)) == 0.0
     assert abs(concurrence_pure(ghz_state(3), CUT3) - 1.0) < 1e-14
     # frozen: W3 focus cut gives sqrt(8/9)
     assert abs(concurrence_pure(w_state(3), CUT3) - 0.9428090415820634) < 1e-14
@@ -111,8 +107,8 @@ def test_concurrence_pure_known_states():
 
 def test_concurrence_pure_side_symmetry():
     psi = Ket(3, random_ket(np_rng, 8))
-    a = concurrence_pure(psi, PartitionSpec((0,), (1, 2)))
-    b = concurrence_pure(psi, PartitionSpec((1, 2), (0,)))
+    a = concurrence_pure(psi, (0,))
+    b = concurrence_pure(psi, (1, 2))
     assert abs(a - b) < 1e-13
 
 
@@ -162,55 +158,47 @@ def test_schmidt_state_marginals():
 def test_cren_is_concurrence_on_two_qubits():
     for _ in range(25):
         rho = two_qubit(random_mixed(np_rng, 4, int(np_rng.integers(1, 5))))
-        assert cren_two_qubit(rho) == concurrence_two_qubit(rho)  # bit for bit
+        assert pair_value(CREN, rho) == concurrence_two_qubit(rho)  # bit for bit
 
 
 def test_eof_pure_and_mixed():
     # frozen: S(rho_A) of the W3 focus cut, paper quotes 0.918296
-    assert abs(eof(w_state(3), CUT3) - 0.9182958340544893) < 1e-12
+    assert abs(pure_cut_value(EOF, w_state(3), CUT3) - 0.9182958340544893) < 1e-12
     rho_ab = partial_trace(w_state(3).to_density_matrix(), (0, 1))
     # frozen: eof of the W3 pair marginal, paper quotes 0.550048
-    assert abs(eof(rho_ab) - 0.5500477595827576) < 1e-12
+    assert abs(pair_value(EOF, rho_ab) - 0.5500477595827576) < 1e-12
     with pytest.raises(ValueError):
-        eof(w_state(3))  # cut required for pure input
-    with pytest.raises(ValueError):
-        eof(rho_ab, CUT3)  # cut meaningless for mixed input
-    with pytest.raises(ValueError):
-        eof(DensityMatrix((2, 2, 2), np.eye(8) / 8))
-    with pytest.raises(TypeError):
-        eof(np.eye(4) / 4)
+        pair_value(EOF, DensityMatrix((2, 2, 2), np.eye(8) / 8))
 
 
 def test_eof_pure_two_qubit_consistency():
     # on two-qubit pure states the entropy route and eof_f(C^2) agree
     for _ in range(30):
         psi = Ket(2, random_ket(np_rng, 4))
-        cut = PartitionSpec((0,), (1,))
-        c = concurrence_pure(psi, cut)
-        assert abs(eof(psi, cut) - eof_f(c * c)) < 1e-12
+        c = concurrence_pure(psi, (0,))
+        assert abs(pure_cut_value(EOF, psi, (0,)) - eof_f(c * c)) < 1e-12
 
 
 def test_tsallis_pure_and_mixed():
     psi = Ket(3, random_ket(np_rng, 8))
     rho_a = partial_trace(psi.to_density_matrix(), (0,))
     lin = 1.0 - float(np.vdot(rho_a.entries, rho_a.entries).real)
-    assert abs(tsallis(psi, 2.0, CUT3) - lin) < 1e-12
+    assert abs(pure_cut_value(tsallis_kind(2.0), psi, CUT3) - lin) < 1e-12
     rho = two_qubit(random_mixed(np_rng, 4, 2))
     c = concurrence_two_qubit(rho)
     for q in (2.0, 2.5, 3.0):
-        assert abs(tsallis(rho, q) - tsallis_g(q, c * c)) < 1e-14
+        assert abs(pair_value(tsallis_kind(q), rho) - tsallis_g(q, c * c)) < 1e-14
     with pytest.raises(ValueError):
-        tsallis(psi, 3.5, CUT3)
+        pure_cut_value(tsallis_kind(3.5), psi, CUT3)
     with pytest.raises(ValueError):
-        tsallis(rho, 2.0, CUT3)
+        pair_value(tsallis_kind(2.0), DensityMatrix((2, 2, 2), np.eye(8) / 8))
 
 
 def test_tsallis_pure_two_qubit_matches_g_of_squared_concurrence():
     for q in (2.0, 2.3, 2.8, 3.0):
         psi = Ket(2, random_ket(np_rng, 4))
-        cut = PartitionSpec((0,), (1,))
-        c = concurrence_pure(psi, cut)
-        assert abs(tsallis(psi, q, cut) - tsallis_g(q, c * c)) < 1e-12
+        c = concurrence_pure(psi, (0,))
+        assert abs(pure_cut_value(tsallis_kind(q), psi, (0,)) - tsallis_g(q, c * c)) < 1e-12
 
 
 def test_negativity_known_values():
@@ -237,25 +225,33 @@ def test_negativity_separable_mixture_is_zero():
 def test_pure_cut_value_cren_matches_partial_transpose_route():
     for n, focus in ((3, 0), (3, 2), (4, 1)):
         psi = Ket(n, random_ket(np_rng, 2**n))
-        cut = PartitionSpec.focus_vs_rest(focus, n)
-        via_schmidt = pure_cut_value(CREN, psi, cut)
+        via_schmidt = pure_cut_value(CREN, psi, (focus,))
         via_pt = negativity(psi.to_density_matrix(), focus)
         assert abs(via_schmidt - via_pt) < 1e-10
 
 
 def test_pure_cut_value_dispatch():
+    # each measure's closed form on the spectrum of rho_A, traced from the projector
     psi = Ket(3, random_ket(np_rng, 8))
-    assert pure_cut_value(CONCURRENCE, psi, CUT3) == concurrence_pure(psi, CUT3)
-    assert pure_cut_value(EOF, psi, CUT3) == eof(psi, CUT3)
-    assert pure_cut_value(tsallis_kind(2.5), psi, CUT3) == tsallis(psi, 2.5, CUT3)
+    rho_a = partial_trace(psi.to_density_matrix(), (0,))
+    lam = np.linalg.eigvalsh(rho_a.entries)
+    expected = {
+        CONCURRENCE: math.sqrt(2.0 * (1.0 - float((lam**2).sum()))),
+        EOF: float(-(lam * np.log2(lam)).sum()),
+        CREN: float(np.sqrt(lam).sum() ** 2 - 1.0),
+        tsallis_kind(2.5): float((1.0 - (lam**2.5).sum()) / 1.5),
+    }
+    for kind, value in expected.items():
+        assert abs(pure_cut_value(kind, psi, CUT3) - value) < 1e-12
 
 
 def test_pair_value_dispatch():
     rho = two_qubit(random_mixed(np_rng, 4, 4))
-    assert pair_value(CONCURRENCE, rho) == concurrence_two_qubit(rho)
-    assert pair_value(CREN, rho) == cren_two_qubit(rho)
-    assert pair_value(EOF, rho) == eof(rho)
-    assert pair_value(tsallis_kind(2.0), rho) == tsallis(rho, 2.0)
+    c = concurrence_two_qubit(rho)
+    assert pair_value(CONCURRENCE, rho) == c
+    assert pair_value(CREN, rho) == c
+    assert pair_value(EOF, rho) == eof_f(c * c)
+    assert pair_value(tsallis_kind(2.0), rho) == tsallis_g(2.0, c * c)
 
 
 def test_squared_concurrence_monogamy_on_random_states():

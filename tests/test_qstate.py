@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from monogamy import (
+    CONCURRENCE,
     DensityMatrix,
     Ket,
-    PartitionSpec,
     StateFileError,
     load_state,
     partial_trace,
     partial_transpose,
+    pure_cut_value,
     purity,
     save_state,
-    tensor,
     trace_norm,
     w_state,
 )
@@ -57,18 +57,19 @@ def test_density_matrix_validation():
         DensityMatrix((2, 2), np.eye(2) / 2)  # dims do not match shape
 
 
-def test_partition_spec_validation():
-    with pytest.raises(ValueError):
-        PartitionSpec((0,), (0, 1))
-    with pytest.raises(ValueError):
-        PartitionSpec((), (0,))
-    with pytest.raises(ValueError):
-        PartitionSpec((0, 0), (1,))
-    cut = PartitionSpec.focus_vs_rest(1, 3)
-    assert cut.side_a == (1,) and cut.side_b == (0, 2)
-    cut.validate_for(3)
-    with pytest.raises(ValueError):
-        cut.validate_for(4)
+def test_pure_cut_value_rejects_bad_sides():
+    # a cut is side A against the rest: side A must be distinct in-range qubits, and not all of them
+    psi = w_state(3)
+    for side_a in ((), (0, 0), (3,), (-1,), (0, 1, 2), (2, 0, 1)):
+        with pytest.raises(ValueError):
+            pure_cut_value(CONCURRENCE, psi, side_a)
+    assert pure_cut_value(CONCURRENCE, psi, (1,)) == pure_cut_value(CONCURRENCE, psi, [1])
+
+
+def test_ket_equality():
+    assert w_state(3) == w_state(3)
+    assert w_state(3) != Ket(3, np.eye(8)[1])
+    assert w_state(2) != w_state(3)
 
 
 def test_big_endian_convention():
@@ -143,26 +144,6 @@ def test_partial_trace_errors():
         partial_trace(rho, (2,))
 
 
-def test_tensor_trace_multiplicative():
-    a = random_dm(np_rng, (2,))
-    b = random_dm(np_rng, (2, 2))
-    t = tensor(a, b)
-    assert t.dims == (2, 2, 2)
-    assert abs(t.entries.trace() - a.entries.trace() * b.entries.trace()) < 1e-14
-    # purity is multiplicative on product states
-    assert abs(purity(t) - purity(a) * purity(b)) < 1e-13
-
-
-def test_tensor_kets():
-    zero = Ket(1, np.array([1.0, 0.0]))
-    one = Ket(1, np.array([0.0, 1.0]))
-    both = tensor(zero, one)
-    assert both.n_qubits == 2
-    assert np.allclose(both.amplitudes, [0, 1, 0, 0])
-    with pytest.raises(TypeError):
-        tensor(zero, zero.to_density_matrix())
-
-
 def test_partial_transpose_bell_spectrum():
     bell = Ket(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
     pt = partial_transpose(bell.to_density_matrix(), 0)
@@ -206,6 +187,9 @@ def test_purity_range():
     assert abs(purity(psi.to_density_matrix()) - 1.0) < 1e-12
     mixed = DensityMatrix((2, 2), np.eye(4) / 4)
     assert abs(purity(mixed) - 0.25) < 1e-15
+    # purity is multiplicative on product states
+    a, b = random_dm(np_rng, (2,)), random_dm(np_rng, (2, 2))
+    assert abs(purity(DensityMatrix((2, 2, 2), np.kron(a.entries, b.entries))) - purity(a) * purity(b)) < 1e-13
 
 
 def test_state_file_round_trip(tmp_path):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from monogamy import (
-    PartitionSpec,
+    EOF,
     SchmidtParams,
     concurrence_pure,
     concurrence_two_qubit,
-    eof,
     ghz_state,
     gsd3,
     haar_random,
     partial_trace,
+    pure_cut_value,
     purity,
     w_state,
 )
@@ -48,7 +48,7 @@ def test_gsd3_amplitude_placement():
 def test_gsd3_closed_form_marginals():
     # C(A|BC) = 2 l0 sqrt(l2^2+l3^2+l4^2); tracing out the last qubit
     # leaves the l3 coherence in the (0,1) marginal and vice versa
-    cut = PartitionSpec.focus_vs_rest(0, 3)
+    cut = (0,)
     for _ in range(100):
         p = random_schmidt(np_rng)
         l0, _, l2, l3, l4 = p.lambdas
@@ -74,9 +74,9 @@ def test_ghz_state_marginals():
     for n in (3, 4):
         psi = ghz_state(n)
         proj = psi.to_density_matrix()
-        cut = PartitionSpec.focus_vs_rest(0, n)
+        cut = (0,)
         assert abs(concurrence_pure(psi, cut) - 1.0) < 1e-14
-        assert abs(eof(psi, cut) - 1.0) < 1e-14
+        assert abs(pure_cut_value(EOF, psi, cut) - 1.0) < 1e-14
         for b in range(1, n):
             assert concurrence_two_qubit(partial_trace(proj, (0, b))) == 0.0
 
