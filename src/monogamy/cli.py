@@ -10,39 +10,45 @@ Three modes, selected by exactly one of --example, --verify, --state:
                   JSON state file.
 
 Exit codes: 0 on success, 1 when an asserted bound is violated beyond
---tolerance, 2 on usage or input errors.  The environment variable
-MONOGAMY_SEED overrides --seed.
+--tolerance, 2 on usage or input errors.  Campaign state k is drawn
+with seed --seed + k; no environment variable changes it.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 from .bounds import BoundReport, ChainAnalysis, alpha_grid, alpha_sweep, monogamy_report, step_factor
 from .measures import CONCURRENCE, CREN, EOF, MeasureKind, tsallis_kind
-from .qstate import StateFileError, load_state, physical_memory
+from .qstate import load_state, physical_memory
 from .states import SchmidtParams, gsd3, haar_random, w_state
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-_STATE_CSV_HEADER = (
-    "measure,q,alpha,m,lhs,new_bound,baseline_weighted,baseline_sum,"
-    "residual_new,residual_gap"
-)
-_SWEEP_CSV_HEADER = "alpha,lhs,new_bound,baseline_weighted,baseline_sum"
-_VERIFY_CSV_HEADER = (
-    "measure,q,alpha,tested,asserted,undetermined,inapplicable,"
-    "min_residual_new,min_residual_gap"
+# the six values of a report: the sweep writes the first four, the state mode all six
+_REPORT_COLUMNS = ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new", "residual_gap")
+_SWEEP_COLUMNS = ("alpha",) + _REPORT_COLUMNS[:4]
+_STATE_COLUMNS = ("measure", "q", "alpha", "m") + _REPORT_COLUMNS
+_VERIFY_COLUMNS = ("measure", "q", "alpha", "tested", "asserted", "undetermined", "inapplicable") + tuple(
+    "min_" + c for c in _REPORT_COLUMNS[4:]
 )
 
 
 def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
+
+
+def _cells(obj, columns, **given) -> dict[str, str]:
+    """Column -> rendered cell; a column not in ``given`` is read off ``obj``."""
+    cells = {}
+    for c in columns:
+        v = given[c] if c in given else getattr(obj, c)
+        cells[c] = v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v)
+    return cells
 
 
 def _scenario(k: int, q: float):
@@ -86,16 +92,6 @@ def _parse_m(text: str):
         raise ValueError(f"--m expects an integer or 'auto', got {text!r}")
 
 
-def _resolve_seed(args_seed: int) -> int:
-    env = os.environ.get("MONOGAMY_SEED")
-    if env is None:
-        return args_seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"MONOGAMY_SEED must be an integer, got {env!r}")
-
-
 def _write_lines(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path is None:
@@ -134,22 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="auto", help="ladder split position, or 'auto'")
     p.add_argument("--n-qubits", type=int, default=3, help="register size for --verify")
     p.add_argument("--samples", type=int, default=100, help="random states for --verify")
-    p.add_argument("--seed", type=int, default=0, help="base seed (MONOGAMY_SEED overrides)")
+    p.add_argument("--seed", type=int, default=0, help="base seed; --verify draws state k with seed + k")
     p.add_argument("--tolerance", type=float, default=1e-9, help="violation threshold")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     return p
 
 
 def _sweep_rows(reports: list[BoundReport]) -> list[str]:
-    rows = [_SWEEP_CSV_HEADER]
-    for r in reports:
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.alpha, r.lhs, r.new_bound, r.baseline_weighted, r.baseline_sum)
-            )
-        )
-    return rows
+    return [",".join(_SWEEP_COLUMNS)] + [",".join(_fmt(getattr(r, c)) for c in _SWEEP_COLUMNS) for r in reports]
 
 
 def cmd_example(args) -> int:
@@ -176,39 +164,21 @@ def cmd_state(args) -> int:
         order=_parse_order(args.order),
         m=_parse_m(args.m),
     )
-    q = measure.q if measure.q is not None else math.nan
+    cell = _cells(report, _STATE_COLUMNS, measure=measure.name, q=math.nan if measure.q is None else measure.q)
     print(f"state: {args.state}")
     print(f"qubits: {psi.n_qubits}  focus: {report.focus}  pair order: "
           + ",".join(str(b) for b in report.order))
     print(
-        f"measure: {measure.name}  q: {_fmt(q)}  alpha: {_fmt(report.alpha)}  "
-        f"m: {report.m}  asserted: {'yes' if report.asserted else 'no'}"
+        f"measure: {cell['measure']}  q: {cell['q']}  alpha: {cell['alpha']}  "
+        f"m: {cell['m']}  asserted: {'yes' if report.asserted else 'no'}"
     )
     print("verdicts: " + ",".join(v.value for v in report.preconditions.verdicts))
     print("pair_values: " + ",".join(_fmt(v) for v in report.pair_values))
     print("weights: " + ",".join(_fmt(w) for w in report.weights))
-    for field in ("lhs", "new_bound", "baseline_weighted", "baseline_sum",
-                  "residual_new", "residual_gap"):
-        print(f"{field}: {_fmt(getattr(report, field))}")
+    for c in _REPORT_COLUMNS:
+        print(f"{c}: {cell[c]}")
     if args.out is not None:
-        row = ",".join(
-            [measure.name]
-            + [
-                _fmt(v)
-                for v in (
-                    q,
-                    report.alpha,
-                    report.m,
-                    report.lhs,
-                    report.new_bound,
-                    report.baseline_weighted,
-                    report.baseline_sum,
-                    report.residual_new,
-                    report.residual_gap,
-                )
-            ]
-        )
-        _write_lines([_STATE_CSV_HEADER, row], args.out)
+        _write_lines([",".join(_STATE_COLUMNS), ",".join(cell.values())], args.out)
     if report.asserted and report.residual_new < -args.tolerance:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -266,66 +236,49 @@ class CampaignRow:
     alpha: float
     tested: int
     asserted: int
-    undetermined: int
     inapplicable: int
     min_residual_new: float
     min_residual_gap: float
 
 
 def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
-    """Run the campaign; returns summary rows and a violation flag."""
-    analyses = [ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0) for k in range(config.samples)]
-    rows: list[CampaignRow] = []
-    violation = False
+    """Run the campaign one state at a time; returns summary rows and a violation flag."""
+    keys: list[tuple[MeasureKind, float]] = []  # one (measure, alpha) per row
     for measure in config.measures:
-        seen: set[float] = set()
-        for token in config.alphas:
-            alpha = measure.alpha_floor if token == "floor" else float(token)
-            if alpha in seen:  # 'floor' can coincide with an explicit entry
-                continue
-            seen.add(alpha)
-            n_asserted = 0
-            min_new = math.inf
-            min_gap = math.inf
-            for analysis in analyses:
-                report = analysis.report(measure, alpha)
-                min_gap = min(min_gap, report.residual_gap)
-                if report.asserted:
-                    n_asserted += 1
-                    min_new = min(min_new, report.residual_new)
-                    if report.residual_new < -config.tolerance:
-                        violation = True
-            rows.append(
-                CampaignRow(
-                    measure=measure,
-                    alpha=alpha,
-                    tested=config.samples,
-                    asserted=n_asserted,
-                    undetermined=0,  # the pair-sum certificate decides every comparison
-                    inapplicable=config.samples - n_asserted,
-                    min_residual_new=min_new if n_asserted else math.nan,
-                    min_residual_gap=min_gap,
-                )
-            )
+        alphas = (measure.alpha_floor if token == "floor" else float(token) for token in config.alphas)
+        keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
+    asserted = [0] * len(keys)
+    min_new = [math.inf] * len(keys)  # over the asserted states only
+    min_gap = [math.inf] * len(keys)
+    violation = False
+    for k in range(config.samples):
+        analysis = ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0)
+        for i, (measure, alpha) in enumerate(keys):
+            report = analysis.report(measure, alpha)
+            min_gap[i] = min(min_gap[i], report.residual_gap)
+            if report.asserted:
+                asserted[i] += 1
+                min_new[i] = min(min_new[i], report.residual_new)
+                if report.residual_new < -config.tolerance:
+                    violation = True
+    rows = [
+        CampaignRow(measure, alpha, config.samples, asserted[i], config.samples - asserted[i],
+                    min_new[i] if asserted[i] else math.nan, min_gap[i])
+        for i, (measure, alpha) in enumerate(keys)
+    ]
     return rows, violation
 
 
 def cmd_verify(args) -> int:
     names = (args.measure or "concurrence,eof,cren,tsallis").split(",")
     kinds = tuple(_parse_measure(nm, args.q) for nm in names)
-    tokens = []
-    for tok in args.alphas.split(","):
-        tok = tok.strip()
-        if tok == "floor":
-            tokens.append(tok)
-        else:
-            tokens.append(float(tok))
+    tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, args.alphas.split(",")))
     config = CampaignConfig(
         n_qubits=args.n_qubits,
         samples=args.samples,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         measures=kinds,
-        alphas=tuple(tokens),
+        alphas=tokens,
         tolerance=args.tolerance,
     )
     rows, violation = run_campaign(config)
@@ -333,26 +286,14 @@ def cmd_verify(args) -> int:
         f"verify: n_qubits={config.n_qubits} samples={config.samples} "
         f"seed={config.seed} tolerance={_fmt(config.tolerance)}"
     )
-    csv_lines = [_VERIFY_CSV_HEADER]
+    csv_lines = [",".join(_VERIFY_COLUMNS)]
     for r in rows:
-        q = r.measure.q if r.measure.q is not None else math.nan
-        csv_lines.append(
-            ",".join(
-                [r.measure.name]
-                + [
-                    _fmt(v)
-                    for v in (q, r.alpha)
-                ]
-                + [str(v) for v in (r.tested, r.asserted, r.undetermined, r.inapplicable)]
-                + [_fmt(r.min_residual_new), _fmt(r.min_residual_gap)]
-            )
-        )
-        print(
-            f"  {r.measure.name:<12} q={_fmt(q):<4} alpha={_fmt(r.alpha):<14} "
-            f"tested={r.tested} asserted={r.asserted} undetermined={r.undetermined} "
-            f"inapplicable={r.inapplicable} min_residual_new={_fmt(r.min_residual_new)} "
-            f"min_residual_gap={_fmt(r.min_residual_gap)}"
-        )
+        # undetermined stays a column of literal 0s: the pair-sum certificate decides every comparison
+        cell = _cells(r, _VERIFY_COLUMNS, measure=r.measure.name,
+                      q=math.nan if r.measure.q is None else r.measure.q, undetermined=0)
+        csv_lines.append(",".join(cell.values()))
+        print(f"  {cell['measure']:<12} q={cell['q']:<4} alpha={cell['alpha']:<14} "
+              + " ".join(f"{c}={cell[c]}" for c in _VERIFY_COLUMNS[3:]))
     if args.out is not None:
         _write_lines(csv_lines, args.out)
     if violation:
@@ -374,7 +315,7 @@ def main(argv=None) -> int:
         if args.verify:
             return cmd_verify(args)
         return cmd_state(args)
-    except (StateFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,8 +24,6 @@ from .qstate import (
 DOMAIN_ATOL = 1e-12
 EIG_CLIP_ATOL = 1e-10
 
-_MEASURE_NAMES = ("concurrence", "eof", "cren", "tsallis")
-
 # exponent floors: smallest power for which the weighted bounds apply; each
 # is also the gamma of the ladder's per-step factor 2^(alpha/gamma) - 1
 _ALPHA_FLOORS = {
@@ -52,8 +50,8 @@ class MeasureKind:
     q: float | None = None
 
     def __post_init__(self):
-        if self.name not in _MEASURE_NAMES:
-            raise ValueError(f"unknown measure {self.name!r}, expected one of {_MEASURE_NAMES}")
+        if self.name not in _ALPHA_FLOORS:
+            raise ValueError(f"unknown measure {self.name!r}, expected one of {tuple(_ALPHA_FLOORS)}")
         if self.name == "tsallis":
             if self.q is None:
                 raise ValueError("tsallis measure requires q")

@@ -184,7 +184,7 @@ def test_criterion_08_larger_register_campaigns():
         asserted = sum(r.asserted for r in rows)
         ok &= asserted > 0
         shares = [f"{k} {100 * sum(getattr(r, k) for r in rows) / tested:.1f}%"
-                  for k in ("asserted", "undetermined", "inapplicable")]
+                  for k in ("asserted", "inapplicable")]
         details.append(f"n={n} " + " ".join(shares))
     _check(8, ok, "; ".join(details), t0, budget=120.0)
 

@@ -87,9 +87,11 @@ def test_oversized_exponents_exit_2(argv, tmp_path, capsys):
     [
         (["--verify", "--n-qubits", "1100", "--samples", "1"], "error: 1100 qubits need over 2^1100 bytes"),
         (["--example", "1", "--alpha-step", "1e-12"], "error: alpha grid of 3e+12 points"),
+        # 8 B a point would admit this grid, but the sweep it feeds holds about 24 GiB
+        (["--example", "1", "--alpha-step", "1e-7"], "error: alpha grid of 3e+07 points"),
         (["--state", "HUGE"], "huge.json: expected 2^20000 amplitude pairs, got 1"),
     ],
-    ids=["verify-1100-qubits", "example-step-1e-12", "state-20000-qubits"],
+    ids=["verify-1100-qubits", "example-step-1e-12", "example-step-1e-7", "state-20000-qubits"],
 )
 def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     # each guard decides before allocating; these stand-ins fail the test if one regresses
@@ -108,6 +110,24 @@ def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert message in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "result: ok" not in captured.out
+
+
+def test_grid_guard_covers_the_measured_peak_of_a_sweep(capsys):
+    # tracemalloc sees the grid, the reports and the CSV text of one --example sweep
+    import tracemalloc
+
+    assert main(["--example", "1", "--alpha-step", "0.5"]) == 0  # first calls allocate numpy's caches
+    capsys.readouterr()
+    argv = ["--example", "1", "--alpha-min", "2", "--alpha-max", "5", "--alpha-step", "1.5e-4"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = len(capsys.readouterr().out.splitlines()) - 1
+    assert points == 20_001
+    assert 400 * points < peak < monogamy.bounds._SWEEP_BYTES_PER_POINT * points
 
 
 def test_malformed_state_file_reports_line(tmp_path, capsys):
@@ -246,7 +266,7 @@ def test_memory_guard_admits_exactly_the_peak_of_a_draw_and_its_analysis(monkeyp
     n = 30
     for spare, admitted in ((0, True), (-1, False)):
         fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 48 * 2**n + spare}
-        monkeypatch.setattr(monogamy.cli.os, "sysconf", fake.__getitem__)
+        monkeypatch.setattr(monogamy.qstate.os, "sysconf", fake.__getitem__)
         try:
             CampaignConfig(n_qubits=n, samples=1, seed=0, measures=ALL_KINDS, alphas=("floor",), tolerance=1e-9)
         except ValueError as exc:
@@ -287,22 +307,19 @@ def test_verify_rejects_alpha_below_floor(capsys):
     assert "floor" in capsys.readouterr().err
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
+def test_env_seed_is_ignored(capsys, monkeypatch):
+    # --seed is the only seed: an old MONOGAMY_SEED in the environment changes nothing
     argv = ["--verify", "--samples", "5", "--seed", "7",
             "--measure", "concurrence", "--alphas", "2"]
-    monkeypatch.setenv("MONOGAMY_SEED", "123")
+    monkeypatch.delenv("MONOGAMY_SEED", raising=False)
     assert main(argv) == 0
-    with_env = capsys.readouterr().out
-    assert "seed=123" in with_env
+    without_env = capsys.readouterr().out
+    assert "seed=7" in without_env
 
-    monkeypatch.delenv("MONOGAMY_SEED")
-    assert main(["--verify", "--samples", "5", "--seed", "123",
-                 "--measure", "concurrence", "--alphas", "2"]) == 0
-    assert capsys.readouterr().out == with_env
-
-    monkeypatch.setenv("MONOGAMY_SEED", "not-a-seed")
-    assert main(argv) == 2
-    capsys.readouterr()
+    for value in ("123", "not-a-seed"):
+        monkeypatch.setenv("MONOGAMY_SEED", value)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == without_env
 
 
 def _campaign(n_qubits, samples):
@@ -337,6 +354,24 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     assert len(chains) == 4 * len(ALL_KINDS) * 2
 
 
+def test_campaign_memory_does_not_grow_with_samples():
+    # one state is held at a time: keeping every analysis would take about 2.3 KB a sample, 2.3 MB here
+    import tracemalloc
+
+    def campaign(samples):
+        run_campaign(CampaignConfig(n_qubits=3, samples=samples, seed=0, measures=(CONCURRENCE,),
+                                    alphas=("floor",), tolerance=1e-9))
+
+    campaign(5)  # first calls allocate numpy's caches
+    tracemalloc.start()
+    try:
+        campaign(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_campaign_rows_match_state_by_state_reports():
     config, (rows, _) = _campaign(4, 40)
     states = [haar_random(4, config.seed + k) for k in range(config.samples)]
@@ -344,7 +379,7 @@ def test_campaign_rows_match_state_by_state_reports():
     for row in rows:
         reports = [monogamy_report(psi, 0, row.measure, row.alpha) for psi in states]
         asserted = [r for r in reports if r.asserted]
-        assert (row.asserted, row.undetermined) == (len(asserted), 0)
+        assert row.asserted == len(asserted)
         assert row.inapplicable == row.tested - len(asserted)
         assert row.min_residual_gap == min(r.residual_gap for r in reports)
         if asserted:
