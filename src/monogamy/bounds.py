@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, concurrence_two_qubit, cut_value_of_marginal, value_of_concurrence
+from .measures import MeasureKind, cut_value_of_marginal, spin_flip_concurrences, value_of_concurrence
 from .qstate import DensityMatrix, Ket, physical_memory
 
 ALPHA_ATOL = 1e-12
@@ -225,7 +225,8 @@ class BoundReport:
 class ChainAnalysis:
     """Everything the bounds read from one state, computed once.
 
-    The pair concurrences keyed by partner qubit, the focus marginal
+    The pair concurrences keyed by partner qubit (all N-1 from one
+    stack of pair marginals, see Ket.pair_marginals), the focus marginal
     rho_A (whose spectrum it carries), and the pair order as given and as
     ranked by descending concurrence (ties keep their given position).
     One analysis serves every report; the cut and pair values and the
@@ -248,7 +249,7 @@ class ChainAnalysis:
         given = tuple(rest) if order is None else tuple(int(i) for i in order)
         if sorted(given) != rest:
             raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
-        conc = {b: concurrence_two_qubit(psi.marginal((focus, b))) for b in given}
+        conc = dict(zip(given, spin_flip_concurrences(psi.pair_marginals(focus, given)).tolist()))
         ranked = tuple(sorted(given, key=lambda b: -conc[b]))
         return cls(focus, given, ranked, conc, psi.marginal((focus,)))
 

@@ -179,7 +179,7 @@ def cmd_state(args) -> int:
         print(f"{c}: {cell[c]}")
     if args.out is not None:
         _write_lines([",".join(_STATE_COLUMNS), ",".join(cell.values())], args.out)
-    if report.asserted and report.residual_new < -args.tolerance:
+    if report.asserted and not report.residual_new >= -args.tolerance:  # a NaN residual is a violation
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -190,9 +190,10 @@ class CampaignConfig:
 
     ``alphas`` entries are floats or the token 'floor', which resolves to
     each measure's own floor exponent; exponents that coincide after
-    resolution run once.  Numeric entries must clear the floor of every
-    selected measure.  State k is drawn with seed ``seed + k``, so runs
-    are reproducible and order-independent.
+    resolution run once, and so does a measure named twice.  Numeric
+    entries must clear the floor of every selected measure.  State k is
+    drawn with seed ``seed + k``, so runs are reproducible and
+    order-independent.
     """
 
     n_qubits: int
@@ -241,25 +242,30 @@ class CampaignRow:
     min_residual_gap: float
 
 
+def _nan_min(a: float, b: float) -> float:
+    # min(a, b), but a NaN on either side wins: min() would keep whichever came first
+    return b if math.isnan(b) or b < a else a
+
+
 def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     """Run the campaign one state at a time; returns summary rows and a violation flag."""
     keys: list[tuple[MeasureKind, float]] = []  # one (measure, alpha) per row
-    for measure in config.measures:
+    for measure in dict.fromkeys(config.measures):
         alphas = (measure.alpha_floor if token == "floor" else float(token) for token in config.alphas)
         keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
     asserted = [0] * len(keys)
-    min_new = [math.inf] * len(keys)  # over the asserted states only
+    min_new = [math.inf] * len(keys)  # over the asserted states only; a NaN residual sticks
     min_gap = [math.inf] * len(keys)
     violation = False
     for k in range(config.samples):
         analysis = ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0)
         for i, (measure, alpha) in enumerate(keys):
             report = analysis.report(measure, alpha)
-            min_gap[i] = min(min_gap[i], report.residual_gap)
+            min_gap[i] = _nan_min(min_gap[i], report.residual_gap)
             if report.asserted:
                 asserted[i] += 1
-                min_new[i] = min(min_new[i], report.residual_new)
-                if report.residual_new < -config.tolerance:
+                min_new[i] = _nan_min(min_new[i], report.residual_new)
+                if not report.residual_new >= -config.tolerance:  # a NaN residual is a violation
                     violation = True
     rows = [
         CampaignRow(measure, alpha, config.samples, asserted[i], config.samples - asserted[i],

@@ -4,6 +4,10 @@ Each measure is two maps: a pure-state cut value read from the side-A reduced
 state, ``cut_value_of_marginal(kind, rho_a)`` or ``pure_cut_value(kind, psi,
 side_a)`` with the cut named by its side-A qubits; and a two-qubit closed form
 in the pair concurrence C, ``value_of_concurrence(kind, c)`` or ``pair_value(kind, rho)``.
+
+The pair concurrence has one spin-flip kernel, spin_flip_concurrences, which
+takes a (k, 4, 4) stack of two-qubit states and returns their k concurrences
+from one eigvals call; concurrence_two_qubit is the same kernel on one matrix.
 """
 from __future__ import annotations
 
@@ -123,30 +127,39 @@ def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
 
 
 def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
-    """Descending square roots of the spin-flip product spectrum.
+    """Descending square roots of the spin-flip product spectrum, per 4x4 matrix.
 
-    The flipped matrix is S rho* S with S = sigma_y (x) sigma_y, written
-    entrywise as s_i s_j conj(rho)[3-i, 3-j].  Eigenvalues of rho @ flipped
-    are real and nonnegative up to rounding; tiny negative parts (within
-    1e-10 of zero for valid density input) are clipped before the root.
+    ``rho`` is one matrix or a (..., 4, 4) stack, all spectra taken by one
+    eigvals call.  The flipped matrix is S rho* S with S = sigma_y (x)
+    sigma_y, written entrywise as s_i s_j conj(rho)[3-i, 3-j].  Eigenvalues
+    of rho @ flipped are real and nonnegative up to rounding; tiny negative
+    parts (within 1e-10 of zero for valid density input) are clipped
+    before the root.
     """
-    flipped = (_FLIP_SIGNS[:, None] * _FLIP_SIGNS[None, :]) * rho.conj()[::-1, ::-1]
+    flipped = (_FLIP_SIGNS[:, None] * _FLIP_SIGNS[None, :]) * rho.conj()[..., ::-1, ::-1]
     ev = np.linalg.eigvals(rho @ flipped)
     mus = np.sqrt(np.maximum(ev.real, 0.0))
     mus.sort()
-    return mus[::-1]
+    return mus[..., ::-1]
+
+
+def spin_flip_concurrences(rho: np.ndarray) -> np.ndarray:
+    """Spin-flip concurrence max(0, mu1 - mu2 - mu3 - mu4) of each matrix in a (..., 4, 4) stack."""
+    mus = spin_flip_mus(rho)
+    c = mus[..., 0] - mus[..., 1] - mus[..., 2] - mus[..., 3]
+    return np.where(c > 0.0, c, 0.0)  # as max(0.0, c): a NaN or a -0.0 reads 0.0
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:
     """Spin-flip concurrence max(0, mu1 - mu2 - mu3 - mu4).
 
     The mu_i are the descending square roots of the eigenvalues of
-    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
+    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y); this is
+    spin_flip_concurrences on one matrix.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
-    mus = spin_flip_mus(rho.entries)
-    return max(0.0, float(mus[0] - mus[1] - mus[2] - mus[3]))
+    return float(spin_flip_concurrences(rho.entries))
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:

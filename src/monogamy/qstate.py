@@ -12,7 +12,9 @@ computed by reshaping: a ket's marginal reshapes the amplitudes to one
 axis per qubit, moves the kept axes to the front and takes M M^dagger of
 the resulting 2^k x 2^(n-k) matrix, so no 2^n x 2^n projector is built;
 a density matrix is reshaped to one row and one column axis per factor
-and its traced factors are contracted with einsum.
+and its traced factors are contracted with einsum.  The two-qubit
+marginals of a focus qubit come as one (k, 4, 4) stack, validated by
+the same density_spectra that checks a single DensityMatrix.
 """
 from __future__ import annotations
 
@@ -76,20 +78,63 @@ class Ket:
         tracing the projector.
         """
         kept = _sorted_keep(keep, self.n_qubits)
-        traced = [i for i in range(self.n_qubits) if i not in kept]
-        m = self.amplitudes.reshape((2,) * self.n_qubits).transpose(kept + traced)
-        m = m.reshape(2 ** len(kept), -1)
+        m = self._kept_first(kept).reshape(2 ** len(kept), -1)
         return DensityMatrix((2,) * len(kept), m @ m.conj().T)
+
+    def pair_marginals(self, focus: int, partners: Sequence[int]) -> np.ndarray:
+        """The (len(partners), 4, 4) stack of the marginals of (focus, b), b in ``partners``.
+
+        Entry i is bit for bit ``marginal((focus, partners[i])).entries``,
+        and the whole stack is validated once by density_spectra.  M and
+        its conjugate are written into the same two buffers for every
+        pair, so the peak stays at one marginal's.
+        """
+        stack = np.empty((len(partners), 4, 4), dtype=np.complex128)
+        m = np.empty((4, self.amplitudes.size // 4), dtype=np.complex128)
+        m_conj = np.empty_like(m)
+        for i, b in enumerate(partners):
+            view = self._kept_first(_sorted_keep((focus, b), self.n_qubits))
+            np.copyto(m.reshape(view.shape), view)
+            np.conjugate(m, out=m_conj)
+            np.matmul(m, m_conj.T, out=stack[i])
+        density_spectra(stack)
+        return stack
+
+    def _kept_first(self, kept: list[int]) -> np.ndarray:
+        # one axis per qubit, the kept ones first, then the traced ones in register order
+        traced = [i for i in range(self.n_qubits) if i not in kept]
+        return self.amplitudes.reshape((2,) * self.n_qubits).transpose(kept + traced)
+
+
+def density_spectra(stack: np.ndarray) -> np.ndarray:
+    """Validate a (k, d, d) stack of density matrices; return their spectra, each descending.
+
+    Every matrix must be hermitian (entrywise, 1e-12), of unit trace
+    (1e-12) and positive (smallest eigenvalue >= -1e-10).  The checks run
+    in that order over the whole stack, and the first that fails raises.
+    """
+    if np.abs(stack - stack.conj().swapaxes(1, 2)).max(initial=0.0) > HERMITICITY_ATOL:
+        raise ValueError("density matrix must be hermitian")
+    tr = np.trace(stack, axis1=1, axis2=2)
+    off = np.abs(tr - 1.0) > TRACE_ATOL
+    if off.any():
+        raise ValueError(f"density matrix must have unit trace, got {tr[off.argmax()]!r}")
+    spectra = np.linalg.eigvalsh(stack)[:, ::-1]
+    smallest = float(spectra[:, -1].min(initial=np.inf))
+    if smallest < -PSD_ATOL:
+        raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
+    return spectra
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Density operator on a register with factor dimensions ``dims``.
 
-    Construction validates hermiticity (entrywise, 1e-12), unit trace
-    (1e-12) and positivity (smallest eigenvalue >= -1e-10).  The spectrum
-    that the positivity check computes is kept as ``eigenvalues``,
-    read-only and descending.  Two density matrices are equal when their
+    Construction validates the matrix as a stack of one with
+    density_spectra: hermiticity (entrywise, 1e-12), unit trace (1e-12)
+    and positivity (smallest eigenvalue >= -1e-10).  The spectrum that
+    the positivity check computes is kept as ``eigenvalues``, read-only
+    and descending.  Two density matrices are equal when their
     dims and entries are.
     """
 
@@ -107,15 +152,7 @@ class DensityMatrix:
             raise ValueError(
                 f"entries have shape {entries.shape}, expected {(order, order)}"
             )
-        if np.abs(entries - entries.conj().T).max() > HERMITICITY_ATOL:
-            raise ValueError("density matrix must be hermitian")
-        tr = entries.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix must have unit trace, got {tr!r}")
-        eigenvalues = np.linalg.eigvalsh(entries)[::-1]
-        smallest = float(eigenvalues[-1])
-        if smallest < -PSD_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
+        eigenvalues = density_spectra(entries[None])[0]
         entries = np.ascontiguousarray(entries)
         entries.flags.writeable = False
         eigenvalues.flags.writeable = False
@@ -198,12 +235,23 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# the least int that float() rounds past the largest float, and so rejects
+_INT_OVERFLOW = 2**1024 - 2**970
+
+
+def _is_pair(pair) -> bool:
+    # JSON true/false parse as bool, an int subclass, but they are no amplitude
+    return type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)
+
+
 def load_state(path) -> Ket:
     """Read a ket from a JSON state file.
 
     Expected schema: ``{"n_qubits": n, "amplitudes": [[re, im], ...]}``
     with 2**n amplitude pairs.  A norm deviating from 1 by at most 1e-6
-    is renormalized; larger deviations are rejected.
+    is renormalized; larger deviations are rejected.  One scan checks
+    that every entry is a pair of numbers, and one numpy call decodes
+    them all; the first malformed or overflowing pair is named by index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -229,18 +277,15 @@ def load_state(path) -> Ket:
     if not isinstance(raw, list) or n >= 63 or len(raw) != 2**n:
         expected = 2**n if n < 63 else f"2^{n}"
         raise StateFileError(f"{path}: expected {expected} amplitude pairs, got {found}")
-    amp = np.empty(2**n, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            # bool is an int subclass, but true/false is no amplitude
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise StateFileError(
-                f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}"
-            )
-        amp[i] = complex(pair[0], pair[1])
+    if not all(map(_is_pair, raw)):
+        i = next(i for i, pair in enumerate(raw) if not _is_pair(pair))
+        raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {raw[i]!r}")
+    try:
+        # the (re, im) rows in float64 are the complex128 amplitudes; ints round as float() rounds them
+        amp = np.array(raw, dtype=np.float64).view(np.complex128).reshape(-1)
+    except OverflowError:  # only an int overflows: a JSON float that large parses as inf
+        i = next(i for i, pair in enumerate(raw) if any(type(v) is int and abs(v) >= _INT_OVERFLOW for v in pair))
+        raise StateFileError(f"{path}: amplitude {i} is beyond the float range") from None
     norm = float(np.linalg.norm(amp))
     if abs(norm - 1.0) > STATE_FILE_NORM_ATOL:
         raise StateFileError(

@@ -314,10 +314,10 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
     assert [analysis.report(EOF, a) for a in grid] == expected
 
     calls = []
-    original = monogamy.bounds.concurrence_two_qubit
-    monkeypatch.setattr(monogamy.bounds, "concurrence_two_qubit", lambda rho: calls.append(1) or original(rho))
+    original = monogamy.bounds.spin_flip_concurrences
+    monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", lambda s: calls.append(s.shape) or original(s))
     assert alpha_sweep(psi, 0, EOF, grid, order=(4, 2, 3, 1)) == expected
-    assert len(calls) == 4  # one per pair, not one per pair and exponent
+    assert calls == [(4, 4, 4)]  # one stack of the four pairs, not one per exponent
 
 
 def test_analysis_fixes_the_auto_split_for_every_row():

@@ -90,8 +90,11 @@ def test_oversized_exponents_exit_2(argv, tmp_path, capsys):
         # 8 B a point would admit this grid, but the sweep it feeds holds about 24 GiB
         (["--example", "1", "--alpha-step", "1e-7"], "error: alpha grid of 3e+07 points"),
         (["--state", "HUGE"], "huge.json: expected 2^20000 amplitude pairs, got 1"),
+        # float(10**400) raises OverflowError; it is an input error like any other
+        (["--state", "OVERFLOW"], "overflow.json: amplitude 1 is beyond the float range"),
     ],
-    ids=["verify-1100-qubits", "example-step-1e-12", "example-step-1e-7", "state-20000-qubits"],
+    ids=["verify-1100-qubits", "example-step-1e-12", "example-step-1e-7", "state-20000-qubits",
+         "state-int-amplitude-1e400"],
 )
 def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     # each guard decides before allocating; these stand-ins fail the test if one regresses
@@ -106,7 +109,10 @@ def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "arange", small_arange)
     huge = tmp_path / "huge.json"
     huge.write_text('{"n_qubits": 20000, "amplitudes": [[1, 0]]}\n')
-    assert main([str(huge) if a == "HUGE" else a for a in argv]) == 2
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text('{"n_qubits": 1, "amplitudes": [[1, 0], [0, 1' + "0" * 400 + ']]}\n')
+    files = {"HUGE": str(huge), "OVERFLOW": str(overflow)}
+    assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "result: ok" not in captured.out
@@ -301,6 +307,32 @@ def test_verify_deduplicates_resolved_floor(capsys, tmp_path):
     assert [line.split(",")[2] for line in lines[1:]] == ["2", "3"]
 
 
+def test_verify_deduplicates_measures(capsys, tmp_path):
+    # a measure named twice runs once, as a repeated exponent does
+    out = tmp_path / "rows.csv"
+    argv = ["--verify", "--samples", "3", "--measure", "concurrence,eof,concurrence", "--alphas", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["measure", "concurrence", "eof"]
+    assert printed.count("concurrence ") == 1
+    assert main(["--verify", "--samples", "3", "--measure", "concurrence,eof", "--alphas", "2"]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_nan_residual_on_an_asserted_row_is_a_violation(capsys, tmp_path, monkeypatch):
+    # NaN < -tolerance is False, so a NaN residual must be caught as not >= -tolerance
+    monkeypatch.setattr(monogamy.bounds, "cut_value_of_marginal", lambda kind, rho_a: math.nan)
+    assert main(["--verify", "--samples", "3", "--measure", "concurrence", "--alphas", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "asserted=3" in out and "min_residual_new=nan" in out
+    assert "result: VIOLATION" in out
+    w3 = tmp_path / "w3.json"
+    save_state(w_state(3), w3)
+    assert main(["--state", str(w3)]) == 1
+    out = capsys.readouterr().out
+    assert "asserted: yes" in out and "residual_new: nan" in out
+
+
 def test_verify_rejects_alpha_below_floor(capsys):
     assert main(["--verify", "--samples", "2", "--measure", "eof",
                  "--alphas", "1.2"]) == 2
@@ -329,28 +361,28 @@ def _campaign(n_qubits, samples):
 
 
 def test_campaign_analyses_each_pair_once(monkeypatch):
-    # the pair concurrences depend on the state alone, not on the 10 (measure, alpha) rows
-    calls = []
-    original = monogamy.measures.concurrence_two_qubit
+    # the pair concurrences depend on the state alone, not on the 10 (measure, alpha) rows:
+    # one stack of its three pairs per state, through one spin-flip call
+    stacks = []
+    original = monogamy.bounds.spin_flip_concurrences
 
-    def counted(rho):
-        calls.append(rho)
-        return original(rho)
+    def counted(stack):
+        stacks.append(stack.shape)
+        return original(stack)
 
-    monkeypatch.setattr(monogamy.bounds, "concurrence_two_qubit", counted)
-    monkeypatch.setattr(monogamy.measures, "concurrence_two_qubit", counted)
-    # ... and so are the spectra: one per validated marginal, three pairs and rho_A
+    monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", counted)
+    # ... and so are the spectra: one per validated stack, the pair stack and rho_A
     spectra = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(1) or eigvalsh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))
     # ... and the chain verdicts depend on the measure, not the exponent: two orders per measure
     chains = []
     certify = monogamy.bounds._chain_preconditions
     monkeypatch.setattr(monogamy.bounds, "_chain_preconditions", lambda p: chains.append(1) or certify(p))
     _, (rows, violation) = _campaign(4, 4)
     assert len(rows) == 10 and not violation
-    assert len(calls) == 4 * 3
-    assert len(spectra) == 4 * 4
+    assert stacks == [(3, 4, 4)] * 4
+    assert spectra == [(3, 4, 4), (1, 2, 2)] * 4
     assert len(chains) == 4 * len(ALL_KINDS) * 2
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from monogamy import (
     CONCURRENCE,
+    ChainAnalysis,
     CREN,
     EOF,
     DensityMatrix,
@@ -24,7 +25,7 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
-from monogamy.measures import spin_flip_mus
+from monogamy.measures import spin_flip_concurrences, spin_flip_mus
 from monogamy.states import SchmidtParams, gsd3
 from oracles import min_avg_concurrence, random_ket, random_mixed
 
@@ -292,3 +293,20 @@ def test_spin_flip_paths_agree():
         assert mus.shape == (4,)
         assert np.all(np.diff(mus) <= 1e-15)  # descending
         assert np.abs(mus - expected).max() < 1e-12
+
+
+def test_pair_stack_matches_one_pair_at_a_time():
+    # the stacked pass is bit for bit the per-pair marginal and spin flip, for any focus
+    for n in range(3, 9):
+        for psi in (haar_random(n, 900 + n), w_state(n)):
+            focus = n // 2
+            partners = [b for b in range(n) if b != focus][::-1]
+            stack = psi.pair_marginals(focus, partners)
+            conc = spin_flip_concurrences(stack)
+            analysis = ChainAnalysis.of(psi, focus)
+            assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
+            for i, b in enumerate(partners):
+                rho = psi.marginal((focus, b))
+                assert stack[i].tobytes() == rho.entries.tobytes()
+                one = concurrence_two_qubit(rho)
+                assert conc[i].hex() == one.hex() == analysis.concurrence[b].hex()

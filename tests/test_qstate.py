@@ -10,6 +10,7 @@ from monogamy import (
     DensityMatrix,
     Ket,
     StateFileError,
+    haar_random,
     load_state,
     partial_trace,
     partial_transpose,
@@ -19,6 +20,7 @@ from monogamy import (
     trace_norm,
     w_state,
 )
+from monogamy.qstate import density_spectra
 from oracles import ptrace_loops, random_ket, random_mixed
 
 np_rng = np.random.default_rng(20240817)
@@ -248,3 +250,87 @@ def test_state_file_rejects_boolean_amplitudes(tmp_path):
     path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[True, 0], [0, 0]]}))
     with pytest.raises(StateFileError, match="amplitude 0"):
         load_state(path)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 1e-6), 1), "hermitian"),
+        (np.diag([0.5, 0.5, 0.5, 0.0]), "unit trace"),
+        (np.diag([0.75, 0.5, 0.0, -0.25]), "negative eigenvalue"),
+    ],
+    ids=["non-hermitian", "non-unit-trace", "non-psd"],
+)
+def test_density_stack_raises_the_density_matrix_messages(bad, message):
+    # one bad matrix among valid ones fails the whole stack with the message DensityMatrix gives it
+    with pytest.raises(ValueError, match=message) as single:
+        DensityMatrix((2, 2), bad)
+    good = [random_mixed(np_rng, 4, 4) for _ in range(2)]
+    stack = np.array([good[0], bad, good[1]], dtype=np.complex128)
+    with pytest.raises(ValueError) as stacked:
+        density_spectra(stack)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_density_stack_spectra_match_one_matrix_at_a_time():
+    stack = np.array([random_mixed(np_rng, 4, r) for r in (1, 2, 4)])
+    spectra = density_spectra(stack)
+    for entries, spectrum in zip(stack, spectra):
+        assert spectrum.tobytes() == DensityMatrix((2, 2), entries).eigenvalues.tobytes()
+    assert density_spectra(np.empty((0, 4, 4), dtype=np.complex128)).shape == (0, 4)
+
+
+def _decode_pair_by_pair(path, raw):
+    # the decoder load_state replaced: one type check and one complex() per amplitude
+    amp = np.empty(len(raw), dtype=np.complex128)
+    for i, pair in enumerate(raw):
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        ):
+            raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}")
+        amp[i] = complex(pair[0], pair[1])
+    return amp
+
+
+def test_state_file_decodes_as_the_pair_by_pair_loop(tmp_path):
+    # ints, signed zeros and subnormals decode bit for bit as complex(re, im) did
+    path = tmp_path / "state.json"
+    handmade = [
+        [[0.6, -0.0], [-0.0, 0], [0, 0.8], [-0.0, -0.0]],
+        [[1, 0], [0, -0.0], [-0.0, 0], [0, 0]],
+        [[0, -1], [0, 0], [0, 0], [0, 0]],
+        [[0.5, 0], [-0.5, 0], [0, 0.5], [0, -0.5]],
+        [[0.7071067811865476, 1e-300], [0, 0], [-0.7071067811865475, 0], [5e-324, 0]],
+    ]
+    for raw in handmade + [None]:
+        if raw is None:
+            save_state(haar_random(6, 17), path)
+        else:
+            path.write_text(json.dumps({"n_qubits": 2, "amplitudes": raw}))
+        amp = _decode_pair_by_pair(path, json.loads(path.read_text())["amplitudes"])
+        assert load_state(path).amplitudes.tobytes() == (amp / float(np.linalg.norm(amp))).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0], [0, False], ["0.5", 0], [None, 0], [0.5, 0.5, 0], [0.5], [], 0.5, "x", None, {"re": 1}],
+    ids=["bool-re", "bool-im", "string", "null", "three-element", "one-element", "empty", "number",
+         "string-entry", "null-entry", "object-entry"],
+)
+def test_state_file_rejects_a_bad_entry_as_the_pair_by_pair_loop(tmp_path, entry):
+    path = tmp_path / "state.json"
+    for index in (0, 2, 3):
+        raw = [[0.5, 0.0]] * 4
+        raw[index] = entry
+        if index == 3:
+            raw[1] = [1, 2, 3]  # the first bad entry is the one named
+        path.write_text(json.dumps({"n_qubits": 2, "amplitudes": raw}))
+        raw = json.loads(path.read_text())["amplitudes"]
+        with pytest.raises(StateFileError) as old:
+            _decode_pair_by_pair(path, raw)
+        with pytest.raises(StateFileError) as new:
+            load_state(path)
+        assert str(new.value) == str(old.value)
+        assert f"amplitude {1 if index == 3 else index} " in str(new.value)
