@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -136,6 +137,16 @@ class WeightLadder:
         except OverflowError:
             raise ValueError(f"ladder weights overflow: base {self.base!r}, {self.count} terms") from None
         return np.asarray(self.base, dtype=np.float64) ** p
+
+
+@lru_cache(maxsize=256)
+def _ladder_weights(base: float, count: int, split: int) -> np.ndarray:
+    # the ladder depends on (base, count, split) alone, never on the state, so every report
+    # with the same measure, exponent, pair count and split shares one read-only vector;
+    # a ladder that raises is not cached and raises again on the next call
+    weights = WeightLadder(base, count, split).weights()
+    weights.flags.writeable = False
+    return weights
 
 
 class Verdict(Enum):
@@ -292,8 +303,8 @@ class ChainAnalysis:
         pvals = np.array([cert.pair_values[b] for b in order])
         powered = pvals**alpha
 
-        weights = WeightLadder(h, n_pairs, m).weights()
-        prior = WeightLadder(prior_factor(measure, alpha), n_pairs, m).weights()
+        weights = _ladder_weights(h, n_pairs, m)
+        prior = _ladder_weights(prior_factor(measure, alpha), n_pairs, m)
         new_bound = float(weights @ powered)
         baseline_weighted = float(prior @ powered)
         baseline_sum = float(powered.sum())
@@ -305,8 +316,8 @@ class ChainAnalysis:
             focus=self.focus,
             order=order,
             lhs=lhs,
-            pair_values=tuple(float(v) for v in pvals),
-            weights=tuple(float(w) for w in weights),
+            pair_values=tuple(pvals.tolist()),
+            weights=tuple(weights.tolist()),
             new_bound=new_bound,
             baseline_weighted=baseline_weighted,
             baseline_sum=baseline_sum,

@@ -16,6 +16,7 @@ with seed --seed + k; no environment variable changes it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -101,7 +102,12 @@ def _write_lines(lines, out_path):
             fh.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call of main.
+
+    Parsing leaves no state on the parser: each call starts from its defaults.
+    """
     p = argparse.ArgumentParser(
         prog="monogamy",
         description="Weighted monogamy bounds for multiqubit entanglement measures.",

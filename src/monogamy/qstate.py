@@ -53,7 +53,7 @@ class Ket:
                 f"amplitude vector has length {amp.size}, expected {2**self.n_qubits}"
             )
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # written so that a NaN norm fails
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
         amp = amp.copy()
         amp.flags.writeable = False
@@ -112,16 +112,18 @@ def density_spectra(stack: np.ndarray) -> np.ndarray:
     Every matrix must be hermitian (entrywise, 1e-12), of unit trace
     (1e-12) and positive (smallest eigenvalue >= -1e-10).  The checks run
     in that order over the whole stack, and the first that fails raises.
+    Each check passes only when its deviation is within tolerance, so a
+    NaN entry fails.
     """
-    if np.abs(stack - stack.conj().swapaxes(1, 2)).max(initial=0.0) > HERMITICITY_ATOL:
+    if not np.abs(stack - stack.conj().swapaxes(1, 2)).max(initial=0.0) <= HERMITICITY_ATOL:
         raise ValueError("density matrix must be hermitian")
     tr = np.trace(stack, axis1=1, axis2=2)
-    off = np.abs(tr - 1.0) > TRACE_ATOL
-    if off.any():
-        raise ValueError(f"density matrix must have unit trace, got {tr[off.argmax()]!r}")
+    unit = np.abs(tr - 1.0) <= TRACE_ATOL
+    if not unit.all():
+        raise ValueError(f"density matrix must have unit trace, got {tr[unit.argmin()]!r}")
     spectra = np.linalg.eigvalsh(stack)[:, ::-1]
     smallest = float(spectra[:, -1].min(initial=np.inf))
-    if smallest < -PSD_ATOL:
+    if not smallest >= -PSD_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
     return spectra
 

@@ -30,7 +30,7 @@ class SchmidtParams:
         if any(v < 0.0 for v in lam):
             raise ValueError(f"coefficients must be nonnegative, got {lam}")
         total = sum(v * v for v in lam)
-        if abs(total - 1.0) > SCHMIDT_NORM_ATOL:
+        if not abs(total - 1.0) <= SCHMIDT_NORM_ATOL:  # a NaN coefficient fails
             raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "phi", float(self.phi))

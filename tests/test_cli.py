@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import monogamy
 from monogamy import (
-    CONCURRENCE, CREN, EOF, ChainAnalysis, haar_random, monogamy_report, save_state, tsallis_kind, w_state,
+    CONCURRENCE, CREN, EOF, ChainAnalysis, WeightLadder, haar_random, monogamy_report, save_state, tsallis_kind,
+    w_state,
 )
 from monogamy.cli import CampaignConfig, main, run_campaign
 from monogamy.states import SchmidtParams, gsd3
@@ -384,6 +386,52 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     assert stacks == [(3, 4, 4)] * 4
     assert spectra == [(3, 4, 4), (1, 2, 2)] * 4
     assert len(chains) == 4 * len(ALL_KINDS) * 2
+
+
+def test_campaign_builds_each_weight_ladder_once(monkeypatch):
+    # the ladders depend on (base, pairs, split), never on the state: 50 states x 10 rows,
+    # a new and a prior ladder per row, share a handful of vectors
+    built = Counter()
+    weights = WeightLadder.weights
+
+    def counted(ladder):
+        built[ladder.base, ladder.count, ladder.split] += 1
+        return weights(ladder)
+
+    monkeypatch.setattr(WeightLadder, "weights", counted)
+    _, (rows, violation) = _campaign(3, 50)
+    assert len(rows) == 10 and not violation
+    assert max(built.values(), default=0) <= 2  # one call per report would be 1000 in all
+
+
+def test_memoised_ladders_are_read_only_and_errors_are_not_cached():
+    w = monogamy.bounds._ladder_weights(2.0, 4, 2)
+    assert w is monogamy.bounds._ladder_weights(2.0, 4, 2)
+    with pytest.raises(ValueError):
+        w[0] = 5.0
+    analysis = ChainAnalysis.of(haar_random(6, 1), 0)
+    for alpha, message in ((1.5, "below"), (1000.0, "overflow")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                analysis.report(CONCURRENCE, alpha)
+
+
+def test_reused_parser_carries_nothing_over(state_file, tmp_path, capsys):
+    # main builds its parser once per process; flags and errors of one call must not leak into the next
+    out = tmp_path / "out.csv"
+
+    def run(*flags):
+        code = main(["--state", state_file, "--out", str(out), *flags])
+        return code, capsys.readouterr().out, out.read_text() if code == 0 else None
+
+    monogamy.cli.build_parser.cache_clear()
+    first = run()
+    assert first[0] == 0
+    assert run("--order", "2,1", "--m", "1", "--alpha", "3")[0] == 0
+    assert run("--alpha", "three")[0] == 2
+    assert run("--verify")[0] == 2
+    assert run() == first
+    assert monogamy.cli.build_parser.cache_info().misses == 1
 
 
 def test_campaign_memory_does_not_grow_with_samples():

@@ -7,6 +7,7 @@ import pytest
 
 from monogamy import (
     CONCURRENCE,
+    ChainAnalysis,
     DensityMatrix,
     Ket,
     StateFileError,
@@ -21,6 +22,7 @@ from monogamy import (
     w_state,
 )
 from monogamy.qstate import density_spectra
+from monogamy.states import SchmidtParams
 from oracles import ptrace_loops, random_ket, random_mixed
 
 np_rng = np.random.default_rng(20240817)
@@ -40,6 +42,21 @@ def test_ket_validation():
         Ket(2, np.array([1.0, 0.0]))  # wrong length
     with pytest.raises(ValueError):
         Ket(0, np.array([1.0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # inf - inf
+def test_nan_input_is_rejected():
+    # every check passes only within tolerance, so NaN, for which each comparison is False, fails it
+    nan = math.nan
+    with pytest.raises(ValueError, match="unit norm"):
+        Ket(2, [nan, 0, 0, 0])
+    for bad in (nan, math.inf):
+        with pytest.raises(ValueError, match="hermitian"):
+            DensityMatrix((2,), [[bad, 0], [0, 0]])
+    with pytest.raises(ValueError, match="unit norm"):  # not numpy's LinAlgError from the spin flip
+        ChainAnalysis.of(Ket(3, [nan] + [0] * 7), 0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        SchmidtParams((nan, 1.0, 0.0, 0.0, 0.0))
 
 
 def test_ket_amplitudes_read_only():
