@@ -33,6 +33,12 @@ for every i < m and p_i <= S_{i+1} for every m <= i <= N-3.  Both are
 comparisons between numbers the analysis already holds, one per chain
 position, with ties within PRECONDITION_ATOL counted either way; they
 depend on the measure but not on alpha.
+
+Two evaluators read the same analysis.  ChainAnalysis reports on one
+state, in scalar arithmetic, for any split.  ChainBatch analyses B states
+at once (ChainAnalysis.of is its batch of one) and reports every state at
+its auto split as arrays, for the soundness campaign; its rows equal
+ChainAnalysis.report bit for bit, which tests/test_campaign.py checks.
 """
 from __future__ import annotations
 
@@ -45,8 +51,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, cut_value_of_marginal, spin_flip_concurrences, value_of_concurrence
-from .qstate import DensityMatrix, Ket, physical_memory
+from .measures import MeasureKind, cut_values, spin_flip_concurrences, value_of_concurrence
+from .qstate import Ket, density_spectra, marginal_stack, physical_memory
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -189,6 +195,24 @@ def _chain_preconditions(powers: Sequence[float]) -> PreconditionVerdict:
     return PreconditionVerdict(tuple(powers), tails, verdicts)
 
 
+def _certified_splits(powers: np.ndarray) -> np.ndarray:
+    """PreconditionVerdict.certifies_split of many chains at once.
+
+    ``powers`` holds one chain per row; entry [j, m - 1] of the result is
+    certifies_split(m) of chain j, 1 <= m <= N-1.  The tails are running
+    sums from the last power back, added in the order itertools.accumulate
+    adds them, so every comparison is the one-chain comparison.
+    """
+    tails = powers[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    holds = powers[:, :-1] >= tails - PRECONDITION_ATOL
+    under = powers[:, :-1] <= tails + PRECONDITION_ATOL
+    done = np.ones((len(powers), 1), dtype=bool)
+    # split m needs holds at every i < m (all of them for m = N-1) and under at every m <= i <= N-3
+    heads = np.logical_and.accumulate(np.concatenate((holds, done), axis=1), axis=1)
+    rests = np.logical_and.accumulate(np.concatenate((under, done, done), axis=1)[:, :0:-1], axis=1)[:, ::-1]
+    return heads & rests
+
+
 class Certificate(NamedTuple):
     """What one measure reads from an analysis; see ChainAnalysis.certificate."""
 
@@ -232,37 +256,170 @@ class BoundReport:
         return self.preconditions.certifies_split(self.m)
 
 
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """Everything the bounds read from one state, computed once.
+class BatchCertificate(NamedTuple):
+    """What one measure reads from a ChainBatch, one entry per state: the
+    cut value, the auto split ``m`` (see ChainAnalysis.certificate), the
+    pair values in the order that split takes (ranked for m = N-2, else
+    given) and whether the split is proven.  ``splits`` lists the distinct
+    m, ascending."""
 
-    The pair concurrences keyed by partner qubit (all N-1 from one
-    stack of pair marginals, see Ket.pair_marginals), the focus marginal
-    rho_A (whose spectrum it carries), and the pair order as given and as
-    ranked by descending concurrence (ties keep their given position).
-    One analysis serves every report; the cut and pair values and the
-    chain verdicts, which depend on the measure alone, are kept per
-    measure (see certificate).
+    cut_values: np.ndarray
+    m: np.ndarray
+    pair_values: np.ndarray
+    asserted: np.ndarray
+    splits: list[int]
+
+
+class BatchRows(NamedTuple):
+    """One (measure, alpha) report of each of B states, as arrays of BoundReport's fields."""
+
+    m: np.ndarray
+    asserted: np.ndarray
+    lhs: np.ndarray
+    new_bound: np.ndarray
+    baseline_weighted: np.ndarray
+    baseline_sum: np.ndarray
+    residual_new: np.ndarray
+    residual_gap: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ChainBatch:
+    """The state-only work behind the reports of B states, computed once, as arrays.
+
+    All B states share the focus and the given pair order.
+    ``concurrence[j, i]`` is the concurrence of state j's pair
+    (focus, given[i]): the B*(N-1) pair marginals form one stack, checked
+    by one density_spectra call and spin-flipped by one
+    spin_flip_concurrences call.  ``ranked[j]`` lists the positions in
+    ``given`` by descending concurrence (a stable sort, so ties keep their
+    given position).  ``focus_entries`` and ``focus_spectra`` are each
+    state's rho_A and its descending spectrum, checked as one (B, 2, 2)
+    stack.  Equality reads these numbers only.
+    """
+
+    focus: int
+    given: tuple[int, ...]
+    concurrence: np.ndarray
+    ranked: np.ndarray
+    focus_entries: np.ndarray
+    focus_spectra: np.ndarray
+    _certificates: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, amplitudes: np.ndarray, n_qubits: int, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
+        """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array of unit vectors."""
+        if not (0 <= focus < n_qubits):
+            raise ValueError(f"focus {focus} out of range for {n_qubits} qubits")
+        rest = [i for i in range(n_qubits) if i != focus]
+        given = tuple(rest) if order is None else tuple(int(i) for i in order)
+        if sorted(given) != rest:
+            raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
+        count = len(amplitudes)
+        pairs = marginal_stack(amplitudes, n_qubits, [(focus, b) for b in given]).reshape(-1, 4, 4)
+        density_spectra(pairs)
+        concurrence = spin_flip_concurrences(pairs).reshape(count, len(given))
+        rho_a = marginal_stack(amplitudes, n_qubits, [(focus,)])[:, 0]
+        spectra = density_spectra(rho_a)
+        return cls(focus, given, concurrence, np.argsort(-concurrence, axis=1, kind="stable"), rho_a, spectra)
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainBatch):
+            return NotImplemented
+        return (self.focus, self.given) == (other.focus, other.given) and all(
+            np.array_equal(a, b) for a, b in ((self.concurrence, other.concurrence),
+                                              (self.focus_entries, other.focus_entries)))
+
+    def certificate(self, measure: MeasureKind) -> BatchCertificate:
+        """ChainAnalysis.certificate of every state, as arrays; computed once per measure.
+
+        The pair values and their powers come from the same scalar maps,
+        and the chains of the given and the ranked order of all B states
+        are certified as one stack of 2B rows.
+        """
+        cert = self._certificates.get(measure)
+        if cert is None:
+            count, n_pairs = self.concurrence.shape
+            if n_pairs < 2:
+                raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
+            values = [value_of_concurrence(measure, c) for c in self.concurrence.ravel().tolist()]
+            floor = measure.alpha_floor
+            table = np.array([values, [v**floor for v in values]]).reshape(2, count, n_pairs)
+            # row j: state j's pairs in the given order; row B + j: in the ranked order
+            table = np.concatenate((table, table[:, np.arange(count)[:, None], self.ranked]), axis=1)
+            certified = _certified_splits(table[1])
+            top = n_pairs - 1
+            # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
+            # the first proven one is the split, and none leaves N-2 (ranked) unproven
+            proven = np.concatenate((certified[count:, top - 1:top], certified[:count, :top - 1][:, ::-1]), axis=1)
+            first = proven.argmax(axis=1)
+            m = top - first
+            rows = np.arange(count) + count * (first == 0)
+            cert = self._certificates[measure] = BatchCertificate(
+                cut_values(measure, self.focus_entries, self.focus_spectra), m, table[0][rows],
+                proven.any(axis=1), sorted(set(m.tolist())))
+        return cert
+
+    def rows(self, measure: MeasureKind, alpha: float) -> BatchRows:
+        """ChainAnalysis.report of every state at the auto split, as arrays.
+
+        The values are raised to alpha and the ladders applied as one
+        state's report does it: the cut value by Python's pow, the pair
+        values by numpy's, and each ladder by one dot product per state.
+        """
+        h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
+        cert = self.certificate(measure)
+        powered = cert.pair_values**alpha
+        stacked = powered[:, None, :]
+        new_bound, baseline_weighted = (
+            np.matmul(stacked, _ladders(base, cert)[:, :, None]).ravel() for base in (h, prior_factor(measure, alpha))
+        )
+        baseline_sum = powered.sum(axis=1)
+        lhs = np.array([c**alpha for c in cert.cut_values.tolist()])
+        return BatchRows(cert.m, cert.asserted, lhs, new_bound, baseline_weighted, baseline_sum, lhs - new_bound,
+                         new_bound - np.maximum(baseline_weighted, baseline_sum))
+
+
+def _ladders(base: float, cert: BatchCertificate) -> np.ndarray:
+    # each state's weight ladder, one row per state, or one row for all when they share the split;
+    # only the splits in use are built, so a ladder that would overflow at another raises nothing
+    count = cert.pair_values.shape[1]
+    if len(cert.splits) == 1:
+        return _ladder_weights(base, count, cert.splits[0])[None]
+    return np.array([_ladder_weights(base, count, s) for s in cert.splits])[np.searchsorted(cert.splits, cert.m)]
+
+
+@dataclass(frozen=True, eq=False)
+class ChainAnalysis:
+    """Everything the bounds read from one state, computed once: a ChainBatch of one.
+
+    The pair concurrences keyed by partner qubit (all N-1 from one stack of
+    pair marginals, see ChainBatch), the focus marginal rho_A and its
+    spectrum, and the pair order as given and as ranked by descending
+    concurrence (ties keep their given position).  One analysis serves
+    every report; the cut and pair values and the chain verdicts, which
+    depend on the measure alone, are kept per measure (see certificate).
+    Two analyses are equal when their states' numbers are.
     """
 
     focus: int
     given: tuple[int, ...]
     ranked: tuple[int, ...]
     concurrence: dict[int, float]
-    rho_a: DensityMatrix
-    _certificates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    batch: ChainBatch = field(repr=False)
+    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
-        if not (0 <= focus < psi.n_qubits):
-            raise ValueError(f"focus {focus} out of range for {psi.n_qubits} qubits")
-        rest = [i for i in range(psi.n_qubits) if i != focus]
-        given = tuple(rest) if order is None else tuple(int(i) for i in order)
-        if sorted(given) != rest:
-            raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
-        conc = dict(zip(given, spin_flip_concurrences(psi.pair_marginals(focus, given)).tolist()))
-        ranked = tuple(sorted(given, key=lambda b: -conc[b]))
-        return cls(focus, given, ranked, conc, psi.marginal((focus,)))
+        batch = ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order)
+        given = batch.given
+        ranked = tuple(given[i] for i in batch.ranked[0].tolist())
+        return cls(batch.focus, given, ranked, dict(zip(given, batch.concurrence[0].tolist())), batch)
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainAnalysis):
+            return NotImplemented
+        return self.batch == other.batch
 
     def certificate(self, measure: MeasureKind) -> Certificate:
         """The cut value, the pair values keyed by partner and the chain
@@ -280,7 +437,7 @@ class ChainAnalysis:
             top = len(self.given) - 1
             candidates = [(top, ranked_pre)] + [(c, given_pre) for c in range(top - 1, 0, -1)]
             split = next((c for c, pre in candidates if pre.certifies_split(c)), top) if top >= 1 else None
-            cut = cut_value_of_marginal(measure, self.rho_a)
+            cut = float(cut_values(measure, self.batch.focus_entries, self.batch.focus_spectra)[0])
             cert = self._certificates[measure] = Certificate(cut, values, given_pre, ranked_pre, split)
         return cert
 

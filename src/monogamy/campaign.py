@@ -1,0 +1,145 @@
+"""Randomized soundness campaign: seeded Haar-random states against every (measure, alpha) row.
+
+State k is drawn with ``haar_random(n, seed + k)``.  The states are
+analysed in batches of up to B (see batch_size): each batch is one
+ChainBatch, so its pair marginals form one stack with one validation and
+one spin-flip call, and each measure's chain verdicts are computed once
+per batch as arrays.  Every row then folds the batch's B reports into its
+counts and minima in state order, so the rows equal those of a campaign
+that analyses one state at a time, bit for bit, and memory does not grow
+with the number of samples.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .bounds import ChainBatch, step_factor
+from .measures import MeasureKind
+from .qstate import physical_memory
+from .states import haar_random
+
+# bytes of per-state working set a batch may hold; its numpy buffers peak at about 0.52 MB at n = 3
+_BATCH_BYTES = 256 * 1024
+
+
+def batch_size(n_qubits: int) -> int:
+    """States per batch: as many as fit _BATCH_BYTES, at least one.
+
+    A state's working set is its ket, the transposed copy of the ket that
+    a marginal takes and its conjugate (48 * 2^n bytes), and its (N-1)
+    pair marginals (256 bytes each).
+    """
+    return max(1, _BATCH_BYTES // (3 * 16 * 2**n_qubits + (n_qubits - 1) * 256))
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Randomized soundness campaign settings.
+
+    ``alphas`` entries are floats or the token 'floor', which resolves to
+    each measure's own floor exponent; exponents that coincide after
+    resolution run once, and so does a measure named twice.  Numeric
+    entries must clear the floor of every selected measure.  State k is
+    drawn with seed ``seed + k``, so runs are reproducible and
+    order-independent.
+    """
+
+    n_qubits: int
+    samples: int
+    seed: int
+    measures: tuple[MeasureKind, ...]
+    alphas: tuple
+    tolerance: float
+
+    def __post_init__(self):
+        if self.n_qubits < 3:
+            raise ValueError(f"campaign needs at least 3 qubits, got {self.n_qubits}")
+        # peak of a draw and its analysis: the ket, the marginals' transposed copy and its conjugate;
+        # a register this wide has a batch of one (see batch_size), and from physical's bit length
+        # on 2^n alone exceeds it, so a huge 2^n is never built
+        n, physical = self.n_qubits, physical_memory()
+        if n >= physical.bit_length() or 3 * 16 * 2**n > physical:
+            # past 2^1000 bytes the GiB figure would overflow a float
+            needed = f"{3 * 16 * 2**n / 2**30:.3g} GiB" if n <= 1000 else f"over 2^{n} bytes"
+            raise ValueError(
+                f"{n} qubits need {needed} of dense memory, "
+                f"more than the {physical / 2**30:.3g} GiB of physical memory"
+            )
+        if self.samples < 1:
+            raise ValueError(f"campaign needs at least 1 sample, got {self.samples}")
+        if not self.measures:
+            raise ValueError("campaign needs at least one measure")
+        if not self.alphas:
+            raise ValueError("campaign needs at least one exponent")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance={self.tolerance!r} is not finite")
+        for a in self.alphas:
+            if a == "floor":
+                continue
+            for kind in self.measures:
+                step_factor(kind, a)  # rejects non-finite or below-floor alphas
+
+
+@dataclass(frozen=True)
+class CampaignRow:
+    measure: MeasureKind
+    alpha: float
+    tested: int
+    asserted: int
+    inapplicable: int
+    min_residual_new: float
+    min_residual_gap: float
+
+
+def _nan_min(a: float, b: float) -> float:
+    # min(a, b), but a NaN on either side wins: min() would keep whichever came first
+    return b if math.isnan(b) or b < a else a
+
+
+def _first_min(values: np.ndarray) -> float:
+    # what _nan_min folds a batch to in state order: its first NaN, else its first least value
+    return float(values[values.argmin()])
+
+
+def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
+    """Run the campaign in batches of batch_size(n) states; returns summary rows and a violation flag.
+
+    Each batch draws its states one by one into one (B, 2^n) array and
+    analyses them as one ChainBatch; the last batch may be shorter.  Only
+    one batch is held at a time.
+    """
+    keys: list[tuple[MeasureKind, float]] = []  # one (measure, alpha) per row
+    for measure in dict.fromkeys(config.measures):
+        alphas = (measure.alpha_floor if token == "floor" else float(token) for token in config.alphas)
+        keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
+    asserted = [0] * len(keys)
+    min_new = [math.inf] * len(keys)  # over the asserted states only; a NaN residual sticks
+    min_gap = [math.inf] * len(keys)
+    violation = False
+    n = config.n_qubits
+    size = min(batch_size(n), config.samples)
+    buffer = np.empty((size, 2**n), dtype=np.complex128)
+    for start in range(0, config.samples, size):
+        amplitudes = buffer[: min(size, config.samples - start)]
+        for j in range(len(amplitudes)):
+            amplitudes[j] = haar_random(n, config.seed + start + j).amplitudes
+        batch = ChainBatch.of(amplitudes, n, 0)
+        for i, (measure, alpha) in enumerate(keys):
+            rows = batch.rows(measure, alpha)
+            min_gap[i] = _nan_min(min_gap[i], _first_min(rows.residual_gap))
+            new = rows.residual_new[rows.asserted]
+            if new.size:
+                asserted[i] += new.size
+                min_new[i] = _nan_min(min_new[i], _first_min(new))
+                if not (new >= -config.tolerance).all():  # a NaN residual is a violation
+                    violation = True
+        del batch  # before the next batch is built
+    rows = [
+        CampaignRow(measure, alpha, config.samples, asserted[i], config.samples - asserted[i],
+                    min_new[i] if asserted[i] else math.nan, min_gap[i])
+        for i, (measure, alpha) in enumerate(keys)
+    ]
+    return rows, violation

@@ -5,7 +5,8 @@ Three modes, selected by exactly one of --example, --verify, --state:
 * --example K     emit the CSV curve data for one of four bundled
                   demonstration scenarios (fixed state and measure).
 * --verify        run a randomized soundness campaign over seeded
-                  Haar-random states and summarize the verdicts.
+                  Haar-random states (see monogamy.campaign) and
+                  summarize the verdicts.
 * --state PATH    evaluate the bound once for a state loaded from a
                   JSON state file.
 
@@ -19,12 +20,12 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
-from .bounds import BoundReport, ChainAnalysis, alpha_grid, alpha_sweep, monogamy_report, step_factor
+from .bounds import BoundReport, alpha_grid, alpha_sweep, monogamy_report
+from .campaign import CampaignConfig, run_campaign
 from .measures import CONCURRENCE, CREN, EOF, MeasureKind, tsallis_kind
-from .qstate import load_state, physical_memory
-from .states import SchmidtParams, gsd3, haar_random, w_state
+from .qstate import load_state
+from .states import SchmidtParams, gsd3, w_state
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -188,97 +189,6 @@ def cmd_state(args) -> int:
     if report.asserted and not report.residual_new >= -args.tolerance:  # a NaN residual is a violation
         return EXIT_VIOLATION
     return EXIT_OK
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Randomized soundness campaign settings.
-
-    ``alphas`` entries are floats or the token 'floor', which resolves to
-    each measure's own floor exponent; exponents that coincide after
-    resolution run once, and so does a measure named twice.  Numeric
-    entries must clear the floor of every selected measure.  State k is
-    drawn with seed ``seed + k``, so runs are reproducible and
-    order-independent.
-    """
-
-    n_qubits: int
-    samples: int
-    seed: int
-    measures: tuple[MeasureKind, ...]
-    alphas: tuple
-    tolerance: float
-
-    def __post_init__(self):
-        if self.n_qubits < 3:
-            raise ValueError(f"campaign needs at least 3 qubits, got {self.n_qubits}")
-        # peak of a draw and its analysis: the ket, Ket.marginal's transposed copy and its conjugate;
-        # from physical's bit length on 2^n alone exceeds it, so a huge 2^n is never built
-        n, physical = self.n_qubits, physical_memory()
-        if n >= physical.bit_length() or 3 * 16 * 2**n > physical:
-            # past 2^1000 bytes the GiB figure would overflow a float
-            needed = f"{3 * 16 * 2**n / 2**30:.3g} GiB" if n <= 1000 else f"over 2^{n} bytes"
-            raise ValueError(
-                f"{n} qubits need {needed} of dense memory, "
-                f"more than the {physical / 2**30:.3g} GiB of physical memory"
-            )
-        if self.samples < 1:
-            raise ValueError(f"campaign needs at least 1 sample, got {self.samples}")
-        if not self.measures:
-            raise ValueError("campaign needs at least one measure")
-        if not self.alphas:
-            raise ValueError("campaign needs at least one exponent")
-        if not math.isfinite(self.tolerance):
-            raise ValueError(f"tolerance={self.tolerance!r} is not finite")
-        for a in self.alphas:
-            if a == "floor":
-                continue
-            for kind in self.measures:
-                step_factor(kind, a)  # rejects non-finite or below-floor alphas
-
-
-@dataclass(frozen=True)
-class CampaignRow:
-    measure: MeasureKind
-    alpha: float
-    tested: int
-    asserted: int
-    inapplicable: int
-    min_residual_new: float
-    min_residual_gap: float
-
-
-def _nan_min(a: float, b: float) -> float:
-    # min(a, b), but a NaN on either side wins: min() would keep whichever came first
-    return b if math.isnan(b) or b < a else a
-
-
-def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
-    """Run the campaign one state at a time; returns summary rows and a violation flag."""
-    keys: list[tuple[MeasureKind, float]] = []  # one (measure, alpha) per row
-    for measure in dict.fromkeys(config.measures):
-        alphas = (measure.alpha_floor if token == "floor" else float(token) for token in config.alphas)
-        keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
-    asserted = [0] * len(keys)
-    min_new = [math.inf] * len(keys)  # over the asserted states only; a NaN residual sticks
-    min_gap = [math.inf] * len(keys)
-    violation = False
-    for k in range(config.samples):
-        analysis = ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0)
-        for i, (measure, alpha) in enumerate(keys):
-            report = analysis.report(measure, alpha)
-            min_gap[i] = _nan_min(min_gap[i], report.residual_gap)
-            if report.asserted:
-                asserted[i] += 1
-                min_new[i] = _nan_min(min_new[i], report.residual_new)
-                if not report.residual_new >= -config.tolerance:  # a NaN residual is a violation
-                    violation = True
-    rows = [
-        CampaignRow(measure, alpha, config.samples, asserted[i], config.samples - asserted[i],
-                    min_new[i] if asserted[i] else math.nan, min_gap[i])
-        for i, (measure, alpha) in enumerate(keys)
-    ]
-    return rows, violation
 
 
 def cmd_verify(args) -> int:

@@ -21,7 +21,6 @@ from .qstate import (
     DensityMatrix,
     Ket,
     partial_transpose,
-    purity,
     trace_norm,
 )
 
@@ -37,8 +36,8 @@ _ALPHA_FLOORS = {
     "tsallis": 1.0,
 }
 
-# sign pattern of the two-qubit spin flip: antidiag(-1, 1, 1, -1)
-_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+# sign pattern s_i s_j of the two-qubit spin flip, s = (-1, 1, 1, -1) the antidiagonal of sigma_y (x) sigma_y
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,11 @@ def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
     parts (within 1e-10 of zero for valid density input) are clipped
     before the root.
     """
-    flipped = (_FLIP_SIGNS[:, None] * _FLIP_SIGNS[None, :]) * rho.conj()[..., ::-1, ::-1]
-    ev = np.linalg.eigvals(rho @ flipped)
+    flipped = np.conjugate(rho[..., ::-1, ::-1])
+    flipped *= _FLIP_SIGNS
+    product = rho @ flipped
+    del flipped  # a stack fewer while the spectra are taken
+    ev = np.linalg.eigvals(product)
     mus = np.sqrt(np.maximum(ev.real, 0.0))
     mus.sort()
     return mus[..., ::-1]
@@ -173,26 +175,45 @@ def negativity(rho: DensityMatrix, subsystem: int) -> float:
     return max(val, 0.0)
 
 
-def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
-    """Value of ``kind`` on a pure state whose side-A reduced state is ``rho_a``.
+def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Value of ``kind`` on each of B pure states, read from their side-A reduced states.
 
-    Concurrence is sqrt(2 (1 - Tr rho_A^2)); the others read the reduced
-    spectrum: the base-2 von Neumann entropy for EOF, (1 - Tr rho_A^q) /
-    (q - 1) for tsallis, and (Tr sqrt(rho_A))^2 - 1 for the convex-roof
-    extended negativity.
+    ``entries`` is the (B, d, d) stack of side-A reduced states and
+    ``spectra`` their (B, d) descending spectra.  Concurrence is
+    sqrt(2 (1 - Tr rho_A^2)); the others read the reduced spectrum: the
+    base-2 von Neumann entropy for EOF, (1 - Tr rho_A^q) / (q - 1) for
+    tsallis, and (Tr sqrt(rho_A))^2 - 1 for the convex-roof extended
+    negativity.  Each value is bit for bit the one-state formula.
     """
     if kind.name == "concurrence":
-        return math.sqrt(max(2.0 * (1.0 - purity(rho_a)), 0.0))
-    lam = rho_a.eigenvalues
+        return np.array([math.sqrt(max(2.0 * (1.0 - _purity(e)), 0.0)) for e in entries])
     # eigenvalues within rounding of zero enter entropies and roots as 0
-    lam = np.where(lam < 0.0, 0.0, lam)
+    lam = np.where(spectra < 0.0, 0.0, spectra)
     if kind.name == "eof":
-        nz = lam[lam > 0.0]
-        return float(-(nz * np.log2(nz)).sum())
+        # 0 log 0 = 0: each spectrum sums its p positive terms, which lead it, as one length-p sum
+        positive = lam > 0.0
+        terms = lam * np.log2(np.where(positive, lam, 1.0))
+        positive = positive.sum(axis=1)
+        out = -terms.sum(axis=1)  # the sum of the states whose every eigenvalue is positive
+        for p in set(positive.tolist()) - {lam.shape[1]}:
+            rows = positive == p
+            out[rows] = -terms[rows, :p].sum(axis=1)
+        return out
     if kind.name == "tsallis":
         q = float(kind.q)
-        return float((1.0 - (lam**q).sum()) / (q - 1.0))
-    return max(float(np.sqrt(lam).sum() ** 2 - 1.0), 0.0)
+        return (1.0 - (lam**q).sum(axis=1)) / (q - 1.0)
+    # each root sum squared as a numpy scalar, as the one-state formula squares it
+    return np.array([max(float(s**2 - 1.0), 0.0) for s in np.sqrt(lam).sum(axis=1)])
+
+
+def _purity(entries: np.ndarray) -> float:
+    # qstate.purity on a matrix of entries
+    return min(max(float(np.vdot(entries, entries).real), 0.0), 1.0)
+
+
+def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
+    """Value of ``kind`` on a pure state whose side-A reduced state is ``rho_a``: cut_values on one state."""
+    return float(cut_values(kind, rho_a.entries[None], rho_a.eigenvalues[None])[0])
 
 
 def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:

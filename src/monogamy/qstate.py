@@ -75,47 +75,67 @@ class Ket:
         Built from the amplitudes alone: with M the 2^k x 2^(n-k) matrix
         whose rows are the kept qubits' basis states, the marginal is
         M M^dagger.  Costs O(4^k 2^(n-k)) rather than the O(4^n) of
-        tracing the projector.
+        tracing the projector.  This is marginal_stack on one ket.
         """
         kept = _sorted_keep(keep, self.n_qubits)
-        m = self._kept_first(kept).reshape(2 ** len(kept), -1)
-        return DensityMatrix((2,) * len(kept), m @ m.conj().T)
+        entries = marginal_stack(self.amplitudes[None], self.n_qubits, [kept])[0, 0]
+        return DensityMatrix((2,) * len(kept), entries)
 
     def pair_marginals(self, focus: int, partners: Sequence[int]) -> np.ndarray:
         """The (len(partners), 4, 4) stack of the marginals of (focus, b), b in ``partners``.
 
         Entry i is bit for bit ``marginal((focus, partners[i])).entries``,
-        and the whole stack is validated once by density_spectra.  M and
-        its conjugate are written into the same two buffers for every
-        pair, so the peak stays at one marginal's.
+        and the whole stack is validated once by density_spectra.  This is
+        marginal_stack on one ket.
         """
-        stack = np.empty((len(partners), 4, 4), dtype=np.complex128)
-        m = np.empty((4, self.amplitudes.size // 4), dtype=np.complex128)
-        m_conj = np.empty_like(m)
-        for i, b in enumerate(partners):
-            view = self._kept_first(_sorted_keep((focus, b), self.n_qubits))
-            np.copyto(m.reshape(view.shape), view)
-            np.conjugate(m, out=m_conj)
-            np.matmul(m, m_conj.T, out=stack[i])
+        stack = marginal_stack(self.amplitudes[None], self.n_qubits, [(focus, b) for b in partners]).reshape(-1, 4, 4)
         density_spectra(stack)
         return stack
 
-    def _kept_first(self, kept: list[int]) -> np.ndarray:
+
+def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (B, len(keeps), d, d) marginals of each of the B kets in ``amplitudes``, a (B, 2^n) array.
+
+    Every entry of ``keeps`` names k qubits (d = 2^k, the same k for all);
+    entry [j, i] is the reduced state of ket j on ``keeps[i]``, kept
+    qubits in register order.  It is M M^dagger with M the kept-first
+    transpose of the ket as a d x 2^(n-k) matrix.  M and its conjugate
+    are written into the same two (B, d, 2^(n-k)) buffers for every keep,
+    so besides the kets the peak is two copies of them.  The stack is not
+    validated; density_spectra checks it.
+    """
+    kept = [_sorted_keep(keep, n_qubits) for keep in keeps]
+    d = 2 ** len(kept[0]) if kept else 1
+    count = amplitudes.shape[0]
+    stack = np.empty((count, len(kept), d, d), dtype=np.complex128)
+    m = np.empty((count, d, amplitudes.shape[1] // d), dtype=np.complex128)
+    m_conj = np.empty_like(m)
+    kets = amplitudes.reshape((count,) + (2,) * n_qubits)
+    for i, keep in enumerate(kept):
         # one axis per qubit, the kept ones first, then the traced ones in register order
-        traced = [i for i in range(self.n_qubits) if i not in kept]
-        return self.amplitudes.reshape((2,) * self.n_qubits).transpose(kept + traced)
+        traced = [q for q in range(n_qubits) if q not in keep]
+        view = kets.transpose([0] + [1 + q for q in keep + traced])
+        np.copyto(m.reshape(view.shape), view)
+        np.conjugate(m, out=m_conj)
+        np.matmul(m, m_conj.swapaxes(1, 2), out=stack[:, i])
+    return stack
 
 
 def density_spectra(stack: np.ndarray) -> np.ndarray:
     """Validate a (k, d, d) stack of density matrices; return their spectra, each descending.
 
-    Every matrix must be hermitian (entrywise, 1e-12), of unit trace
-    (1e-12) and positive (smallest eigenvalue >= -1e-10).  The checks run
-    in that order over the whole stack, and the first that fails raises.
-    Each check passes only when its deviation is within tolerance, so a
-    NaN entry fails.
+    Every matrix must be finite, hermitian (entrywise, 1e-12), of unit
+    trace (1e-12) and positive (smallest eigenvalue >= -1e-10).  The
+    checks run in that order over the whole stack, and the first that
+    fails raises.  Finiteness comes first, so a NaN or infinite entry is
+    rejected before any arithmetic on it (inf - inf would warn).
     """
-    if not np.abs(stack - stack.conj().swapaxes(1, 2)).max(initial=0.0) <= HERMITICITY_ATOL:
+    if not np.isfinite(stack).all():
+        raise ValueError("density matrix must be finite")
+    # |conj(rho_ij) - rho_ji| is |rho_ij - conj(rho_ji)|; taken in place, it holds one copy of the stack
+    deviation = stack.conj()
+    deviation -= stack.swapaxes(1, 2)
+    if not np.abs(deviation).max(initial=0.0) <= HERMITICITY_ATOL:
         raise ValueError("density matrix must be hermitian")
     tr = np.trace(stack, axis1=1, axis2=2)
     unit = np.abs(tr - 1.0) <= TRACE_ATOL

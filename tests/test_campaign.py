@@ -1,0 +1,94 @@
+"""A batch of states gives, bit for bit, what each state gives alone.
+
+The campaign analyses its states in batches (monogamy.campaign.batch_size);
+every row of a batch must equal ChainAnalysis.report of its state, and the
+campaign's counts and minima must equal a state-by-state fold of those
+reports, whether the last batch is full, short, or the only one.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, tsallis_kind
+from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _chain_preconditions
+from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
+from oracles import w_class_amplitudes
+
+KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0), tsallis_kind(3.0))
+EXPONENTS = ("floor", 2.0, 3.0, 4.5)
+
+
+def _alphas(kind):
+    resolved = (kind.alpha_floor if a == "floor" else a for a in EXPONENTS)
+    return [a for a in dict.fromkeys(resolved) if a >= kind.alpha_floor]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_batched_rows_equal_one_state_reports(n):
+    states = [haar_random(n, 400 + k) for k in range(8)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(8)]
+    batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0)
+    alone = [ChainAnalysis.of(psi, 0) for psi in states]
+    checked = 0
+    for kind in KINDS:
+        for alpha in _alphas(kind):
+            rows = batch.rows(kind, alpha)
+            for j, analysis in enumerate(alone):
+                r = analysis.report(kind, alpha)
+                assert int(rows.m[j]) == r.m and bool(rows.asserted[j]) == r.asserted
+                for field in ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new", "residual_gap"):
+                    assert float(getattr(rows, field)[j]).hex() == getattr(r, field).hex(), (kind, alpha, j, field)
+                checked += 1
+    assert checked == len(states) * sum(len(_alphas(kind)) for kind in KINDS)
+
+
+def test_certified_splits_match_one_chain_at_a_time():
+    # ties within the tolerance count either way, and the tails add from the last power back
+    rng = np.random.default_rng(5)
+    for count in range(1, 8):
+        powers = rng.choice([0.0, 0.25, 0.5, 0.5 + PRECONDITION_ATOL / 2, 1.0], size=(300, count))
+        powers[:20] = rng.random((20, count))
+        certified = _certified_splits(powers)
+        assert certified.shape == (300, count)
+        for row, flags in zip(powers.tolist(), certified.tolist()):
+            pre = _chain_preconditions(row)
+            assert flags == [pre.certifies_split(m) for m in range(1, count + 1)], row
+
+
+def _fold(config):
+    # the campaign's rows as a state-by-state fold of one-state reports
+    analyses = [ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0) for k in range(config.samples)]
+    out = []
+    for kind in KINDS:
+        for alpha in _alphas(kind):
+            asserted, min_new, min_gap = 0, math.inf, math.inf
+            for analysis in analyses:
+                r = analysis.report(kind, alpha)
+                min_gap = _nan_min(min_gap, r.residual_gap)
+                if r.asserted:
+                    asserted += 1
+                    min_new = _nan_min(min_new, r.residual_new)
+            out.append((kind, alpha, asserted, (min_new if asserted else math.nan).hex(), min_gap.hex()))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_campaign_rows_do_not_depend_on_the_batching(n):
+    size = batch_size(n)
+    assert size > 1
+    for samples in (1, size, size + 1):  # one state, one full batch, a full and a short batch
+        config = CampaignConfig(n_qubits=n, samples=samples, seed=17, measures=KINDS, alphas=EXPONENTS,
+                                tolerance=1e-9)
+        rows, violation = run_campaign(config)
+        assert not violation
+        got = [(r.measure, r.alpha, r.asserted, r.min_residual_new.hex(), r.min_residual_gap.hex()) for r in rows]
+        assert got == _fold(config)
+        assert all(r.tested == samples and r.inapplicable == samples - r.asserted for r in rows)
+
+
+def test_batch_size_follows_the_byte_budget():
+    # 48 bytes of ket, its transposed copy and its conjugate per amplitude, 256 per pair marginal
+    assert batch_size(3) == 256 * 1024 // (48 * 8 + 2 * 256)
+    assert batch_size(8) == 256 * 1024 // (48 * 256 + 7 * 256)
+    assert batch_size(12) == 1  # one state is over the budget: one at a time
+    assert batch_size(30) == 1

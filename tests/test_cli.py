@@ -107,7 +107,7 @@ def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
         assert count <= 10**6, f"asked numpy for {count} grid points"
         return arange(count, *args, **kwargs)
 
-    monkeypatch.setattr(monogamy.cli, "haar_random", no_draw)
+    monkeypatch.setattr(monogamy.campaign, "haar_random", no_draw)
     monkeypatch.setattr(np, "arange", small_arange)
     huge = tmp_path / "huge.json"
     huge.write_text('{"n_qubits": 20000, "amplitudes": [[1, 0]]}\n')
@@ -263,7 +263,7 @@ def test_verify_rejects_a_register_larger_than_memory(capsys, monkeypatch):
     def no_draw(n, seed):
         raise AssertionError(f"drew a {n}-qubit state")
 
-    monkeypatch.setattr(monogamy.cli, "haar_random", no_draw)
+    monkeypatch.setattr(monogamy.campaign, "haar_random", no_draw)
     assert main(["--verify", "--n-qubits", "40", "--samples", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: 40 qubits need") and err.count("\n") == 1
@@ -323,7 +323,7 @@ def test_verify_deduplicates_measures(capsys, tmp_path):
 
 def test_nan_residual_on_an_asserted_row_is_a_violation(capsys, tmp_path, monkeypatch):
     # NaN < -tolerance is False, so a NaN residual must be caught as not >= -tolerance
-    monkeypatch.setattr(monogamy.bounds, "cut_value_of_marginal", lambda kind, rho_a: math.nan)
+    monkeypatch.setattr(monogamy.bounds, "cut_values", lambda kind, entries, spectra: np.full(len(entries), math.nan))
     assert main(["--verify", "--samples", "3", "--measure", "concurrence", "--alphas", "2"]) == 1
     out = capsys.readouterr().out
     assert "asserted=3" in out and "min_residual_new=nan" in out
@@ -364,7 +364,9 @@ def _campaign(n_qubits, samples):
 
 def test_campaign_analyses_each_pair_once(monkeypatch):
     # the pair concurrences depend on the state alone, not on the 10 (measure, alpha) rows:
-    # one stack of its three pairs per state, through one spin-flip call
+    # each batch stacks the three pairs of each of its states for one spin-flip call
+    size = monogamy.campaign.batch_size(4)
+    samples = size + 1  # a full batch and a batch of one
     stacks = []
     original = monogamy.bounds.spin_flip_concurrences
 
@@ -373,19 +375,22 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
         return original(stack)
 
     monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", counted)
-    # ... and so are the spectra: one per validated stack, the pair stack and rho_A
+    # ... and so are the spectra: one per validated stack, the pairs and rho_A of each batch
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))
-    # ... and the chain verdicts depend on the measure, not the exponent: two orders per measure
+    # ... and the chain verdicts depend on the measure, not the exponent: per measure and batch, one stack
+    # holds the given and the ranked order of every state
     chains = []
-    certify = monogamy.bounds._chain_preconditions
-    monkeypatch.setattr(monogamy.bounds, "_chain_preconditions", lambda p: chains.append(1) or certify(p))
-    _, (rows, violation) = _campaign(4, 4)
+    certify = monogamy.bounds._certified_splits
+    monkeypatch.setattr(monogamy.bounds, "_certified_splits", lambda p: chains.append(p.shape) or certify(p))
+    _, (rows, violation) = _campaign(4, samples)
     assert len(rows) == 10 and not violation
-    assert stacks == [(3, 4, 4)] * 4
-    assert spectra == [(3, 4, 4), (1, 2, 2)] * 4
-    assert len(chains) == 4 * len(ALL_KINDS) * 2
+    assert stacks == [(3 * size, 4, 4), (3, 4, 4)]
+    assert sum(shape[0] for shape in stacks) == samples * 3  # every (state, pair) exactly once
+    assert spectra == [(3 * size, 4, 4), (size, 2, 2), (3, 4, 4), (1, 2, 2)]
+    assert sum(shape[0] for shape in spectra if shape[1:] == (2, 2)) == samples
+    assert chains == [(2 * size, 3)] * len(ALL_KINDS) + [(2, 3)] * len(ALL_KINDS)
 
 
 def test_campaign_builds_each_weight_ladder_once(monkeypatch):

@@ -44,19 +44,33 @@ def test_ket_validation():
         Ket(0, np.array([1.0]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # inf - inf
 def test_nan_input_is_rejected():
     # every check passes only within tolerance, so NaN, for which each comparison is False, fails it
     nan = math.nan
     with pytest.raises(ValueError, match="unit norm"):
         Ket(2, [nan, 0, 0, 0])
     for bad in (nan, math.inf):
-        with pytest.raises(ValueError, match="hermitian"):
+        with pytest.raises(ValueError, match="must be finite"):
             DensityMatrix((2,), [[bad, 0], [0, 0]])
     with pytest.raises(ValueError, match="unit norm"):  # not numpy's LinAlgError from the spin flip
         ChainAnalysis.of(Ket(3, [nan] + [0] * 7), 0)
     with pytest.raises(ValueError, match="sum to 1"):
         SchmidtParams((nan, 1.0, 0.0, 0.0, 0.0))
+
+
+def test_non_finite_entries_raise_before_any_warning():
+    # the finiteness check runs first: the hermitian check would compute inf - inf and warn
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, -math.inf, math.nan, complex(0, math.inf)):
+            with pytest.raises(ValueError, match="density matrix must be finite"):
+                DensityMatrix((2,), [[bad, 0], [0, 0]])
+            stack = np.array([np.eye(4) / 4] * 3, dtype=np.complex128)
+            stack[2, 1, 3] = bad
+            with pytest.raises(ValueError, match="density matrix must be finite"):
+                density_spectra(stack)
 
 
 def test_ket_amplitudes_read_only():
