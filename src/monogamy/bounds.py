@@ -36,9 +36,12 @@ depend on the measure but not on alpha.
 
 Two evaluators read the same analysis.  ChainAnalysis reports on one
 state, in scalar arithmetic, for any split.  ChainBatch analyses B states
-at once (ChainAnalysis.of is its batch of one) and reports every state at
-its auto split as arrays, for the soundness campaign; its rows equal
-ChainAnalysis.report bit for bit, which tests/test_campaign.py checks.
+at once (ChainAnalysis.of is its batch of one) and, for the soundness
+campaign, evaluates them at their auto splits as one table over K
+(measure, alpha) keys: one certification stack for the chains of every
+measure, one pow per distinct alpha and one stacked matmul for every
+ladder, giving (K, B) arrays.  Its entries equal ChainAnalysis.report
+bit for bit, which tests/test_campaign.py checks.
 """
 from __future__ import annotations
 
@@ -256,22 +259,9 @@ class BoundReport:
         return self.preconditions.certifies_split(self.m)
 
 
-class BatchCertificate(NamedTuple):
-    """What one measure reads from a ChainBatch, one entry per state: the
-    cut value, the auto split ``m`` (see ChainAnalysis.certificate), the
-    pair values in the order that split takes (ranked for m = N-2, else
-    given) and whether the split is proven.  ``splits`` lists the distinct
-    m, ascending."""
-
-    cut_values: np.ndarray
-    m: np.ndarray
-    pair_values: np.ndarray
-    asserted: np.ndarray
-    splits: list[int]
-
-
-class BatchRows(NamedTuple):
-    """One (measure, alpha) report of each of B states, as arrays of BoundReport's fields."""
+class BatchTable(NamedTuple):
+    """The reports of B states at their auto splits for K (measure, alpha)
+    keys: one (K, B) array per BoundReport field, key k in row k."""
 
     m: np.ndarray
     asserted: np.ndarray
@@ -304,7 +294,6 @@ class ChainBatch:
     ranked: np.ndarray
     focus_entries: np.ndarray
     focus_spectra: np.ndarray
-    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, amplitudes: np.ndarray, n_qubits: int, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
@@ -330,63 +319,63 @@ class ChainBatch:
             np.array_equal(a, b) for a, b in ((self.concurrence, other.concurrence),
                                               (self.focus_entries, other.focus_entries)))
 
-    def certificate(self, measure: MeasureKind) -> BatchCertificate:
-        """ChainAnalysis.certificate of every state, as arrays; computed once per measure.
+    def table(self, keys: Sequence[tuple[MeasureKind, float]]) -> BatchTable:
+        """ChainAnalysis.report of every state at its auto split, for each (measure, alpha) key, as arrays.
 
-        The pair values and their powers come from the same scalar maps,
-        and the chains of the given and the ranked order of all B states
-        are certified as one stack of 2B rows.
+        Each step runs once at the level it depends on.  Per measure, the
+        pair values and their floor powers come from the scalar maps of one
+        state's certificate, and the given and the ranked chains of all M
+        measures and B states are certified as one stack of 2*M*B rows.  Per
+        distinct alpha, the pair values of the measures that take it are
+        raised by one numpy pow; the cut values are raised by Python's pow,
+        as one state's report raises them.  One stacked matmul applies the
+        new and the prior ladder of every key, a dot product per state.
         """
-        cert = self._certificates.get(measure)
-        if cert is None:
-            count, n_pairs = self.concurrence.shape
-            if n_pairs < 2:
-                raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
-            values = [value_of_concurrence(measure, c) for c in self.concurrence.ravel().tolist()]
-            floor = measure.alpha_floor
-            table = np.array([values, [v**floor for v in values]]).reshape(2, count, n_pairs)
-            # row j: state j's pairs in the given order; row B + j: in the ranked order
-            table = np.concatenate((table, table[:, np.arange(count)[:, None], self.ranked]), axis=1)
-            certified = _certified_splits(table[1])
-            top = n_pairs - 1
-            # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
-            # the first proven one is the split, and none leaves N-2 (ranked) unproven
-            proven = np.concatenate((certified[count:, top - 1:top], certified[:count, :top - 1][:, ::-1]), axis=1)
-            first = proven.argmax(axis=1)
-            m = top - first
-            rows = np.arange(count) + count * (first == 0)
-            cert = self._certificates[measure] = BatchCertificate(
-                cut_values(measure, self.focus_entries, self.focus_spectra), m, table[0][rows],
-                proven.any(axis=1), sorted(set(m.tolist())))
-        return cert
+        count, n_pairs = self.concurrence.shape
+        if n_pairs < 2:
+            raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
+        # also rejects a non-finite or below-floor alpha
+        bases = [(step_factor(kind, alpha), prior_factor(kind, alpha)) for kind, alpha in keys]
+        measures = list(dict.fromkeys(kind for kind, _ in keys))
+        which = [measures.index(kind) for kind, _ in keys]  # each key's measure
+        concurrence = self.concurrence.ravel().tolist()
+        values = [[value_of_concurrence(kind, c) for c in concurrence] for kind in measures]
+        powers = [[v**floor for v in row] for floor, row in zip([kind.alpha_floor for kind in measures], values)]
+        chains = np.array([values, powers]).reshape(2, len(measures), count, n_pairs)
+        del values, powers  # their Python floats outweigh the arrays
+        # row j of a measure: state j's pairs in the given order; row B + j: in the ranked order
+        chains = np.concatenate((chains, chains[:, :, np.arange(count)[:, None], self.ranked]), axis=2)
+        certified = _certified_splits(chains[1].reshape(-1, n_pairs)).reshape(len(measures), 2 * count, n_pairs)
+        top = n_pairs - 1
+        # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
+        # the first proven one is the split, and none leaves N-2 (ranked) unproven
+        proven = np.concatenate((certified[:, count:, top - 1:top], certified[:, :count, :top - 1][:, :, ::-1]), axis=2)
+        first = proven.argmax(axis=2)
+        m = top - first
+        pair_values = chains[0][np.arange(len(measures))[:, None], np.arange(count) + count * (first == 0)]
 
-    def rows(self, measure: MeasureKind, alpha: float) -> BatchRows:
-        """ChainAnalysis.report of every state at the auto split, as arrays.
+        powered = np.empty((len(keys), count, n_pairs))
+        for alpha in dict.fromkeys(alpha for _, alpha in keys):
+            rows = [k for k, (_, a) in enumerate(keys) if a == alpha]
+            powered[rows] = pair_values[[which[k] for k in rows]] ** alpha
+        cuts = [cut_values(kind, self.focus_entries, self.focus_spectra).tolist() for kind in measures]
+        lhs = np.array([[c**alpha for c in cuts[i]] for i, (_, alpha) in zip(which, keys)])
 
-        The values are raised to alpha and the ladders applied as one
-        state's report does it: the cut value by Python's pow, the pair
-        values by numpy's, and each ladder by one dot product per state.
-        """
-        h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
-        cert = self.certificate(measure)
-        powered = cert.pair_values**alpha
-        stacked = powered[:, None, :]
-        new_bound, baseline_weighted = (
-            np.matmul(stacked, _ladders(base, cert)[:, :, None]).ravel() for base in (h, prior_factor(measure, alpha))
-        )
-        baseline_sum = powered.sum(axis=1)
-        lhs = np.array([c**alpha for c in cert.cut_values.tolist()])
-        return BatchRows(cert.m, cert.asserted, lhs, new_bound, baseline_weighted, baseline_sum, lhs - new_bound,
-                         new_bound - np.maximum(baseline_weighted, baseline_sum))
-
-
-def _ladders(base: float, cert: BatchCertificate) -> np.ndarray:
-    # each state's weight ladder, one row per state, or one row for all when they share the split;
-    # only the splits in use are built, so a ladder that would overflow at another raises nothing
-    count = cert.pair_values.shape[1]
-    if len(cert.splits) == 1:
-        return _ladder_weights(base, count, cert.splits[0])[None]
-    return np.array([_ladder_weights(base, count, s) for s in cert.splits])[np.searchsorted(cert.splits, cert.m)]
+        # only the splits in use are built, so a ladder that would overflow at another raises nothing
+        splits = [sorted(set(row)) for row in m.tolist()]
+        slot = np.zeros((2, len(keys), n_pairs), dtype=np.intp)  # [new or prior, key, split]: row of ladders
+        ladders = []
+        for k, i in enumerate(which):
+            for side, base in enumerate(bases[k]):
+                for s in splits[i]:
+                    slot[side, k, s] = len(ladders)
+                    ladders.append(_ladder_weights(base, n_pairs, s))
+        m = m[which]  # from one row per measure to one per key
+        ladders = np.array(ladders)[slot[:, np.arange(len(keys))[:, None], m]]
+        new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, len(keys), count)
+        baseline_sum = powered.sum(axis=2)
+        return BatchTable(m, proven.any(axis=2)[which], lhs, new_bound, baseline_weighted, baseline_sum,
+                          lhs - new_bound, new_bound - np.maximum(baseline_weighted, baseline_sum))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,11 +3,13 @@
 State k is drawn with ``haar_random(n, seed + k)``.  The states are
 analysed in batches of up to B (see batch_size): each batch is one
 ChainBatch, so its pair marginals form one stack with one validation and
-one spin-flip call, and each measure's chain verdicts are computed once
-per batch as arrays.  Every row then folds the batch's B reports into its
-counts and minima in state order, so the rows equal those of a campaign
-that analyses one state at a time, bit for bit, and memory does not grow
-with the number of samples.
+one spin-flip call, and its reports for all K rows come as one (K, B)
+table (ChainBatch.table) in which the chains of every measure are
+certified once.  Array operations fold the table into each row's count
+and minima in state order (first NaN, else first least), and _nan_min
+carries the minima from batch to batch, so the rows equal those of a
+campaign that analyses one state at a time, bit for bit, and memory does
+not grow with the number of samples.
 """
 from __future__ import annotations
 
@@ -99,9 +101,9 @@ def _nan_min(a: float, b: float) -> float:
     return b if math.isnan(b) or b < a else a
 
 
-def _first_min(values: np.ndarray) -> float:
-    # what _nan_min folds a batch to in state order: its first NaN, else its first least value
-    return float(values[values.argmin()])
+def _first_mins(values: np.ndarray) -> list[float]:
+    # what _nan_min folds each row to in state order: its first NaN, else its first least value
+    return values[np.arange(len(values)), values.argmin(axis=1)].tolist()
 
 
 def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
@@ -115,7 +117,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     for measure in dict.fromkeys(config.measures):
         alphas = (measure.alpha_floor if token == "floor" else float(token) for token in config.alphas)
         keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
-    asserted = [0] * len(keys)
+    asserted = np.zeros(len(keys), dtype=np.int64)
     min_new = [math.inf] * len(keys)  # over the asserted states only; a NaN residual sticks
     min_gap = [math.inf] * len(keys)
     violation = False
@@ -126,20 +128,17 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
         amplitudes = buffer[: min(size, config.samples - start)]
         for j in range(len(amplitudes)):
             amplitudes[j] = haar_random(n, config.seed + start + j).amplitudes
-        batch = ChainBatch.of(amplitudes, n, 0)
-        for i, (measure, alpha) in enumerate(keys):
-            rows = batch.rows(measure, alpha)
-            min_gap[i] = _nan_min(min_gap[i], _first_min(rows.residual_gap))
-            new = rows.residual_new[rows.asserted]
-            if new.size:
-                asserted[i] += new.size
-                min_new[i] = _nan_min(min_new[i], _first_min(new))
-                if not (new >= -config.tolerance).all():  # a NaN residual is a violation
-                    violation = True
-        del batch  # before the next batch is built
+        table = ChainBatch.of(amplitudes, n, 0).table(keys)
+        asserted += table.asserted.sum(axis=1)
+        # an unasserted state enters as inf, which moves no minimum and passes the tolerance
+        new = np.where(table.asserted, table.residual_new, math.inf)
+        min_new = list(map(_nan_min, min_new, _first_mins(new)))
+        min_gap = list(map(_nan_min, min_gap, _first_mins(table.residual_gap)))
+        if not (new >= -config.tolerance).all():  # a NaN residual is a violation
+            violation = True
+        del table, new  # before the next batch is built
     rows = [
-        CampaignRow(measure, alpha, config.samples, asserted[i], config.samples - asserted[i],
-                    min_new[i] if asserted[i] else math.nan, min_gap[i])
-        for i, (measure, alpha) in enumerate(keys)
+        CampaignRow(measure, alpha, config.samples, count, config.samples - count, new if count else math.nan, gap)
+        for (measure, alpha), count, new, gap in zip(keys, asserted.tolist(), min_new, min_gap)
     ]
     return rows, violation

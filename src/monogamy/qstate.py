@@ -22,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -271,9 +272,10 @@ def load_state(path) -> Ket:
 
     Expected schema: ``{"n_qubits": n, "amplitudes": [[re, im], ...]}``
     with 2**n amplitude pairs.  A norm deviating from 1 by at most 1e-6
-    is renormalized; larger deviations are rejected.  One scan checks
-    that every entry is a pair of numbers, and one numpy call decodes
-    them all; the first malformed or overflowing pair is named by index.
+    is renormalized; larger deviations are rejected.  Three passes over
+    the types and lengths check that every entry is a pair of numbers,
+    and one numpy call decodes them all; the first malformed or
+    overflowing pair is named by index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -299,7 +301,9 @@ def load_state(path) -> Ket:
     if not isinstance(raw, list) or n >= 63 or len(raw) != 2**n:
         expected = 2**n if n < 63 else f"2^{n}"
         raise StateFileError(f"{path}: expected {expected} amplitude pairs, got {found}")
-    if not all(map(_is_pair, raw)):
+    # three C-level passes: every entry a list, each of length two, every number an int or a float
+    if not (set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
+            and set(map(type, chain.from_iterable(raw))) <= {int, float}):
         i = next(i for i, pair in enumerate(raw) if not _is_pair(pair))
         raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {raw[i]!r}")
     try:

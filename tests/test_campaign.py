@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import monogamy
 from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, tsallis_kind
 from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _chain_preconditions
 from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
@@ -24,22 +25,26 @@ def _alphas(kind):
     return [a for a in dict.fromkeys(resolved) if a >= kind.alpha_floor]
 
 
+KEYS = [(kind, alpha) for kind in KINDS for alpha in _alphas(kind)]
+FIELDS = ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new", "residual_gap")
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_batched_rows_equal_one_state_reports(n):
+    # one table holds every (measure, alpha) key and one batch of Haar and W-class states
     states = [haar_random(n, 400 + k) for k in range(8)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(8)]
-    batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0)
+    table = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0).table(KEYS)
+    assert all(getattr(table, f).shape == (len(KEYS), len(states)) for f in ("m", "asserted") + FIELDS)
     alone = [ChainAnalysis.of(psi, 0) for psi in states]
-    checked = 0
-    for kind in KINDS:
-        for alpha in _alphas(kind):
-            rows = batch.rows(kind, alpha)
-            for j, analysis in enumerate(alone):
-                r = analysis.report(kind, alpha)
-                assert int(rows.m[j]) == r.m and bool(rows.asserted[j]) == r.asserted
-                for field in ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new", "residual_gap"):
-                    assert float(getattr(rows, field)[j]).hex() == getattr(r, field).hex(), (kind, alpha, j, field)
-                checked += 1
-    assert checked == len(states) * sum(len(_alphas(kind)) for kind in KINDS)
+    for k, (kind, alpha) in enumerate(KEYS):
+        for j, analysis in enumerate(alone):
+            r = analysis.report(kind, alpha)
+            assert int(table.m[k, j]) == r.m and bool(table.asserted[k, j]) == r.asserted, (kind, alpha, j)
+            for field in FIELDS:
+                assert float(getattr(table, field)[k, j]).hex() == getattr(r, field).hex(), (kind, alpha, j, field)
+    assert table.asserted.all() == (n == 3)  # past three qubits, unproven states ride in the same table
+    if n == 6:  # these states take splits 1 and 4 under every measure: ladders differ within the batch
+        assert all(sorted(set(row)) == [1, 4] for row in table.m.tolist())
 
 
 def test_certified_splits_match_one_chain_at_a_time():
@@ -84,6 +89,31 @@ def test_campaign_rows_do_not_depend_on_the_batching(n):
         got = [(r.measure, r.alpha, r.asserted, r.min_residual_new.hex(), r.min_residual_gap.hex()) for r in rows]
         assert got == _fold(config)
         assert all(r.tested == samples and r.inapplicable == samples - r.asserted for r in rows)
+
+
+@pytest.mark.parametrize("asserted", [True, False], ids=["asserted", "unasserted"])
+def test_nan_residual_folds_as_state_by_state(asserted, monkeypatch):
+    # one state of a batch gets a NaN concurrence cut value, so a NaN residual_new in every concurrence row:
+    # the table fold must equal a state-by-state _nan_min fold, and only an asserted NaN is a violation
+    config = CampaignConfig(n_qubits=4, samples=60, seed=17, measures=KINDS, alphas=EXPONENTS, tolerance=1e-9)
+    assert config.samples < batch_size(4)
+    analyses = [ChainAnalysis.of(haar_random(4, config.seed + k), 0) for k in range(config.samples)]
+    target = next(k for k, a in enumerate(analyses) if k > 0 and a.report(CONCURRENCE, 2.0).asserted == asserted)
+    poisoned = analyses[target].batch.focus_entries[0]
+    cut_values = monogamy.bounds.cut_values
+
+    def with_nan(kind, entries, spectra):
+        out = cut_values(kind, entries, spectra)
+        if kind == CONCURRENCE:
+            out[(entries == poisoned).all(axis=(1, 2))] = math.nan
+        return out
+
+    monkeypatch.setattr(monogamy.bounds, "cut_values", with_nan)
+    rows, violation = run_campaign(config)
+    got = [(r.measure, r.alpha, r.asserted, r.min_residual_new.hex(), r.min_residual_gap.hex()) for r in rows]
+    assert got == _fold(config)
+    assert violation == asserted
+    assert [math.isnan(r.min_residual_new) for r in rows] == [asserted and r.measure == CONCURRENCE for r in rows]
 
 
 def test_batch_size_follows_the_byte_budget():

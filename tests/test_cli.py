@@ -379,8 +379,8 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))
-    # ... and the chain verdicts depend on the measure, not the exponent: per measure and batch, one stack
-    # holds the given and the ranked order of every state
+    # ... and the chain verdicts depend on the measure, not the exponent: per batch, one stack holds
+    # the given and the ranked order of every state under every measure
     chains = []
     certify = monogamy.bounds._certified_splits
     monkeypatch.setattr(monogamy.bounds, "_certified_splits", lambda p: chains.append(p.shape) or certify(p))
@@ -390,7 +390,7 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     assert sum(shape[0] for shape in stacks) == samples * 3  # every (state, pair) exactly once
     assert spectra == [(3 * size, 4, 4), (size, 2, 2), (3, 4, 4), (1, 2, 2)]
     assert sum(shape[0] for shape in spectra if shape[1:] == (2, 2)) == samples
-    assert chains == [(2 * size, 3)] * len(ALL_KINDS) + [(2, 3)] * len(ALL_KINDS)
+    assert chains == [(2 * len(ALL_KINDS) * size, 3), (2 * len(ALL_KINDS), 3)]
 
 
 def test_campaign_builds_each_weight_ladder_once(monkeypatch):

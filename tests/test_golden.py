@@ -2,7 +2,8 @@
 must match a recorded file byte for byte.
 
 The --example curves are the benchmark's own goldens, read here and never
-written; the --verify and --state outputs live in tests/golden/.
+written; the --verify and --state outputs live in tests/golden/, one
+--verify case spanning several campaign batches.
 """
 import os
 
@@ -39,16 +40,23 @@ def test_example_matches_golden(argv, golden, capsys):
     assert captured.out == _read(os.path.join(EXAMPLE_GOLDEN, golden))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_verify_matches_golden(n, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags,golden",
+    [
+        (["--n-qubits", "3", "--samples", "40"], "verify-n3"),
+        (["--n-qubits", "4", "--samples", "40"], "verify-n4"),
+        # batches of 170, 170 and 60 states: the counts and minima carry across batches
+        (["--n-qubits", "4", "--samples", "400", "--q", "3"], "verify-n4-batches"),
+    ],
+    ids=["3", "4", "4-batches"],
+)
+def test_verify_matches_golden(flags, golden, tmp_path, capsys):
     out = tmp_path / "campaign.csv"
-    argv = ["--verify", "--n-qubits", str(n), "--samples", "40", "--seed", "7",
-            "--alphas", "floor,2,3,4.5", "--out", str(out)]
-    assert main(argv) == 0
+    assert main(["--verify", *flags, "--seed", "7", "--alphas", "floor,2,3,4.5", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out == _read(os.path.join(GOLDEN, f"verify-n{n}.txt"))
-    assert _read(out) == _read(os.path.join(GOLDEN, f"verify-n{n}.csv"))
+    assert captured.out == _read(os.path.join(GOLDEN, f"{golden}.txt"))
+    assert _read(out) == _read(os.path.join(GOLDEN, f"{golden}.csv"))
 
 
 @pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
