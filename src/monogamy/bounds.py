@@ -40,8 +40,9 @@ at once (ChainAnalysis.of is its batch of one) and, for the soundness
 campaign, evaluates them at their auto splits as one table over K
 (measure, alpha) keys: one certification stack for the chains of every
 measure, one pow per distinct alpha and one stacked matmul for every
-ladder, giving (K, B) arrays.  Its entries equal ChainAnalysis.report
-bit for bit, which tests/test_campaign.py checks.
+ladder, giving (K, B) arrays; what depends on the keys alone is planned
+once per key tuple.  Its entries equal ChainAnalysis.report bit for
+bit, which tests/test_campaign.py checks.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, cut_values, spin_flip_concurrences, value_of_concurrence
+from .measures import MeasureKind, cut_values, spin_flip_concurrences, value_of_concurrence, values_of_concurrence
 from .qstate import Ket, density_spectra, marginal_stack, physical_memory
 
 ALPHA_ATOL = 1e-12
@@ -322,8 +323,10 @@ class ChainBatch:
     def table(self, keys: Sequence[tuple[MeasureKind, float]]) -> BatchTable:
         """ChainAnalysis.report of every state at its auto split, for each (measure, alpha) key, as arrays.
 
-        Each step runs once at the level it depends on.  Per measure, the
-        pair values and their floor powers come from the scalar maps of one
+        Each step runs once at the level it depends on.  What depends on the
+        keys and the pair count alone (factors, groupings, ladders) is
+        planned once per key tuple (_table_plan).  Per measure, the pair
+        values and their floor powers come from the scalar maps of one
         state's certificate, and the given and the ranked chains of all M
         measures and B states are certified as one stack of 2*M*B rows.  Per
         distinct alpha, the pair values of the measures that take it are
@@ -334,48 +337,90 @@ class ChainBatch:
         count, n_pairs = self.concurrence.shape
         if n_pairs < 2:
             raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
-        # also rejects a non-finite or below-floor alpha
-        bases = [(step_factor(kind, alpha), prior_factor(kind, alpha)) for kind, alpha in keys]
-        measures = list(dict.fromkeys(kind for kind, _ in keys))
-        which = [measures.index(kind) for kind, _ in keys]  # each key's measure
+        plan = _table_plan(tuple(keys), n_pairs)  # also rejects a non-finite or below-floor alpha
         concurrence = self.concurrence.ravel().tolist()
-        values = [[value_of_concurrence(kind, c) for c in concurrence] for kind in measures]
-        powers = [[v**floor for v in row] for floor, row in zip([kind.alpha_floor for kind in measures], values)]
-        chains = np.array([values, powers]).reshape(2, len(measures), count, n_pairs)
+        values = [values_of_concurrence(kind, concurrence) for kind in plan.measures]
+        powers = [row if floor == 1.0 else [v**floor for v in row] for floor, row in zip(plan.floors, values)]
+        chains = np.array([values, powers]).reshape(2, len(plan.measures), count, n_pairs)
         del values, powers  # their Python floats outweigh the arrays
         # row j of a measure: state j's pairs in the given order; row B + j: in the ranked order
         chains = np.concatenate((chains, chains[:, :, np.arange(count)[:, None], self.ranked]), axis=2)
-        certified = _certified_splits(chains[1].reshape(-1, n_pairs)).reshape(len(measures), 2 * count, n_pairs)
+        certified = _certified_splits(chains[1].reshape(-1, n_pairs)).reshape(len(plan.measures), 2 * count, n_pairs)
         top = n_pairs - 1
         # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
         # the first proven one is the split, and none leaves N-2 (ranked) unproven
         proven = np.concatenate((certified[:, count:, top - 1:top], certified[:, :count, :top - 1][:, :, ::-1]), axis=2)
         first = proven.argmax(axis=2)
         m = top - first
-        pair_values = chains[0][np.arange(len(measures))[:, None], np.arange(count) + count * (first == 0)]
+        pair_values = chains[0][np.arange(len(plan.measures))[:, None], np.arange(count) + count * (first == 0)]
 
-        powered = np.empty((len(keys), count, n_pairs))
-        for alpha in dict.fromkeys(alpha for _, alpha in keys):
-            rows = [k for k, (_, a) in enumerate(keys) if a == alpha]
-            powered[rows] = pair_values[[which[k] for k in rows]] ** alpha
-        cuts = [cut_values(kind, self.focus_entries, self.focus_spectra).tolist() for kind in measures]
-        lhs = np.array([[c**alpha for c in cuts[i]] for i, (_, alpha) in zip(which, keys)])
+        powered = np.empty((len(plan.alphas), count, n_pairs))
+        for alpha, rows, owners in plan.alpha_rows:
+            powered[rows] = pair_values[owners] ** alpha
+        cuts = [cut_values(kind, self.focus_entries, self.focus_spectra).tolist() for kind in plan.measures]
+        lhs = np.array([[c**alpha for c in cuts[i]] for i, alpha in zip(plan.which.tolist(), plan.alphas)])
 
-        # only the splits in use are built, so a ladder that would overflow at another raises nothing
-        splits = [sorted(set(row)) for row in m.tolist()]
-        slot = np.zeros((2, len(keys), n_pairs), dtype=np.intp)  # [new or prior, key, split]: row of ladders
-        ladders = []
-        for k, i in enumerate(which):
-            for side, base in enumerate(bases[k]):
-                for s in splits[i]:
-                    slot[side, k, s] = len(ladders)
-                    ladders.append(_ladder_weights(base, n_pairs, s))
-        m = m[which]  # from one row per measure to one per key
-        ladders = np.array(ladders)[slot[:, np.arange(len(keys))[:, None], m]]
-        new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, len(keys), count)
+        if plan.overflows:
+            # raise as a key-by-key build of the ladders at the splits each measure takes would:
+            # the first key in order, new ladder before prior, splits ascending
+            splits = [sorted(set(row)) for row in m.tolist()]
+            for k, i in enumerate(plan.which.tolist()):
+                for bases in plan.bases:
+                    for s in splits[i]:
+                        _ladder_weights(bases[k], n_pairs, s)
+        m = m[plan.which]  # from one row per measure to one per key
+        ladders = plan.ladders[:, np.arange(len(plan.alphas))[:, None], m]  # [new or prior, key, state]
+        new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, -1, count)
         baseline_sum = powered.sum(axis=2)
-        return BatchTable(m, proven.any(axis=2)[which], lhs, new_bound, baseline_weighted, baseline_sum,
+        return BatchTable(m, proven.any(axis=2)[plan.which], lhs, new_bound, baseline_weighted, baseline_sum,
                           lhs - new_bound, new_bound - np.maximum(baseline_weighted, baseline_sum))
+
+
+class _TablePlan(NamedTuple):
+    """What ChainBatch.table reads from its K (measure, alpha) keys and the pair count alone.
+
+    ``measures`` are the distinct measures in key order, with their
+    ``floors``; key k takes measure ``which[k]`` and exponent ``alphas[k]``.
+    ``alpha_rows`` holds, per distinct alpha, the keys that take it and
+    their measures.  ``bases`` are the step (row 0) and prior (row 1)
+    factors of every key, and ``ladders[side, k, s]`` is the ladder of base
+    ``bases[side][k]`` at split s, or NaN where that ladder overflows
+    (``overflows`` says whether any does).
+    """
+
+    measures: tuple[MeasureKind, ...]
+    floors: tuple[float, ...]
+    which: np.ndarray
+    alphas: tuple[float, ...]
+    alpha_rows: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    bases: tuple[tuple[float, ...], tuple[float, ...]]
+    ladders: np.ndarray
+    overflows: bool
+
+
+@lru_cache(maxsize=64)
+def _table_plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePlan:
+    # a ValueError (a non-finite or below-floor alpha) is not cached and raises again on the next call
+    bases = tuple(step_factor(k, a) for k, a in keys), tuple(prior_factor(k, a) for k, a in keys)
+    measures = tuple(dict.fromkeys(kind for kind, _ in keys))
+    which = np.array([measures.index(kind) for kind, _ in keys], dtype=np.intp)
+    alphas = tuple(float(alpha) for _, alpha in keys)
+    alpha_rows = []
+    for alpha in dict.fromkeys(alphas):
+        rows = np.array([k for k, a in enumerate(alphas) if a == alpha], dtype=np.intp)
+        alpha_rows.append((alpha, rows, which[rows]))
+    ladders = np.full((2, len(keys), n_pairs, n_pairs), math.nan)  # split 0 is never taken
+    overflows = False
+    for side, row in enumerate(bases):
+        for k, base in enumerate(row):
+            for s in range(1, n_pairs):
+                try:
+                    ladders[side, k, s] = _ladder_weights(base, n_pairs, s)
+                except ValueError:  # an overflow; ChainBatch.table raises it where a state takes split s
+                    overflows = True
+    ladders.flags.writeable = False
+    return _TablePlan(measures, tuple(kind.alpha_floor for kind in measures), which, alphas,
+                      tuple(alpha_rows), bases, ladders, overflows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,13 @@
 """Randomized soundness campaign: seeded Haar-random states against every (measure, alpha) row.
 
-State k is drawn with ``haar_random(n, seed + k)``.  The states are
-analysed in batches of up to B (see batch_size): each batch is one
-ChainBatch, so its pair marginals form one stack with one validation and
-one spin-flip call, and its reports for all K rows come as one (K, B)
-table (ChainBatch.table) in which the chains of every measure are
-certified once.  Array operations fold the table into each row's count
+State k is the Haar random state of seed ``seed + k`` (states.haar_rows;
+haar_random(n, seed + k) is the same state as a Ket).  The states are
+drawn and analysed in batches of up to B (see batch_size): each batch is
+drawn straight into one (B, 2^n) array and analysed as one ChainBatch,
+so its pair marginals form one stack with one validation and one
+spin-flip call, and its reports for all K rows come as one (K, B) table
+(ChainBatch.table) in which the chains of every measure are certified
+once.  Array operations fold the table into each row's count
 and minima in state order (first NaN, else first least), and _nan_min
 carries the minima from batch to batch, so the rows equal those of a
 campaign that analyses one state at a time, bit for bit, and memory does
@@ -21,7 +23,7 @@ import numpy as np
 from .bounds import ChainBatch, step_factor
 from .measures import MeasureKind
 from .qstate import physical_memory
-from .states import haar_random
+from .states import haar_rows
 
 # bytes of per-state working set a batch may hold; its numpy buffers peak at about 0.52 MB at n = 3
 _BATCH_BYTES = 256 * 1024
@@ -109,7 +111,7 @@ def _first_mins(values: np.ndarray) -> list[float]:
 def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     """Run the campaign in batches of batch_size(n) states; returns summary rows and a violation flag.
 
-    Each batch draws its states one by one into one (B, 2^n) array and
+    Each batch draws its states into one (B, 2^n) array (haar_rows) and
     analyses them as one ChainBatch; the last batch may be shorter.  Only
     one batch is held at a time.
     """
@@ -125,9 +127,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     size = min(batch_size(n), config.samples)
     buffer = np.empty((size, 2**n), dtype=np.complex128)
     for start in range(0, config.samples, size):
-        amplitudes = buffer[: min(size, config.samples - start)]
-        for j in range(len(amplitudes)):
-            amplitudes[j] = haar_random(n, config.seed + start + j).amplitudes
+        amplitudes = haar_rows(buffer[: min(size, config.samples - start)], config.seed + start)
         table = ChainBatch.of(amplitudes, n, 0).table(keys)
         asserted += table.asserted.sum(axis=1)
         # an unasserted state enters as inf, which moves no minimum and passes the tolerance

@@ -204,18 +204,19 @@ def cmd_verify(args) -> int:
         tolerance=args.tolerance,
     )
     rows, violation = run_campaign(config)
-    print(
+    lines = [
         f"verify: n_qubits={config.n_qubits} samples={config.samples} "
         f"seed={config.seed} tolerance={_fmt(config.tolerance)}"
-    )
+    ]
     csv_lines = [",".join(_VERIFY_COLUMNS)]
     for r in rows:
         # undetermined stays a column of literal 0s: the pair-sum certificate decides every comparison
         cell = _cells(r, _VERIFY_COLUMNS, measure=r.measure.name,
                       q=math.nan if r.measure.q is None else r.measure.q, undetermined=0)
         csv_lines.append(",".join(cell.values()))
-        print(f"  {cell['measure']:<12} q={cell['q']:<4} alpha={cell['alpha']:<14} "
-              + " ".join(f"{c}={cell[c]}" for c in _VERIFY_COLUMNS[3:]))
+        lines.append(f"  {cell['measure']:<12} q={cell['q']:<4} alpha={cell['alpha']:<14} "
+                     + " ".join(f"{c}={cell[c]}" for c in _VERIFY_COLUMNS[3:]))
+    _write_lines(lines, None)
     if args.out is not None:
         _write_lines(csv_lines, args.out)
     if violation:

@@ -202,8 +202,7 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
     if kind.name == "tsallis":
         q = float(kind.q)
         return (1.0 - (lam**q).sum(axis=1)) / (q - 1.0)
-    # each root sum squared as a numpy scalar, as the one-state formula squares it
-    return np.array([max(float(s**2 - 1.0), 0.0) for s in np.sqrt(lam).sum(axis=1)])
+    return np.maximum(np.sqrt(lam).sum(axis=1) ** 2 - 1.0, 0.0)
 
 
 def _purity(entries: np.ndarray) -> float:
@@ -234,6 +233,13 @@ def value_of_concurrence(kind: MeasureKind, c: float) -> float:
     if kind.name == "tsallis":
         return tsallis_g(kind.q, c * c)
     return c
+
+
+def values_of_concurrence(kind: MeasureKind, cs: list[float]) -> list[float]:
+    """value_of_concurrence of each of ``cs``; concurrence and CREN take C itself, so ``cs`` is returned."""
+    if kind.name in ("eof", "tsallis"):
+        return [value_of_concurrence(kind, c) for c in cs]
+    return cs
 
 
 def pair_value(kind: MeasureKind, rho: DensityMatrix) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Ket
+from .qstate import NORM_ATOL, Ket
 
 SCHMIDT_NORM_ATOL = 1e-12
 
@@ -71,24 +71,39 @@ def ghz_state(n: int) -> Ket:
     return Ket(n, amp)
 
 
-def haar_random(n: int, seed: int) -> Ket:
-    """Haar-distributed random pure state on ``n`` qubits.
+def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
+    """Fill row j of ``out``, a (B, 2^n) complex array, with the Haar random state of seed ``seed + j``.
 
-    Stream contract: a PCG64 generator is created via
-    ``numpy.random.default_rng(seed)``; the real parts are drawn first as
-    ``standard_normal(2**n)``, then the imaginary parts, and the vector
-    is normalized.  Identical seeds therefore yield identical states on
-    every platform numpy supports.  Both draws fill one complex vector,
-    which is normalized in place.
+    Stream contract: each row is drawn from a PCG64 generator created via
+    ``numpy.random.default_rng(seed + j)`` as one ``standard_normal(2 *
+    2**n)`` call whose first half holds the real parts and whose second
+    half the imaginary parts, the same numbers as two draws of 2**n, real
+    first.  The row is then divided by its norm.  Identical seeds
+    therefore yield identical states on every platform numpy supports.
+    Each draw passes through a scratch of 2 * 2**n floats that is freed
+    before the next; the rows are checked for unit norm together.
+    Returns ``out``.
+    """
+    count, dim = out.shape
+    pairs = out.view(np.float64).reshape(count, dim, 2)  # (real, imaginary) of each amplitude
+    norms = np.empty(count)
+    for j in range(count):
+        pairs[j] = np.random.default_rng(int(seed) + j).standard_normal(2 * dim).reshape(2, dim).T
+        norms[j] = np.linalg.norm(out[j])
+    if not norms.all():
+        raise ValueError("degenerate zero draw")
+    out /= norms[:, None]
+    deviation = np.abs(np.sqrt(np.einsum("ijk,ijk->i", pairs, pairs)) - 1.0)  # no copy of the rows
+    if not (deviation <= NORM_ATOL).all():  # as Ket checks each ket
+        raise ValueError(f"amplitudes must have unit norm, got a deviation of {deviation.max()!r}")
+    return out
+
+
+def haar_random(n: int, seed: int) -> Ket:
+    """Haar-distributed random pure state on ``n`` qubits: the one row of haar_rows from ``seed``, as a Ket.
+
+    It is the state that haar_rows draws for ``seed`` in any row of any batch.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    rng = np.random.default_rng(int(seed))
-    amp = np.empty(2**n, dtype=np.complex128)
-    amp.real = rng.standard_normal(2**n)
-    amp.imag = rng.standard_normal(2**n)
-    norm = np.linalg.norm(amp)
-    if norm == 0.0:
-        raise ValueError("degenerate zero draw")
-    amp /= norm
-    return Ket(n, amp)
+    return Ket(n, haar_rows(np.empty((1, 2**n), dtype=np.complex128), seed)[0])

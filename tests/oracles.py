@@ -137,3 +137,20 @@ def w_class_amplitudes(n: int, seed: int) -> np.ndarray:
     for k in range(n):
         amp[1 << (n - 1 - k)] = z[k + 1]
     return amp / np.linalg.norm(amp)
+
+
+def wootters_concurrence(amplitudes: np.ndarray, n: int, a: int, b: int) -> float:
+    """Concurrence of the (a, b) marginal of an n-qubit pure state, from the
+    singular values of tau = M^T (sigma_y x sigma_y) M.
+
+    The columns of M (4 x 2^(n-2)) are the subnormalized pair states that the
+    rest of the register leaves behind, rho_AB = M M^dagger; the singular
+    values of tau are the square roots of the eigenvalues of rho rho~
+    (Wootters, PRL 80, 2245 (1998)), here taken without forming rho rho~.
+    """
+    rest = [q for q in range(n) if q not in (a, b)]
+    m = np.transpose(amplitudes.reshape((2,) * n), [a, b] + rest).reshape(4, -1)
+    yy = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    s = np.linalg.svd(m.T @ yy @ m, compute_uv=False)
+    s = np.concatenate((s, np.zeros(4)))[:4]  # a 2 x 2 tau (n = 3) has two
+    return max(0.0, s[0] - s[1] - s[2] - s[3])

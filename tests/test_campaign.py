@@ -12,7 +12,9 @@ import pytest
 
 import monogamy
 from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, tsallis_kind
-from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _chain_preconditions
+from monogamy.bounds import (
+    PRECONDITION_ATOL, ChainBatch, _certified_splits, _chain_preconditions, _ladder_weights, _table_plan, step_factor,
+)
 from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
 from oracles import w_class_amplitudes
 
@@ -45,6 +47,56 @@ def test_batched_rows_equal_one_state_reports(n):
     assert table.asserted.all() == (n == 3)  # past three qubits, unproven states ride in the same table
     if n == 6:  # these states take splits 1 and 4 under every measure: ladders differ within the batch
         assert all(sorted(set(row)) == [1, 4] for row in table.m.tolist())
+
+
+def _report_entries(table, k, j):
+    return [table.m[k, j], table.asserted[k, j]] + [float(getattr(table, f)[k, j]).hex() for f in FIELDS]
+
+
+def test_a_key_tuple_is_planned_once():
+    _table_plan.cache_clear()
+    batches = [ChainBatch.of(np.array([haar_random(4, seed + k).amplitudes for k in range(3)]), 4, 0)
+               for seed in (0, 10)]
+    tables = [batch.table(list(KEYS)) for batch in batches + batches]
+    assert _table_plan.cache_info()[:2] == (3, 1)  # hits, misses: one plan serves every batch
+    assert [_report_entries(t, 3, 1) for t in tables[:2]] == [_report_entries(t, 3, 1) for t in tables[2:]]
+
+
+# W-class states at n = 5 (four pairs): the auto split of concurrence and of EOF, and
+# the exponent at which that measure's ladder overflows at split 3 but not at split 1
+SPLIT_1 = w_class_amplitudes(5, 78)  # concurrence 1, EOF 1
+SPLIT_3_1 = w_class_amplitudes(5, 252)  # concurrence 3, EOF 1
+SPLIT_3 = w_class_amplitudes(5, 0)  # concurrence 3, EOF 3
+OVERFLOW_AT_3 = {CONCURRENCE: 800.0, EOF: 600.0}
+
+
+def test_a_ladder_overflowing_at_an_unused_split_raises_nothing():
+    for kind, alpha in OVERFLOW_AT_3.items():
+        _ladder_weights(step_factor(kind, alpha), 4, 1)
+        with pytest.raises(ValueError, match="ladder weights overflow"):
+            _ladder_weights(step_factor(kind, alpha), 4, 3)
+    # concurrence at 800 on a state whose split is 1; and EOF at 600 on a state whose split is 1
+    # while concurrence (at 600, no overflow) takes split 3 in the same table
+    cases = [([SPLIT_1], [(CONCURRENCE, 800.0)], [[1]]),
+             ([SPLIT_3_1], [(CONCURRENCE, 600.0), (EOF, 600.0)], [[3], [1]])]
+    for states, keys, splits in cases:
+        table = ChainBatch.of(np.array(states), 5, 0).table(keys)
+        assert table.m.tolist() == splits
+        for k, (kind, alpha) in enumerate(keys):
+            for j, amplitudes in enumerate(states):
+                r = ChainAnalysis.of(Ket(5, amplitudes), 0).report(kind, alpha)
+                assert _report_entries(table, k, j) == [r.m, r.asserted] + [getattr(r, f).hex() for f in FIELDS]
+
+
+def test_a_ladder_overflowing_at_a_used_split_raises_as_a_report_does():
+    # the first key in order whose measure takes an overflowing split names the ladder
+    for keys in ([(CONCURRENCE, 800.0)], [(CONCURRENCE, 800.0), (EOF, 800.0)], [(EOF, 800.0), (CONCURRENCE, 800.0)]):
+        kind, alpha = keys[0]
+        with pytest.raises(ValueError, match="ladder weights overflow") as expected:
+            ChainAnalysis.of(Ket(5, SPLIT_3), 0).report(kind, alpha)
+        with pytest.raises(ValueError) as got:
+            ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 5, 0).table(keys)
+        assert str(got.value) == str(expected.value)
 
 
 def test_certified_splits_match_one_chain_at_a_time():

@@ -100,14 +100,14 @@ def test_oversized_exponents_exit_2(argv, tmp_path, capsys):
 )
 def test_oversized_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     # each guard decides before allocating; these stand-ins fail the test if one regresses
-    def no_draw(n, seed):
-        raise AssertionError(f"drew a {n}-qubit state")
+    def no_draw(out, seed):
+        raise AssertionError(f"drew {out.shape[1]} amplitudes")
 
     def small_arange(count, *args, arange=np.arange, **kwargs):
         assert count <= 10**6, f"asked numpy for {count} grid points"
         return arange(count, *args, **kwargs)
 
-    monkeypatch.setattr(monogamy.campaign, "haar_random", no_draw)
+    monkeypatch.setattr(monogamy.campaign, "haar_rows", no_draw)
     monkeypatch.setattr(np, "arange", small_arange)
     huge = tmp_path / "huge.json"
     huge.write_text('{"n_qubits": 20000, "amplitudes": [[1, 0]]}\n')
@@ -260,10 +260,10 @@ def test_verify_runs_on_twelve_qubits(capsys):
 
 def test_verify_rejects_a_register_larger_than_memory(capsys, monkeypatch):
     # the guard runs before any draw, so nothing is allocated even if it regresses
-    def no_draw(n, seed):
-        raise AssertionError(f"drew a {n}-qubit state")
+    def no_draw(out, seed):
+        raise AssertionError(f"drew {out.shape[1]} amplitudes")
 
-    monkeypatch.setattr(monogamy.campaign, "haar_random", no_draw)
+    monkeypatch.setattr(monogamy.campaign, "haar_rows", no_draw)
     assert main(["--verify", "--n-qubits", "40", "--samples", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: 40 qubits need") and err.count("\n") == 1
@@ -437,6 +437,45 @@ def test_reused_parser_carries_nothing_over(state_file, tmp_path, capsys):
     assert run("--verify")[0] == 2
     assert run() == first
     assert monogamy.cli.build_parser.cache_info().misses == 1
+
+
+def test_campaign_memory_on_a_wide_register():
+    # the per-state scratch of a draw is gone before the analysis, whose peak stays within 48 * 2^n
+    import tracemalloc
+
+    def campaign(n):
+        run_campaign(CampaignConfig(n_qubits=n, samples=1, seed=0, measures=(CONCURRENCE,), alphas=("floor",),
+                                    tolerance=1e-9))
+
+    campaign(4)  # first calls allocate numpy's caches
+    n = 16
+    tracemalloc.start()
+    try:
+        campaign(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 40 * 2**n < peak <= 48 * 2**n + 2**n
+
+
+def test_verify_draws_into_the_batch_without_kets(monkeypatch, capsys):
+    # one generator per state, and no Ket (nor its norm check and copy) on the way to the analysis
+    calls = Counter()
+    default_rng, post_init = np.random.default_rng, monogamy.Ket.__post_init__
+
+    def counting_rng(seed):
+        calls["rng"] += 1
+        return default_rng(seed)
+
+    def counting_ket(self):
+        calls["ket"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(monogamy.Ket, "__post_init__", counting_ket)
+    assert main(["--verify", "--samples", "7"]) == 0
+    assert "result: ok" in capsys.readouterr().out
+    assert calls == {"rng": 7}
 
 
 def test_campaign_memory_does_not_grow_with_samples():

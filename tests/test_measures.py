@@ -27,7 +27,7 @@ from monogamy import (
 )
 from monogamy.measures import spin_flip_concurrences, spin_flip_mus
 from monogamy.states import SchmidtParams, gsd3
-from oracles import min_avg_concurrence, random_ket, random_mixed
+from oracles import min_avg_concurrence, random_ket, random_mixed, wootters_concurrence
 
 np_rng = np.random.default_rng(77)
 
@@ -310,3 +310,16 @@ def test_pair_stack_matches_one_pair_at_a_time():
                 assert stack[i].tobytes() == rho.entries.tobytes()
                 one = concurrence_two_qubit(rho)
                 assert conc[i].hex() == one.hex() == analysis.concurrence[b].hex()
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_spin_flip_concurrences_match_the_wootters_oracle(n):
+    # n = 3 is not covered: its pair marginals have rank 2, and the roots of their two
+    # zero eigenvalues of rho rho~ (about 1e-17) put about 3e-9 into mu3 and mu4
+    for seed in range(20):
+        psi = haar_random(n, 3000 + seed)
+        for a in (0, n - 1):
+            partners = [b for b in range(n) if b != a]
+            got = spin_flip_concurrences(psi.pair_marginals(a, partners))
+            want = [wootters_concurrence(psi.amplitudes, n, a, b) for b in partners]
+            assert np.abs(got - want).max() <= 1e-12, (seed, a)

@@ -16,6 +16,7 @@ from monogamy import (
     purity,
     w_state,
 )
+from monogamy.states import haar_rows
 
 np_rng = np.random.default_rng(31337)
 
@@ -99,16 +100,39 @@ def test_haar_random_seed_contract():
     assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
 
 
+def _two_draw_haar(n, seed):
+    # the draw as two standard_normal calls filling one complex vector, real parts first
+    rng = np.random.default_rng(seed)
+    amp = np.empty(2**n, dtype=np.complex128)
+    amp.real = rng.standard_normal(2**n)
+    amp.imag = rng.standard_normal(2**n)
+    amp /= np.linalg.norm(amp)
+    return amp
+
+
+def _hex(amplitudes):
+    return [float(x).hex() for x in amplitudes.view(np.float64)]
+
+
 def test_haar_random_keeps_its_stream():
-    # filling one complex vector in place gives the bits of (re + 1j*im) / norm
+    # one draw of 2 * 2^n normals split in halves gives the bits of two draws of 2^n, real first
     for n in range(1, 11):
-        for seed in (0, 1, 7, 2**31 + 5):
-            rng = np.random.default_rng(seed)
-            re = rng.standard_normal(2**n)
-            im = rng.standard_normal(2**n)
-            amp = re + 1j * im
-            expected = amp / np.linalg.norm(amp)
-            assert haar_random(n, seed).amplitudes.tobytes() == expected.tobytes()
+        for seed in (0, 1, 7, 2**31 + 5, 2**32 + 3, 2**40 + 11):
+            assert _hex(haar_random(n, seed).amplitudes) == _hex(_two_draw_haar(n, seed)), (n, seed)
+            rows = haar_rows(np.empty((3, 2**n), dtype=np.complex128), seed)  # row j: seed + j
+            assert [_hex(row) for row in rows] == [_hex(_two_draw_haar(n, seed + j)) for j in range(3)], (n, seed)
+
+
+def test_zero_draw_is_degenerate(monkeypatch):
+    class Zeros:
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    with pytest.raises(ValueError, match="degenerate zero draw"):
+        haar_random(3, 0)
+    with pytest.raises(ValueError, match="degenerate zero draw"):
+        haar_rows(np.empty((4, 8), dtype=np.complex128), 0)
 
 
 def test_haar_random_mean_reduced_purity():
