@@ -286,7 +286,9 @@ class ChainBatch:
     ``given`` by descending concurrence (a stable sort, so ties keep their
     given position).  ``focus_entries`` and ``focus_spectra`` are each
     state's rho_A and its descending spectrum, checked as one (B, 2, 2)
-    stack.  Equality reads these numbers only.
+    stack.  The checked given order and its pair keeps are planned once
+    per (register size, focus, order) (_chain_plan).  Equality reads
+    these numbers only.
     """
 
     focus: int
@@ -299,14 +301,9 @@ class ChainBatch:
     @classmethod
     def of(cls, amplitudes: np.ndarray, n_qubits: int, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
         """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array of unit vectors."""
-        if not (0 <= focus < n_qubits):
-            raise ValueError(f"focus {focus} out of range for {n_qubits} qubits")
-        rest = [i for i in range(n_qubits) if i != focus]
-        given = tuple(rest) if order is None else tuple(int(i) for i in order)
-        if sorted(given) != rest:
-            raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
+        given, pair_keeps = _chain_plan(n_qubits, focus, None if order is None else tuple(order))
         count = len(amplitudes)
-        pairs = marginal_stack(amplitudes, n_qubits, [(focus, b) for b in given]).reshape(-1, 4, 4)
+        pairs = marginal_stack(amplitudes, n_qubits, pair_keeps).reshape(-1, 4, 4)
         density_spectra(pairs)
         concurrence = spin_flip_concurrences(pairs).reshape(count, len(given))
         rho_a = marginal_stack(amplitudes, n_qubits, [(focus,)])[:, 0]
@@ -374,6 +371,19 @@ class ChainBatch:
         baseline_sum = powered.sum(axis=2)
         return BatchTable(m, proven.any(axis=2)[plan.which], lhs, new_bound, baseline_weighted, baseline_sum,
                           lhs - new_bound, new_bound - np.maximum(baseline_weighted, baseline_sum))
+
+
+@lru_cache(maxsize=64)
+def _chain_plan(n_qubits: int, focus: int, order: tuple[int, ...] | None) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The checked given order of a register shape, and the (focus, partner) keep of each pair in it."""
+    # a ValueError (a bad focus, checked first, or a bad order) is not cached and raises again on the next call
+    if not (0 <= focus < n_qubits):
+        raise ValueError(f"focus {focus} out of range for {n_qubits} qubits")
+    rest = [i for i in range(n_qubits) if i != focus]
+    given = tuple(rest) if order is None else tuple(int(i) for i in order)
+    if sorted(given) != rest:
+        raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
+    return given, tuple((focus, b) for b in given)
 
 
 class _TablePlan(NamedTuple):

@@ -35,6 +35,8 @@ EXIT_USAGE = 2
 _REPORT_COLUMNS = ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new", "residual_gap")
 _SWEEP_COLUMNS = ("alpha",) + _REPORT_COLUMNS[:4]
 _STATE_COLUMNS = ("measure", "q", "alpha", "m") + _REPORT_COLUMNS
+# options read by --state and --example only; a campaign always takes focus 0 and its auto splits
+_PER_STATE_OPTIONS = ("focus", "order", "m", "alpha", "alpha_min", "alpha_max", "alpha_step")
 _VERIFY_COLUMNS = ("measure", "q", "alpha", "tested", "asserted", "undetermined", "inapplicable") + tuple(
     "min_" + c for c in _REPORT_COLUMNS[4:]
 )
@@ -85,8 +87,8 @@ def _parse_order(text: str | None):
         raise ValueError(f"--order expects comma-separated integers, got {text!r}")
 
 
-def _parse_m(text: str):
-    if text == "auto":
+def _parse_m(text: str | None):
+    if text is None or text == "auto":
         return None
     try:
         return int(text)
@@ -132,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="floor,2,3",
         help="--verify exponents; 'floor' resolves per measure",
     )
-    p.add_argument("--focus", type=int, default=0, help="focus qubit A")
+    p.add_argument("--focus", type=int, default=None, help="focus qubit A (default: 0)")
     p.add_argument("--order", default=None, help="comma-separated pair order of the other qubits")
-    p.add_argument("--m", default="auto", help="ladder split position, or 'auto'")
+    p.add_argument("--m", default=None, help="ladder split position, or 'auto' (the default)")
     p.add_argument("--n-qubits", type=int, default=3, help="register size for --verify")
     p.add_argument("--samples", type=int, default=100, help="random states for --verify")
     p.add_argument("--seed", type=int, default=0, help="base seed; --verify draws state k with seed + k")
@@ -152,7 +154,7 @@ def cmd_example(args) -> int:
     lo = args.alpha_min if args.alpha_min is not None else measure.alpha_floor
     hi = args.alpha_max if args.alpha_max is not None else 5.0
     step = args.alpha_step if args.alpha_step is not None else 0.05
-    reports = alpha_sweep(psi, args.focus, measure, alpha_grid(lo, hi, step), order=_parse_order(args.order), m=_parse_m(args.m))
+    reports = alpha_sweep(psi, args.focus or 0, measure, alpha_grid(lo, hi, step), order=_parse_order(args.order), m=_parse_m(args.m))
     _write_lines(_sweep_rows(reports), args.out)
     return EXIT_OK
 
@@ -165,25 +167,24 @@ def cmd_state(args) -> int:
     alpha = args.alpha if args.alpha is not None else measure.alpha_floor
     report = monogamy_report(
         psi,
-        args.focus,
+        args.focus or 0,
         measure,
         alpha,
         order=_parse_order(args.order),
         m=_parse_m(args.m),
     )
     cell = _cells(report, _STATE_COLUMNS, measure=measure.name, q=math.nan if measure.q is None else measure.q)
-    print(f"state: {args.state}")
-    print(f"qubits: {psi.n_qubits}  focus: {report.focus}  pair order: "
-          + ",".join(str(b) for b in report.order))
-    print(
+    lines = [
+        f"state: {args.state}",
+        f"qubits: {psi.n_qubits}  focus: {report.focus}  pair order: " + ",".join(str(b) for b in report.order),
         f"measure: {cell['measure']}  q: {cell['q']}  alpha: {cell['alpha']}  "
-        f"m: {cell['m']}  asserted: {'yes' if report.asserted else 'no'}"
-    )
-    print("verdicts: " + ",".join(v.value for v in report.preconditions.verdicts))
-    print("pair_values: " + ",".join(_fmt(v) for v in report.pair_values))
-    print("weights: " + ",".join(_fmt(w) for w in report.weights))
-    for c in _REPORT_COLUMNS:
-        print(f"{c}: {cell[c]}")
+        f"m: {cell['m']}  asserted: {'yes' if report.asserted else 'no'}",
+        "verdicts: " + ",".join(v.value for v in report.preconditions.verdicts),
+        "pair_values: " + ",".join(_fmt(v) for v in report.pair_values),
+        "weights: " + ",".join(_fmt(w) for w in report.weights),
+    ]
+    lines += [f"{c}: {cell[c]}" for c in _REPORT_COLUMNS]
+    _write_lines(lines, None)
     if args.out is not None:
         _write_lines([",".join(_STATE_COLUMNS), ",".join(cell.values())], args.out)
     if report.asserted and not report.residual_new >= -args.tolerance:  # a NaN residual is a violation
@@ -191,7 +192,14 @@ def cmd_state(args) -> int:
     return EXIT_OK
 
 
+def _reject_per_state_options(args) -> None:
+    given = [f"--{name.replace('_', '-')}" for name in _PER_STATE_OPTIONS if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} {'does' if len(given) == 1 else 'do'} not apply to --verify")
+
+
 def cmd_verify(args) -> int:
+    _reject_per_state_options(args)
     names = (args.measure or "concurrence,eof,cren,tsallis").split(",")
     kinds = tuple(_parse_measure(nm, args.q) for nm in names)
     tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, args.alphas.split(",")))

@@ -15,6 +15,11 @@ a density matrix is reshaped to one row and one column axis per factor
 and its traced factors are contracted with einsum.  The two-qubit
 marginals of a focus qubit come as one (k, 4, 4) stack, validated by
 the same density_spectra that checks a single DensityMatrix.
+
+What a marginal needs from the register alone, each keep's validated
+kept-first axis permutation, is planned once per (register size, keeps)
+and cached (_marginal_plan), so repeated reports on registers of one
+shape only copy, conjugate and multiply.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -78,9 +84,8 @@ class Ket:
         M M^dagger.  Costs O(4^k 2^(n-k)) rather than the O(4^n) of
         tracing the projector.  This is marginal_stack on one ket.
         """
-        kept = _sorted_keep(keep, self.n_qubits)
-        entries = marginal_stack(self.amplitudes[None], self.n_qubits, [kept])[0, 0]
-        return DensityMatrix((2,) * len(kept), entries)
+        entries = marginal_stack(self.amplitudes[None], self.n_qubits, [keep])[0, 0]
+        return DensityMatrix((2,) * len(keep), entries)  # the plan rejected a duplicate, so k = len(keep)
 
     def pair_marginals(self, focus: int, partners: Sequence[int]) -> np.ndarray:
         """The (len(partners), 4, 4) stack of the marginals of (focus, b), b in ``partners``.
@@ -100,26 +105,39 @@ def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequen
     Every entry of ``keeps`` names k qubits (d = 2^k, the same k for all);
     entry [j, i] is the reduced state of ket j on ``keeps[i]``, kept
     qubits in register order.  It is M M^dagger with M the kept-first
-    transpose of the ket as a d x 2^(n-k) matrix.  M and its conjugate
-    are written into the same two (B, d, 2^(n-k)) buffers for every keep,
-    so besides the kets the peak is two copies of them.  The stack is not
-    validated; density_spectra checks it.
+    transpose of the ket as a d x 2^(n-k) matrix; the transposes come
+    from _marginal_plan.  M and its conjugate are written into the same
+    two (B, d, 2^(n-k)) buffers for every keep, so besides the kets the
+    peak is two copies of them.  The stack is not validated;
+    density_spectra checks it.
     """
-    kept = [_sorted_keep(keep, n_qubits) for keep in keeps]
-    d = 2 ** len(kept[0]) if kept else 1
+    keeps = tuple(map(tuple, keeps))
+    perms = _marginal_plan(n_qubits, keeps)  # also rejects an empty, duplicate or out-of-range keep
+    d = 2 ** len(keeps[0]) if keeps else 1
     count = amplitudes.shape[0]
-    stack = np.empty((count, len(kept), d, d), dtype=np.complex128)
+    stack = np.empty((count, len(keeps), d, d), dtype=np.complex128)
     m = np.empty((count, d, amplitudes.shape[1] // d), dtype=np.complex128)
     m_conj = np.empty_like(m)
     kets = amplitudes.reshape((count,) + (2,) * n_qubits)
-    for i, keep in enumerate(kept):
-        # one axis per qubit, the kept ones first, then the traced ones in register order
-        traced = [q for q in range(n_qubits) if q not in keep]
-        view = kets.transpose([0] + [1 + q for q in keep + traced])
-        np.copyto(m.reshape(view.shape), view)
+    m_axes = m.reshape(kets.shape)
+    for i, perm in enumerate(perms):
+        np.copyto(m_axes, kets.transpose(perm))
         np.conjugate(m, out=m_conj)
         np.matmul(m, m_conj.swapaxes(1, 2), out=stack[:, i])
     return stack
+
+
+@lru_cache(maxsize=64)
+def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Per keep, the permutation of the axes of a (B, 2, ..., 2) ket array that puts the
+    kept qubits first and then the traced ones, each in register order."""
+    # a ValueError (a bad keep) is not cached and raises again on the next call
+    perms = []
+    for keep in keeps:
+        kept = _sorted_keep(keep, n_qubits)
+        traced = [q for q in range(n_qubits) if q not in kept]
+        perms.append((0,) + tuple(1 + q for q in kept + traced))
+    return tuple(perms)
 
 
 def density_spectra(stack: np.ndarray) -> np.ndarray:
@@ -274,8 +292,8 @@ def load_state(path) -> Ket:
     with 2**n amplitude pairs.  A norm deviating from 1 by at most 1e-6
     is renormalized; larger deviations are rejected.  Three passes over
     the types and lengths check that every entry is a pair of numbers,
-    and one numpy call decodes them all; the first malformed or
-    overflowing pair is named by index.
+    and one np.fromiter over the flattened pairs converts them all; the
+    first malformed or overflowing pair is named by index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -285,6 +303,7 @@ def load_state(path) -> Ket:
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    del text  # not read again; freed here, it stays out of the heap peak of the conversion below
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be an object")
     try:
@@ -307,8 +326,8 @@ def load_state(path) -> Ket:
         i = next(i for i, pair in enumerate(raw) if not _is_pair(pair))
         raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {raw[i]!r}")
     try:
-        # the (re, im) rows in float64 are the complex128 amplitudes; ints round as float() rounds them
-        amp = np.array(raw, dtype=np.float64).view(np.complex128).reshape(-1)
+        # the (re, im) pairs in float64 are the complex128 amplitudes; ints round as float() rounds them
+        amp = np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw)).view(np.complex128)
     except OverflowError:  # only an int overflows: a JSON float that large parses as inf
         i = next(i for i, pair in enumerate(raw) if any(type(v) is int and abs(v) >= _INT_OVERFLOW for v in pair))
         raise StateFileError(f"{path}: amplitude {i} is beyond the float range") from None
@@ -324,11 +343,12 @@ def load_state(path) -> Ket:
 
 
 def save_state(ket: Ket, path) -> None:
-    """Write a ket to the JSON state file format accepted by load_state."""
-    data = {
-        "n_qubits": ket.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in ket.amplitudes],
-    }
+    """Write a ket to the JSON state file format accepted by load_state.
+
+    The file is ``{"n_qubits": n, "amplitudes": [[re, im], ...]}`` on one
+    line, each number written as Python's repr of the float, and a newline.
+    """
+    pairs = ket.amplitudes.view(np.float64).reshape(-1, 2).tolist()
+    text = json.dumps({"n_qubits": ket.n_qubits, "amplitudes": pairs}) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
+        fh.write(text)

@@ -264,6 +264,27 @@ def test_report_validation():
         monogamy_report(bell, 0, CONCURRENCE, 2.0)
 
 
+@pytest.mark.parametrize("focus, order, message", [
+    (3, None, "focus 3 out of range for 3 qubits"),
+    (-1, None, "focus -1 out of range for 3 qubits"),
+    (0, (1, 1), r"order \(1, 1\) is not a permutation of the non-focus qubits \[1, 2\]"),
+    (0, (0, 2), r"order \(0, 2\) is not a permutation"),
+    (2, (1,), r"order \(1,\) is not a permutation of the non-focus qubits \[0, 1\]"),
+    (5, (1, 1), "focus 5 out of range"),  # both bad: the focus is reported
+])
+def test_a_bad_focus_or_order_raises_the_same_message_every_time(focus, order, message):
+    psi = scenario1_state()
+    monogamy.bounds._chain_plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            monogamy_report(psi, focus, CONCURRENCE, 2.0, order=order)
+    assert monogamy.bounds._chain_plan.cache_info().currsize == 0
+    # a good call in between leaves the error as it was
+    monogamy_report(psi, 0, CONCURRENCE, 2.0, order=(2, 1))
+    with pytest.raises(ValueError, match=message):
+        monogamy_report(psi, focus, CONCURRENCE, 2.0, order=order)
+
+
 def test_dominance_over_baselines_random_states():
     # ladder weights dominate both baselines pointwise, so the bound does too
     for k in range(40):

@@ -439,6 +439,47 @@ def test_reused_parser_carries_nothing_over(state_file, tmp_path, capsys):
     assert monogamy.cli.build_parser.cache_info().misses == 1
 
 
+def test_state_calls_plan_once_per_register_shape(state_file, tmp_path, capsys):
+    chain_plan, marginal_plan = monogamy.bounds._chain_plan, monogamy.qstate._marginal_plan
+    chain_plan.cache_clear()
+    marginal_plan.cache_clear()
+    for measure in ("concurrence", "eof", "cren", "tsallis", "eof"):
+        assert main(["--state", state_file, "--measure", measure]) == 0
+    # one chain plan, and one marginal plan each for the pair keeps and the focus keep
+    assert (chain_plan.cache_info().misses, chain_plan.cache_info().hits) == (1, 4)
+    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (2, 8)
+    wide = tmp_path / "wide.json"
+    save_state(haar_random(5, 3), wide)
+    for argv in (["--focus", "1"], ["--focus", "1"], ["--focus", "1", "--order", "4,3,2,0"], []):
+        assert main(["--state", str(wide), *argv]) == 0
+    # three more shapes: (5, focus 1), (5, focus 1, an order), (5, focus 0)
+    assert (chain_plan.cache_info().misses, chain_plan.cache_info().hits) == (4, 5)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("option, value", [("--focus", "7"), ("--focus", "0"), ("--order", "9,9"), ("--m", "5"),
+                                           ("--m", "auto"), ("--alpha", "0.1"), ("--alpha-min", "2"),
+                                           ("--alpha-max", "3"), ("--alpha-step", "0.5")])
+def test_verify_rejects_the_per_state_options(option, value, capsys, monkeypatch):
+    # a campaign reads none of them; given, each exits 2 by name before any state is drawn
+    def no_draw(out, seed):
+        raise AssertionError(f"drew {out.shape[1]} amplitudes")
+
+    monkeypatch.setattr(monogamy.campaign, "haar_rows", no_draw)
+    assert main(["--verify", "--n-qubits", "3", "--samples", "3", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option} does not apply to --verify\n"
+
+
+def test_verify_names_every_per_state_option_given(capsys):
+    argv = ["--verify", "--n-qubits", "3", "--samples", "3", "--focus", "7", "--order", "9,9", "--m", "5", "--alpha", "0.1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --focus, --order, --m, --alpha do not apply to --verify\n"
+
+
 def test_campaign_memory_on_a_wide_register():
     # the per-state scratch of a draw is gone before the analysis, whose peak stays within 48 * 2^n
     import tracemalloc

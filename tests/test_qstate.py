@@ -21,6 +21,7 @@ from monogamy import (
     trace_norm,
     w_state,
 )
+import monogamy.qstate
 from monogamy.qstate import density_spectra
 from monogamy.states import SchmidtParams
 from oracles import ptrace_loops, random_ket, random_mixed
@@ -365,3 +366,77 @@ def test_state_file_rejects_a_bad_entry_as_the_pair_by_pair_loop(tmp_path, entry
             load_state(path)
         assert str(new.value) == str(old.value)
         assert f"amplitude {1 if index == 3 else index} " in str(new.value)
+
+
+def _hexes(a):
+    return [x.hex() for x in np.asarray(a).view(np.float64).ravel().tolist()]
+
+
+def _marginal_by_transpose(kets, n, keep):
+    # one keep at a time, no plan: the kets' kept-first transpose as (B, d, 2^(n-k)) times its conjugate transpose
+    kept = sorted(keep)
+    traced = [q for q in range(n) if q not in kept]
+    m = np.ascontiguousarray(kets.reshape((-1,) + (2,) * n).transpose([0] + [1 + q for q in kept + traced]))
+    m = m.reshape(len(kets), 2 ** len(kept), -1)
+    return np.matmul(m, m.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_marginal_stack_matches_a_per_keep_transpose_oracle(n):
+    # B = 292 is a 3-qubit campaign batch; larger registers take it up to n = 8 only, to keep the test small
+    for count in (1, 5, 292) if n <= 8 else (1, 5):
+        kets = np.array([random_ket(np_rng, 2**n) for _ in range(count)])
+        for keeps in ([(n - 1,), (0,), (n // 2,)],
+                      [(0, b) for b in range(1, n)],
+                      [(n - 1, 0), (2, 1), (1, n - 1)],  # unsorted
+                      [(2, 0, 1), (n - 1, 1, 0)]):
+            got = monogamy.qstate.marginal_stack(kets, n, keeps)
+            assert got.shape == (count, len(keeps)) + (2 ** len(keeps[0]),) * 2
+            for i, keep in enumerate(keeps):
+                assert _hexes(got[:, i]) == _hexes(_marginal_by_transpose(kets, n, keep)), (count, keep)
+
+
+def test_marginal_plan_is_made_once_per_register_shape():
+    plan = monogamy.qstate._marginal_plan
+    plan.cache_clear()
+    kets = np.array([random_ket(np_rng, 32)])
+    for keeps in ([(0, 1), (0, 4)], [[0, 1], [0, 4]], ((0, 1), (0, 4))):
+        monogamy.qstate.marginal_stack(kets, 5, keeps)
+    assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 2)
+    monogamy.qstate.marginal_stack(kets, 5, [(4, 0), (0, 1)])  # another keep order is another plan
+    assert plan.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("keep, message", [((), "must keep at least one factor"), ((1, 1), "duplicate indices"),
+                                           ((0, 5), r"keep=\(0, 5\) out of range for 5 factors"),
+                                           ((-1,), "out of range")])
+def test_a_bad_keep_raises_the_same_message_every_time(keep, message):
+    kets = np.array([random_ket(np_rng, 32)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            monogamy.qstate.marginal_stack(kets, 5, [(0, 1), keep])
+        with pytest.raises(ValueError, match=message):
+            Ket(5, kets[0]).marginal(keep)
+
+
+def _save_with_a_dump_loop(ket, path):
+    # the writer save_state replaced: a list of [float(re), float(im)] per amplitude, json.dump, a newline
+    data = {"n_qubits": ket.n_qubits, "amplitudes": [[float(a.real), float(a.imag)] for a in ket.amplitudes]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+
+
+def test_state_file_bytes_match_the_dump_loop(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    handmade = [
+        Ket(2, np.array([complex(0.6, -0.0), complex(-0.0, 0.0), 0.8j, complex(-0.0, -0.0)])),
+        Ket(2, np.array([complex(0.7071067811865476, 1e-300), 0, -0.7071067811865475, complex(5e-324, -5e-324)])),
+        Ket(1, np.array([complex(-1.0, -0.0), complex(2.2250738585072014e-308, -1e-310)])),
+        Ket(1, np.array([1.0, 0.0])),
+    ]
+    kets = handmade + [haar_random(n, 40 + n) for n in range(1, 11)]
+    for psi in kets:
+        save_state(psi, new)
+        _save_with_a_dump_loop(psi, old)
+        assert new.read_bytes() == old.read_bytes(), psi.n_qubits
