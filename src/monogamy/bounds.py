@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, cut_values, spin_flip_concurrences, value_of_concurrence, values_of_concurrence
+from .measures import MeasureKind, cut_values, spin_flip_concurrences, values_of_concurrence
 from .qstate import Ket, density_spectra, marginal_stack, physical_memory
 
 ALPHA_ATOL = 1e-12
@@ -323,13 +323,14 @@ class ChainBatch:
         Each step runs once at the level it depends on.  What depends on the
         keys and the pair count alone (factors, groupings, ladders) is
         planned once per key tuple (_table_plan).  Per measure, the pair
-        values and their floor powers come from the scalar maps of one
-        state's certificate, and the given and the ranked chains of all M
-        measures and B states are certified as one stack of 2*M*B rows.  Per
-        distinct alpha, the pair values of the measures that take it are
-        raised by one numpy pow; the cut values are raised by Python's pow,
-        as one state's report raises them.  One stacked matmul applies the
-        new and the prior ladder of every key, a dot product per state.
+        values come from one values_of_concurrence pass over all B*(N-1)
+        concurrences, the list map that one state's certificate uses, and
+        the given and the ranked chains of all M measures and B states are
+        certified as one stack of 2*M*B rows.  Per distinct alpha, the
+        pair values of the measures that take it are raised by one numpy
+        pow; the cut values are raised by Python's pow, as one state's
+        report raises them.  One stacked matmul applies the new and the
+        prior ladder of every key, a dot product per state.
         """
         count, n_pairs = self.concurrence.shape
         if n_pairs < 2:
@@ -474,7 +475,7 @@ class ChainAnalysis:
         """
         cert = self._certificates.get(measure)
         if cert is None:
-            values = {b: value_of_concurrence(measure, c) for b, c in self.concurrence.items()}
+            values = dict(zip(self.concurrence, values_of_concurrence(measure, list(self.concurrence.values()))))
             given_pre, ranked_pre = [
                 _chain_preconditions([values[b] ** measure.alpha_floor for b in o]) for o in (self.given, self.ranked)
             ]

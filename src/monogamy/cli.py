@@ -10,9 +10,10 @@ Three modes, selected by exactly one of --example, --verify, --state:
 * --state PATH    evaluate the bound once for a state loaded from a
                   JSON state file.
 
-Exit codes: 0 on success, 1 when an asserted bound is violated beyond
---tolerance, 2 on usage or input errors.  Campaign state k is drawn
-with seed --seed + k; no environment variable changes it.
+Each mode rejects, by name, any option it does not read.  Exit codes: 0
+on success, 1 when an asserted bound is violated beyond --tolerance, 2 on
+usage or input errors (a rejected option among them).  Campaign state k
+is drawn with seed --seed + k; no environment variable changes it.
 """
 from __future__ import annotations
 
@@ -35,24 +36,26 @@ EXIT_USAGE = 2
 _REPORT_COLUMNS = ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new", "residual_gap")
 _SWEEP_COLUMNS = ("alpha",) + _REPORT_COLUMNS[:4]
 _STATE_COLUMNS = ("measure", "q", "alpha", "m") + _REPORT_COLUMNS
-# options read by --state and --example only; a campaign always takes focus 0 and its auto splits
-_PER_STATE_OPTIONS = ("focus", "order", "m", "alpha", "alpha_min", "alpha_max", "alpha_step")
 _VERIFY_COLUMNS = ("measure", "q", "alpha", "tested", "asserted", "undetermined", "inapplicable") + tuple(
     "min_" + c for c in _REPORT_COLUMNS[4:]
 )
+# a --verify row's summary line, filled from its cells in _VERIFY_COLUMNS order
+_VERIFY_LINE = "  {:<12} q={:<4} alpha={:<14} " + " ".join(c + "={}" for c in _VERIFY_COLUMNS[3:])
+# the options each mode never reads, in the order an error names them; a campaign always
+# takes focus 0 and its auto splits, a state file sets the register, an example its measure
+_UNREAD_OPTIONS = {
+    "example": ("measure", "alpha", "alphas", "n_qubits", "samples", "seed", "tolerance"),
+    "verify": ("focus", "order", "m", "alpha", "alpha_min", "alpha_max", "alpha_step"),
+    "state": ("alpha_min", "alpha_max", "alpha_step", "alphas", "n_qubits", "samples", "seed"),
+}
 
 
 def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-def _cells(obj, columns, **given) -> dict[str, str]:
-    """Column -> rendered cell; a column not in ``given`` is read off ``obj``."""
-    cells = {}
-    for c in columns:
-        v = given[c] if c in given else getattr(obj, c)
-        cells[c] = v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v)
-    return cells
+def _fmt_q(measure: MeasureKind) -> str:
+    return _fmt(math.nan if measure.q is None else measure.q)
 
 
 def _scenario(k: int, q: float):
@@ -71,7 +74,9 @@ def _scenario(k: int, q: float):
     raise ValueError(f"unknown scenario {k}; pick 1, 2, 3 or 4")
 
 
+@functools.lru_cache(maxsize=64)
 def _parse_measure(name: str, q: float) -> MeasureKind:
+    # a MeasureKind is immutable, so repeated calls share one; an unknown name raises again each time
     name = name.strip().lower()
     if name == "tsallis":
         return tsallis_kind(q)
@@ -101,8 +106,8 @@ def _write_lines(lines, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:  # the text's UTF-8 bytes, no newline translation
+            fh.write(text.encode())
 
 
 @functools.cache
@@ -131,16 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-step", type=float, default=None, help="sweep step (default: 0.05)")
     p.add_argument(
         "--alphas",
-        default="floor,2,3",
-        help="--verify exponents; 'floor' resolves per measure",
+        default=None,
+        help="--verify exponents; 'floor' resolves per measure (default: floor,2,3)",
     )
     p.add_argument("--focus", type=int, default=None, help="focus qubit A (default: 0)")
     p.add_argument("--order", default=None, help="comma-separated pair order of the other qubits")
     p.add_argument("--m", default=None, help="ladder split position, or 'auto' (the default)")
-    p.add_argument("--n-qubits", type=int, default=3, help="register size for --verify")
-    p.add_argument("--samples", type=int, default=100, help="random states for --verify")
-    p.add_argument("--seed", type=int, default=0, help="base seed; --verify draws state k with seed + k")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="violation threshold")
+    p.add_argument("--n-qubits", type=int, default=None, help="register size for --verify (default: 3)")
+    p.add_argument("--samples", type=int, default=None, help="random states for --verify (default: 100)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="base seed; --verify draws state k with seed + k (default: 0)")
+    p.add_argument("--tolerance", type=float, default=None, help="violation threshold (default: 1e-9)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     return p
 
@@ -149,7 +155,21 @@ def _sweep_rows(reports: list[BoundReport]) -> list[str]:
     return [",".join(_SWEEP_COLUMNS)] + [",".join(_fmt(getattr(r, c)) for c in _SWEEP_COLUMNS) for r in reports]
 
 
+def _reject_unread_options(args, mode: str) -> None:
+    given = [f"--{name.replace('_', '-')}" for name in _UNREAD_OPTIONS[mode] if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} {'does' if len(given) == 1 else 'do'} not apply to --{mode}")
+
+
+def _tolerance(args) -> float:
+    tolerance = 1e-9 if args.tolerance is None else args.tolerance
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance={tolerance!r} is not finite")
+    return tolerance
+
+
 def cmd_example(args) -> int:
+    _reject_unread_options(args, "example")
     psi, measure = _scenario(args.example, args.q)
     lo = args.alpha_min if args.alpha_min is not None else measure.alpha_floor
     hi = args.alpha_max if args.alpha_max is not None else 5.0
@@ -160,8 +180,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_state(args) -> int:
-    if not math.isfinite(args.tolerance):
-        raise ValueError(f"tolerance={args.tolerance!r} is not finite")
+    _reject_unread_options(args, "state")
+    tolerance = _tolerance(args)
     psi = load_state(args.state)
     measure = _parse_measure(args.measure or "concurrence", args.q)
     alpha = args.alpha if args.alpha is not None else measure.alpha_floor
@@ -173,43 +193,39 @@ def cmd_state(args) -> int:
         order=_parse_order(args.order),
         m=_parse_m(args.m),
     )
-    cell = _cells(report, _STATE_COLUMNS, measure=measure.name, q=math.nan if measure.q is None else measure.q)
+    values = [_fmt(getattr(report, c)) for c in _REPORT_COLUMNS]
+    cells = [measure.name, _fmt_q(measure), _fmt(report.alpha), str(report.m), *values]  # _STATE_COLUMNS
     lines = [
         f"state: {args.state}",
         f"qubits: {psi.n_qubits}  focus: {report.focus}  pair order: " + ",".join(str(b) for b in report.order),
-        f"measure: {cell['measure']}  q: {cell['q']}  alpha: {cell['alpha']}  "
-        f"m: {cell['m']}  asserted: {'yes' if report.asserted else 'no'}",
+        f"measure: {cells[0]}  q: {cells[1]}  alpha: {cells[2]}  "
+        f"m: {cells[3]}  asserted: {'yes' if report.asserted else 'no'}",
         "verdicts: " + ",".join(v.value for v in report.preconditions.verdicts),
         "pair_values: " + ",".join(_fmt(v) for v in report.pair_values),
         "weights: " + ",".join(_fmt(w) for w in report.weights),
     ]
-    lines += [f"{c}: {cell[c]}" for c in _REPORT_COLUMNS]
+    lines += [f"{c}: {v}" for c, v in zip(_REPORT_COLUMNS, values)]
     _write_lines(lines, None)
     if args.out is not None:
-        _write_lines([",".join(_STATE_COLUMNS), ",".join(cell.values())], args.out)
-    if report.asserted and not report.residual_new >= -args.tolerance:  # a NaN residual is a violation
+        _write_lines([",".join(_STATE_COLUMNS), ",".join(cells)], args.out)
+    if report.asserted and not report.residual_new >= -tolerance:  # a NaN residual is a violation
         return EXIT_VIOLATION
     return EXIT_OK
 
 
-def _reject_per_state_options(args) -> None:
-    given = [f"--{name.replace('_', '-')}" for name in _PER_STATE_OPTIONS if getattr(args, name) is not None]
-    if given:
-        raise ValueError(f"{', '.join(given)} {'does' if len(given) == 1 else 'do'} not apply to --verify")
-
-
 def cmd_verify(args) -> int:
-    _reject_per_state_options(args)
+    _reject_unread_options(args, "verify")
     names = (args.measure or "concurrence,eof,cren,tsallis").split(",")
     kinds = tuple(_parse_measure(nm, args.q) for nm in names)
-    tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, args.alphas.split(",")))
+    alphas = "floor,2,3" if args.alphas is None else args.alphas
+    tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, alphas.split(",")))
     config = CampaignConfig(
-        n_qubits=args.n_qubits,
-        samples=args.samples,
-        seed=args.seed,
+        n_qubits=3 if args.n_qubits is None else args.n_qubits,
+        samples=100 if args.samples is None else args.samples,
+        seed=0 if args.seed is None else args.seed,
         measures=kinds,
         alphas=tokens,
-        tolerance=args.tolerance,
+        tolerance=_tolerance(args),
     )
     rows, violation = run_campaign(config)
     lines = [
@@ -219,11 +235,10 @@ def cmd_verify(args) -> int:
     csv_lines = [",".join(_VERIFY_COLUMNS)]
     for r in rows:
         # undetermined stays a column of literal 0s: the pair-sum certificate decides every comparison
-        cell = _cells(r, _VERIFY_COLUMNS, measure=r.measure.name,
-                      q=math.nan if r.measure.q is None else r.measure.q, undetermined=0)
-        csv_lines.append(",".join(cell.values()))
-        lines.append(f"  {cell['measure']:<12} q={cell['q']:<4} alpha={cell['alpha']:<14} "
-                     + " ".join(f"{c}={cell[c]}" for c in _VERIFY_COLUMNS[3:]))
+        cells = (r.measure.name, _fmt_q(r.measure), _fmt(r.alpha), str(r.tested), str(r.asserted), "0",
+                 str(r.inapplicable), _fmt(r.min_residual_new), _fmt(r.min_residual_gap))  # _VERIFY_COLUMNS
+        csv_lines.append(",".join(cells))
+        lines.append(_VERIFY_LINE.format(*cells))
     _write_lines(lines, None)
     if args.out is not None:
         _write_lines(csv_lines, args.out)

@@ -1,9 +1,16 @@
 """Entanglement measures for pure multiqubit cuts and two-qubit mixed states.
 
 Each measure is two maps: a pure-state cut value read from the side-A reduced
-state, ``cut_value_of_marginal(kind, rho_a)`` or ``pure_cut_value(kind, psi,
+state, ``cut_values(kind, entries, spectra)`` on a batch of reduced states,
+``cut_value_of_marginal(kind, rho_a)`` or ``pure_cut_value(kind, psi,
 side_a)`` with the cut named by its side-A qubits; and a two-qubit closed form
-in the pair concurrence C, ``value_of_concurrence(kind, c)`` or ``pair_value(kind, rho)``.
+in the pair concurrence C, ``values_of_concurrence(kind, cs)`` on a list of
+concurrences or ``pair_value(kind, rho)``.
+
+The closed forms f(C^2) of EOF and g_q(C^2) of tsallis have one
+implementation: the list maps behind values_of_concurrence, one list
+comprehension over a whole batch in scalar math arithmetic.  eof_f and
+tsallis_g are those maps on one value.
 
 The pair concurrence has one spin-flip kernel, spin_flip_concurrences, which
 takes a (k, 4, 4) stack of two-qubit states and returns their k concurrences
@@ -94,30 +101,47 @@ def binary_entropy(x: float) -> float:
     return h
 
 
+def _unit_values(xs: list[float]) -> list[float]:
+    """_unit_interval(x, "x") of each of ``xs``: the first one outside [0, 1] raises, the others are clamped."""
+    if min(xs, default=0.0) >= 0.0 and max(xs, default=0.0) <= 1.0 and not math.isnan(sum(xs)):
+        return xs  # none outside [0, 1], so clamping would change none
+    return [_unit_interval(x, "x") for x in xs]
+
+
+def _eof_values(xs: list[float]) -> list[float]:
+    # f(x) = H(p), p = (1 + sqrt(1 - x)) / 2 in [1/2, 1], as binary_entropy sums it; H(1) = 0.0
+    return [0.0 - p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p) if (p := (1.0 + math.sqrt(1.0 - x)) / 2.0) < 1.0
+            else 0.0 for x in _unit_values(xs)]
+
+
+def _tsallis_values(q: float, xs: list[float]) -> list[float]:
+    # g_q(x) with s = sqrt(1 - x): [1 - ((1+s)/2)^q - ((1-s)/2)^q] / (q - 1), by Python's pow
+    q_minus_1 = q - 1.0
+    return [(1.0 - ((1.0 + (s := math.sqrt(1.0 - x))) / 2.0) ** q - ((1.0 - s) / 2.0) ** q) / q_minus_1
+            for x in _unit_values(xs)]
+
+
 def eof_f(x: float) -> float:
     """f(x) = H((1 + sqrt(1 - x)) / 2) on [0, 1].
 
     Feeding x = C^2 turns a two-qubit concurrence into the matching
-    entanglement of formation.
+    entanglement of formation.  This is the batch map of
+    values_of_concurrence on one value.
     """
-    x = _unit_interval(float(x), "x")
-    return binary_entropy((1.0 + math.sqrt(1.0 - x)) / 2.0)
+    return _eof_values([float(x)])[0]
 
 
 def tsallis_g(q: float, x: float) -> float:
     """g_q(x) = [1 - ((1+s)/2)^q - ((1-s)/2)^q] / (q - 1) with s = sqrt(1 - x).
 
     Valid for q in [2, 3]; feeding x = C^2 turns a two-qubit concurrence
-    into the matching tsallis-q entanglement.
+    into the matching tsallis-q entanglement.  This is the batch map of
+    values_of_concurrence on one value.
     """
     q = float(q)
     if not (2.0 - DOMAIN_ATOL <= q <= 3.0 + DOMAIN_ATOL):
         raise ValueError(f"q={q!r} outside the supported range [2, 3]")
-    x = _unit_interval(float(x), "x")
-    s = math.sqrt(1.0 - x)
-    hi = (1.0 + s) / 2.0
-    lo = (1.0 - s) / 2.0
-    return (1.0 - hi**q - lo**q) / (q - 1.0)
+    return _tsallis_values(q, [float(x)])[0]
 
 
 def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
@@ -186,7 +210,11 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
     negativity.  Each value is bit for bit the one-state formula.
     """
     if kind.name == "concurrence":
-        return np.array([math.sqrt(max(2.0 * (1.0 - _purity(e)), 0.0)) for e in entries])
+        # Tr rho_A^2 of every state from one conjugated product: bit for bit np.vdot(e, e).real of each,
+        # clamped to [0, 1] as qstate.purity clamps it
+        flat = entries.reshape(len(entries), -1)
+        purity = np.minimum(np.maximum(np.vecdot(flat, flat).real, 0.0), 1.0)
+        return np.sqrt(2.0 * (1.0 - purity))
     # eigenvalues within rounding of zero enter entropies and roots as 0
     lam = np.where(spectra < 0.0, 0.0, spectra)
     if kind.name == "eof":
@@ -205,11 +233,6 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
     return np.maximum(np.sqrt(lam).sum(axis=1) ** 2 - 1.0, 0.0)
 
 
-def _purity(entries: np.ndarray) -> float:
-    # qstate.purity on a matrix of entries
-    return min(max(float(np.vdot(entries, entries).real), 0.0), 1.0)
-
-
 def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
     """Value of ``kind`` on a pure state whose side-A reduced state is ``rho_a``: cut_values on one state."""
     return float(cut_values(kind, rho_a.entries[None], rho_a.eigenvalues[None])[0])
@@ -222,26 +245,22 @@ def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:
     return cut_value_of_marginal(kind, psi.marginal(side_a))
 
 
-def value_of_concurrence(kind: MeasureKind, c: float) -> float:
-    """Two-qubit value of ``kind`` from the pair concurrence ``c``.
+def values_of_concurrence(kind: MeasureKind, cs: list[float]) -> list[float]:
+    """Two-qubit value of ``kind`` from each pair concurrence in ``cs``.
 
-    Concurrence and CREN take C itself, EOF takes eof_f(C^2) and tsallis
-    takes g_q(C^2).
+    Concurrence and CREN take C itself, so ``cs`` is returned; EOF takes
+    f(C^2) and tsallis g_q(C^2), each as one list comprehension over all of
+    ``cs`` in math.sqrt, math.log2 and Python's pow (eof_f and tsallis_g
+    are the same maps on one value).  A C^2 outside [0, 1] raises for the
+    first such value.
     """
     if kind.name == "eof":
-        return eof_f(c * c)
+        return _eof_values([c * c for c in cs])
     if kind.name == "tsallis":
-        return tsallis_g(kind.q, c * c)
-    return c
-
-
-def values_of_concurrence(kind: MeasureKind, cs: list[float]) -> list[float]:
-    """value_of_concurrence of each of ``cs``; concurrence and CREN take C itself, so ``cs`` is returned."""
-    if kind.name in ("eof", "tsallis"):
-        return [value_of_concurrence(kind, c) for c in cs]
+        return _tsallis_values(float(kind.q), [c * c for c in cs])
     return cs
 
 
 def pair_value(kind: MeasureKind, rho: DensityMatrix) -> float:
     """Value of ``kind`` on a two-qubit mixed state via its closed form."""
-    return value_of_concurrence(kind, concurrence_two_qubit(rho))
+    return values_of_concurrence(kind, [concurrence_two_qubit(rho)])[0]

@@ -78,8 +78,9 @@ def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
     ``numpy.random.default_rng(seed + j)`` as one ``standard_normal(2 *
     2**n)`` call whose first half holds the real parts and whose second
     half the imaginary parts, the same numbers as two draws of 2**n, real
-    first.  The row is then divided by its norm.  Identical seeds
-    therefore yield identical states on every platform numpy supports.
+    first.  The row is then divided by its norm, taken with the arithmetic
+    of numpy.linalg.norm.  Identical seeds therefore yield identical states
+    on every platform numpy supports.
     Each draw passes through a scratch of 2 * 2**n floats that is freed
     before the next; the rows are checked for unit norm together.
     Returns ``out``.
@@ -87,9 +88,11 @@ def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
     count, dim = out.shape
     pairs = out.view(np.float64).reshape(count, dim, 2)  # (real, imaginary) of each amplitude
     norms = np.empty(count)
+    real, imag = out.real, out.imag
     for j in range(count):
         pairs[j] = np.random.default_rng(int(seed) + j).standard_normal(2 * dim).reshape(2, dim).T
-        norms[j] = np.linalg.norm(out[j])
+        re, im = real[j], imag[j]
+        norms[j] = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm(out[j]), its two strided dots and root
     if not norms.all():
         raise ValueError("degenerate zero draw")
     out /= norms[:, None]

@@ -551,3 +551,111 @@ def test_campaign_rows_match_state_by_state_reports():
             assert row.min_residual_new == min(r.residual_new for r in asserted)
         else:
             assert math.isnan(row.min_residual_new)
+
+
+def _written(path):
+    # the --out file as lines, after checking it is UTF-8 text with bare "\n" line ends
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
+    return data.decode("utf-8").split("\n")[:-1]
+
+
+def test_out_bytes_match_the_printed_rows_in_every_mode(state_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    # --example prints its CSV: the file holds the same bytes
+    argv = ["--example", "4", "--q", "2.5", "--alpha-step", "0.25"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+    # --state prints a report: its CSV row holds the cells the report prints
+    assert main(["--state", state_file, "--measure", "tsallis", "--q", "2.5", "--alpha", "3", "--out", str(out)]) == 0
+    fields = {}
+    for line in capsys.readouterr().out.splitlines():
+        for part in line.split("  "):
+            key, _, value = part.partition(": ")
+            fields[key] = value
+    header, row = _written(out)
+    assert header.split(",") == list(monogamy.cli._STATE_COLUMNS)
+    assert row.split(",") == [fields[c] for c in monogamy.cli._STATE_COLUMNS]
+
+    # --verify prints a summary line per row, the one the per-cell renderer wrote from the CSV cells
+    argv = ["--verify", "--n-qubits", "4", "--samples", "9", "--seed", "2", "--measure", "eof,cren,tsallis",
+            "--alphas", "floor,3.25", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    header, *rows = _written(out)
+    columns = header.split(",")
+    assert columns == list(monogamy.cli._VERIFY_COLUMNS)
+    cells = [dict(zip(columns, row.split(","))) for row in rows]
+    assert len(cells) == 6 and all(len(c) == len(columns) for c in cells)
+    assert printed[1:-1] == [f"  {c['measure']:<12} q={c['q']:<4} alpha={c['alpha']:<14} "
+                             + " ".join(f"{k}={c[k]}" for k in columns[3:]) for c in cells]
+
+
+def test_parsed_measures_are_shared_and_errors_are_not_cached():
+    parse = monogamy.cli._parse_measure
+    parse.cache_clear()
+    assert parse(" EOF", 2.0) is parse(" EOF", 2.0) == EOF
+    assert parse("tsallis", 2.5) == tsallis_kind(2.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown measure 'entropy'"):
+            parse("entropy", 2.0)
+        with pytest.raises(ValueError, match="outside the supported range"):
+            parse("tsallis", 3.5)
+    assert (parse.cache_info().currsize, parse.cache_info().maxsize) == (2, 64)
+
+
+@pytest.mark.parametrize("option, value", [("--alpha-min", "2"), ("--alpha-max", "3"), ("--alpha-step", "0.1"),
+                                           ("--alphas", "9"), ("--n-qubits", "5"), ("--samples", "7"),
+                                           ("--seed", "0")])
+def test_state_rejects_the_options_it_does_not_read(option, value, state_file, capsys, monkeypatch):
+    # given, each exits 2 by name before the state file is read
+    def no_load(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(monogamy.cli, "load_state", no_load)
+    assert main(["--state", state_file, option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option} does not apply to --state\n"
+
+
+@pytest.mark.parametrize("option, value", [("--measure", "eof"), ("--alpha", "3"), ("--alphas", "2"),
+                                           ("--n-qubits", "5"), ("--samples", "7"), ("--seed", "1"),
+                                           ("--tolerance", "0.1")])
+def test_example_rejects_the_options_it_does_not_read(option, value, capsys, monkeypatch):
+    # given, each exits 2 by name before any sweep is run
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(monogamy.cli, "alpha_sweep", no_sweep)
+    assert main(["--example", "1", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option} does not apply to --example\n"
+
+
+def test_state_and_example_name_every_unread_option_given(state_file, capsys):
+    assert main(["--state", state_file, "--alpha-step", "0.1", "--samples", "7", "--alphas", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --alpha-step, --alphas, --samples do not apply to --state\n"
+    assert main(["--example", "1", "--alpha", "3", "--n-qubits", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --alpha, --n-qubits do not apply to --example\n"
+
+
+def test_unread_option_defaults_resolve_in_the_mode_that_reads_them(state_file, capsys):
+    assert main(["--verify", "--measure", "concurrence"]) == 0
+    implicit = capsys.readouterr().out
+    assert implicit.startswith("verify: n_qubits=3 samples=100 seed=0 tolerance=1e-09\n")
+    argv = ["--verify", "--measure", "concurrence", "--n-qubits", "3", "--samples", "100", "--seed", "0",
+            "--alphas", "floor,2,3", "--tolerance", "1e-9"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == implicit
+    assert main(["--state", state_file]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["--state", state_file, "--tolerance", "1e-9", "--focus", "0", "--m", "auto"]) == 0
+    assert capsys.readouterr().out == implicit

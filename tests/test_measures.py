@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
-from monogamy.measures import spin_flip_concurrences, spin_flip_mus
-from monogamy.states import SchmidtParams, gsd3
+from monogamy.measures import cut_values, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
+from monogamy.qstate import density_spectra, marginal_stack
+from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import min_avg_concurrence, random_ket, random_mixed, wootters_concurrence
 
 np_rng = np.random.default_rng(77)
@@ -323,3 +325,70 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
             got = spin_flip_concurrences(psi.pair_marginals(a, partners))
             want = [wootters_concurrence(psi.amplitudes, n, a, b) for b in partners]
             assert np.abs(got - want).max() <= 1e-12, (seed, a)
+
+
+def _scalar_pair_value(kind, c):
+    # the scalar chain the list maps replaced: value_of_concurrence -> eof_f / tsallis_g, one call per value
+    x = c * c
+    if not (-1e-12 <= x <= 1.0 + 1e-12):
+        raise ValueError(f"x={x!r} outside [0, 1]")
+    x = min(max(x, 0.0), 1.0)
+    if kind.name == "eof":
+        return binary_entropy((1.0 + math.sqrt(1.0 - x)) / 2.0)
+    s = math.sqrt(1.0 - x)
+    hi = (1.0 + s) / 2.0
+    lo = (1.0 - s) / 2.0
+    return (1.0 - hi**kind.q - lo**kind.q) / (kind.q - 1.0)
+
+
+PAIR_MAP_KINDS = (EOF, tsallis_kind(2.0), tsallis_kind(2.5), tsallis_kind(3.0))
+
+
+@pytest.mark.parametrize("kind", PAIR_MAP_KINDS, ids=lambda k: f"{k.name}-{k.q}")
+def test_pair_maps_match_the_scalar_chain_bit_for_bit(kind):
+    rng = np.random.default_rng(2024)
+    edges = [0.0, 1.0, 1e-8, 1.0 - 2.0**-53, 1.0 + 1e-13, -0.0, 5e-324]
+    cs = edges + rng.random(2000).tolist() + (rng.random(500) ** 12).tolist()
+    want = [_scalar_pair_value(kind, c).hex() for c in cs]
+    assert [v.hex() for v in values_of_concurrence(kind, cs)] == want
+    assert [values_of_concurrence(kind, [c])[0].hex() for c in edges] == want[: len(edges)]
+    # eof_f and tsallis_g are the same maps on one squared value
+    one = eof_f if kind is EOF else (lambda x: tsallis_g(kind.q, x))
+    assert [one(c * c).hex() for c in cs[:300]] == want[:300]
+    assert values_of_concurrence(kind, []) == []
+
+
+@pytest.mark.parametrize("kind", PAIR_MAP_KINDS, ids=lambda k: f"{k.name}-{k.q}")
+@pytest.mark.parametrize("cs", [[0.5, 1.5, 2.0], [0.2, math.nan, 3.0], [0.5, math.nan], [math.inf],
+                                [0.1, 1.0 + 1e-6, math.nan]])
+def test_pair_maps_raise_the_scalar_message_for_the_first_value_out_of_domain(kind, cs):
+    with pytest.raises(ValueError) as scalar:
+        for c in cs:
+            _scalar_pair_value(kind, c)
+    with pytest.raises(ValueError) as batch:
+        values_of_concurrence(kind, cs)
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_one_value_maps_keep_their_domain_messages():
+    for x in (1.01, -0.2, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"x={x!r} outside [0, 1]")):
+            eof_f(x)
+        with pytest.raises(ValueError, match=re.escape(f"x={x!r} outside [0, 1]")):
+            tsallis_g(2.5, x)
+    with pytest.raises(ValueError, match=re.escape("q=3.5 outside the supported range [2, 3]")):
+        tsallis_g(3.5, 2.0)  # the order is checked before the value
+    assert eof_f(-1e-13) == eof_f(0.0) and tsallis_g(2.0, 1.0 + 1e-13) == tsallis_g(2.0, 1.0)
+
+
+@pytest.mark.parametrize("count", [1, 5, 292])
+def test_concurrence_cut_values_match_per_state_purity(count):
+    # one batched conjugated product against the per-state np.vdot of qstate.purity, bit for bit
+    for n, keep in ((3, (0,)), (5, (4,)), (5, (1, 3))):
+        amplitudes = haar_rows(np.empty((count, 2**n), dtype=np.complex128), 70 * n + count)
+        entries = marginal_stack(amplitudes, n, [keep])[:, 0]
+        want = [math.sqrt(max(2.0 * (1.0 - min(max(float(np.vdot(e, e).real), 0.0), 1.0)), 0.0)).hex()
+                for e in entries]
+        got = cut_values(CONCURRENCE, entries, density_spectra(entries))
+        assert got.shape == (count,)
+        assert [v.hex() for v in got.tolist()] == want
