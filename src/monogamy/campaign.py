@@ -97,6 +97,11 @@ class CampaignRow:
     min_residual_new: float
     min_residual_gap: float
 
+    @property
+    def undetermined(self) -> int:
+        """States whose comparison was left undecided: none, since the pair-sum certificate decides every one."""
+        return 0
+
 
 def _nan_min(a: float, b: float) -> float:
     # min(a, b), but a NaN on either side wins: min() would keep whichever came first

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 
 from .bounds import BoundReport, alpha_grid, alpha_sweep, monogamy_report
@@ -39,6 +40,8 @@ _STATE_COLUMNS = ("measure", "q", "alpha", "m") + _REPORT_COLUMNS
 _VERIFY_COLUMNS = ("measure", "q", "alpha", "tested", "asserted", "undetermined", "inapplicable") + tuple(
     "min_" + c for c in _REPORT_COLUMNS[4:]
 )
+# counts are written as integers, every other number to 12 significant digits (as _fmt writes it)
+_COUNT_COLUMNS = frozenset({"m", "tested", "asserted", "undetermined", "inapplicable"})
 # a --verify row's summary line, filled from its cells in _VERIFY_COLUMNS order
 _VERIFY_LINE = "  {:<12} q={:<4} alpha={:<14} " + " ".join(c + "={}" for c in _VERIFY_COLUMNS[3:])
 # the options each mode never reads, in the order an error names them; a campaign always
@@ -48,14 +51,39 @@ _UNREAD_OPTIONS = {
     "verify": ("focus", "order", "m", "alpha", "alpha_min", "alpha_max", "alpha_step"),
     "state": ("alpha_min", "alpha_max", "alpha_step", "alphas", "n_qubits", "samples", "seed"),
 }
+# what an omitted option resolves to in the mode that reads it; the parser leaves it None, so
+# that a mode can tell a given option from an omitted one
+_DEFAULTS = {
+    "alpha_max": 5.0,
+    "alpha_step": 0.05,
+    "alphas": "floor,2,3",
+    "focus": 0,
+    "n_qubits": 3,
+    "samples": 100,
+    "seed": 0,
+    "tolerance": 1e-9,
+}
 
 
 def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-def _fmt_q(measure: MeasureKind) -> str:
-    return _fmt(math.nan if measure.q is None else measure.q)
+def _measure_cells(measure: MeasureKind) -> str:
+    """The measure and q cells that lead a --state or --verify row; q is nan for a measure without one."""
+    return f"{measure.name},{_fmt(math.nan if measure.q is None else measure.q)}"
+
+
+def _csv_renderer(columns):
+    """Render a row object's attributes named by ``columns`` as one CSV line, with one str.format."""
+    template = ",".join("{}" if c in _COUNT_COLUMNS else "{:.12g}" for c in columns)
+    values = operator.attrgetter(*columns)
+    return lambda row: template.format(*values(row))
+
+
+_render_sweep = _csv_renderer(_SWEEP_COLUMNS)
+_render_state = _csv_renderer(_STATE_COLUMNS[2:])
+_render_verify = _csv_renderer(_VERIFY_COLUMNS[2:])
 
 
 def _scenario(k: int, q: float):
@@ -132,27 +160,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=2.0, help="tsallis order, in [2, 3]")
     p.add_argument("--alpha", type=float, default=None, help="exponent for --state mode")
     p.add_argument("--alpha-min", type=float, default=None, help="sweep start (default: measure floor)")
-    p.add_argument("--alpha-max", type=float, default=None, help="sweep end (default: 5)")
-    p.add_argument("--alpha-step", type=float, default=None, help="sweep step (default: 0.05)")
+    p.add_argument("--alpha-max", type=float, default=None, help=f"sweep end (default: {_DEFAULTS['alpha_max']})")
+    p.add_argument("--alpha-step", type=float, default=None, help=f"sweep step (default: {_DEFAULTS['alpha_step']})")
     p.add_argument(
         "--alphas",
         default=None,
-        help="--verify exponents; 'floor' resolves per measure (default: floor,2,3)",
+        help=f"--verify exponents; 'floor' resolves per measure (default: {_DEFAULTS['alphas']})",
     )
-    p.add_argument("--focus", type=int, default=None, help="focus qubit A (default: 0)")
+    p.add_argument("--focus", type=int, default=None, help=f"focus qubit A (default: {_DEFAULTS['focus']})")
     p.add_argument("--order", default=None, help="comma-separated pair order of the other qubits")
     p.add_argument("--m", default=None, help="ladder split position, or 'auto' (the default)")
-    p.add_argument("--n-qubits", type=int, default=None, help="register size for --verify (default: 3)")
-    p.add_argument("--samples", type=int, default=None, help="random states for --verify (default: 100)")
+    p.add_argument("--n-qubits", type=int, default=None,
+                   help=f"register size for --verify (default: {_DEFAULTS['n_qubits']})")
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"random states for --verify (default: {_DEFAULTS['samples']})")
     p.add_argument("--seed", type=int, default=None,
-                   help="base seed; --verify draws state k with seed + k (default: 0)")
-    p.add_argument("--tolerance", type=float, default=None, help="violation threshold (default: 1e-9)")
+                   help=f"base seed; --verify draws state k with seed + k (default: {_DEFAULTS['seed']})")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help=f"violation threshold (default: {_DEFAULTS['tolerance']})")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     return p
 
 
 def _sweep_rows(reports: list[BoundReport]) -> list[str]:
-    return [",".join(_SWEEP_COLUMNS)] + [",".join(_fmt(getattr(r, c)) for c in _SWEEP_COLUMNS) for r in reports]
+    return [",".join(_SWEEP_COLUMNS)] + [_render_sweep(r) for r in reports]
 
 
 def _reject_unread_options(args, mode: str) -> None:
@@ -161,8 +192,13 @@ def _reject_unread_options(args, mode: str) -> None:
         raise ValueError(f"{', '.join(given)} {'does' if len(given) == 1 else 'do'} not apply to --{mode}")
 
 
+def _option(args, name: str):
+    value = getattr(args, name)
+    return _DEFAULTS[name] if value is None else value
+
+
 def _tolerance(args) -> float:
-    tolerance = 1e-9 if args.tolerance is None else args.tolerance
+    tolerance = _option(args, "tolerance")
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance={tolerance!r} is not finite")
     return tolerance
@@ -172,9 +208,8 @@ def cmd_example(args) -> int:
     _reject_unread_options(args, "example")
     psi, measure = _scenario(args.example, args.q)
     lo = args.alpha_min if args.alpha_min is not None else measure.alpha_floor
-    hi = args.alpha_max if args.alpha_max is not None else 5.0
-    step = args.alpha_step if args.alpha_step is not None else 0.05
-    reports = alpha_sweep(psi, args.focus or 0, measure, alpha_grid(lo, hi, step), order=_parse_order(args.order), m=_parse_m(args.m))
+    grid = alpha_grid(lo, _option(args, "alpha_max"), _option(args, "alpha_step"))
+    reports = alpha_sweep(psi, _option(args, "focus"), measure, grid, order=_parse_order(args.order), m=_parse_m(args.m))
     _write_lines(_sweep_rows(reports), args.out)
     return EXIT_OK
 
@@ -187,27 +222,27 @@ def cmd_state(args) -> int:
     alpha = args.alpha if args.alpha is not None else measure.alpha_floor
     report = monogamy_report(
         psi,
-        args.focus or 0,
+        _option(args, "focus"),
         measure,
         alpha,
         order=_parse_order(args.order),
         m=_parse_m(args.m),
     )
-    values = [_fmt(getattr(report, c)) for c in _REPORT_COLUMNS]
-    cells = [measure.name, _fmt_q(measure), _fmt(report.alpha), str(report.m), *values]  # _STATE_COLUMNS
+    row = f"{_measure_cells(measure)},{_render_state(report)}"
+    cell = dict(zip(_STATE_COLUMNS, row.split(",")))
     lines = [
         f"state: {args.state}",
         f"qubits: {psi.n_qubits}  focus: {report.focus}  pair order: " + ",".join(str(b) for b in report.order),
-        f"measure: {cells[0]}  q: {cells[1]}  alpha: {cells[2]}  "
-        f"m: {cells[3]}  asserted: {'yes' if report.asserted else 'no'}",
+        f"measure: {cell['measure']}  q: {cell['q']}  alpha: {cell['alpha']}  "
+        f"m: {cell['m']}  asserted: {'yes' if report.asserted else 'no'}",
         "verdicts: " + ",".join(v.value for v in report.preconditions.verdicts),
         "pair_values: " + ",".join(_fmt(v) for v in report.pair_values),
         "weights: " + ",".join(_fmt(w) for w in report.weights),
     ]
-    lines += [f"{c}: {v}" for c, v in zip(_REPORT_COLUMNS, values)]
+    lines += [f"{c}: {cell[c]}" for c in _REPORT_COLUMNS]
     _write_lines(lines, None)
     if args.out is not None:
-        _write_lines([",".join(_STATE_COLUMNS), ",".join(cells)], args.out)
+        _write_lines([",".join(_STATE_COLUMNS), row], args.out)
     if report.asserted and not report.residual_new >= -tolerance:  # a NaN residual is a violation
         return EXIT_VIOLATION
     return EXIT_OK
@@ -217,12 +252,12 @@ def cmd_verify(args) -> int:
     _reject_unread_options(args, "verify")
     names = (args.measure or "concurrence,eof,cren,tsallis").split(",")
     kinds = tuple(_parse_measure(nm, args.q) for nm in names)
-    alphas = "floor,2,3" if args.alphas is None else args.alphas
-    tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, alphas.split(",")))
+    alphas = _option(args, "alphas").split(",")
+    tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, alphas))
     config = CampaignConfig(
-        n_qubits=3 if args.n_qubits is None else args.n_qubits,
-        samples=100 if args.samples is None else args.samples,
-        seed=0 if args.seed is None else args.seed,
+        n_qubits=_option(args, "n_qubits"),
+        samples=_option(args, "samples"),
+        seed=_option(args, "seed"),
         measures=kinds,
         alphas=tokens,
         tolerance=_tolerance(args),
@@ -234,11 +269,9 @@ def cmd_verify(args) -> int:
     ]
     csv_lines = [",".join(_VERIFY_COLUMNS)]
     for r in rows:
-        # undetermined stays a column of literal 0s: the pair-sum certificate decides every comparison
-        cells = (r.measure.name, _fmt_q(r.measure), _fmt(r.alpha), str(r.tested), str(r.asserted), "0",
-                 str(r.inapplicable), _fmt(r.min_residual_new), _fmt(r.min_residual_gap))  # _VERIFY_COLUMNS
-        csv_lines.append(",".join(cells))
-        lines.append(_VERIFY_LINE.format(*cells))
+        row = f"{_measure_cells(r.measure)},{_render_verify(r)}"
+        csv_lines.append(row)
+        lines.append(_VERIFY_LINE.format(*row.split(",")))
     _write_lines(lines, None)
     if args.out is not None:
         _write_lines(csv_lines, args.out)

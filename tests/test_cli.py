@@ -6,8 +6,8 @@ import pytest
 
 import monogamy
 from monogamy import (
-    CONCURRENCE, CREN, EOF, ChainAnalysis, WeightLadder, haar_random, monogamy_report, save_state, tsallis_kind,
-    w_state,
+    CONCURRENCE, CREN, EOF, ChainAnalysis, WeightLadder, alpha_grid, alpha_sweep, haar_random, monogamy_report,
+    save_state, tsallis_kind, w_state,
 )
 from monogamy.cli import CampaignConfig, main, run_campaign
 from monogamy.states import SchmidtParams, gsd3
@@ -581,7 +581,7 @@ def test_out_bytes_match_the_printed_rows_in_every_mode(state_file, tmp_path, ca
     assert header.split(",") == list(monogamy.cli._STATE_COLUMNS)
     assert row.split(",") == [fields[c] for c in monogamy.cli._STATE_COLUMNS]
 
-    # --verify prints a summary line per row, the one the per-cell renderer wrote from the CSV cells
+    # --verify prints a summary line per row, filled from the cells of its CSV row
     argv = ["--verify", "--n-qubits", "4", "--samples", "9", "--seed", "2", "--measure", "eof,cren,tsallis",
             "--alphas", "floor,3.25", "--out", str(out)]
     assert main(argv) == 0
@@ -659,3 +659,27 @@ def test_unread_option_defaults_resolve_in_the_mode_that_reads_them(state_file, 
     implicit = capsys.readouterr().out
     assert main(["--state", state_file, "--tolerance", "1e-9", "--focus", "0", "--m", "auto"]) == 0
     assert capsys.readouterr().out == implicit
+
+
+def test_rows_render_each_column_from_the_attribute_of_its_name():
+    # counts as integers, every other value as _fmt writes it: the cell types agree with the attributes
+    def expected(row, columns):
+        values = [getattr(row, c) for c in columns]
+        return [str(v) if isinstance(v, int) else monogamy.cli._fmt(v) for v in values]
+
+    config = CampaignConfig(n_qubits=4, samples=7, seed=3, measures=(CONCURRENCE, tsallis_kind(2.5)),
+                            alphas=("floor", 3.0), tolerance=1e-9)
+    rows, _ = run_campaign(config)
+    for r in rows:
+        assert monogamy.cli._render_verify(r).split(",") == expected(r, monogamy.cli._VERIFY_COLUMNS[2:])
+    psi = gsd3(SchmidtParams((0.5, 0.5, math.sqrt(6) / 6, math.sqrt(6) / 6, math.sqrt(6) / 6)))
+    for r in alpha_sweep(psi, 0, EOF, alpha_grid(EOF.alpha_floor, 4.0, 0.5)):
+        assert monogamy.cli._render_sweep(r).split(",") == expected(r, monogamy.cli._SWEEP_COLUMNS)
+        assert monogamy.cli._render_state(r).split(",") == expected(r, monogamy.cli._STATE_COLUMNS[2:])
+
+
+def test_help_names_the_default_each_mode_resolves():
+    actions = {a.dest: a for a in monogamy.cli.build_parser()._actions}
+    for name, value in monogamy.cli._DEFAULTS.items():
+        assert actions[name].default is None  # so a mode can tell a given option from an omitted one
+        assert f"(default: {value})" in actions[name].help
