@@ -281,8 +281,10 @@ class ChainBatch:
     All B states share the focus and the given pair order.
     ``concurrence[j, i]`` is the concurrence of state j's pair
     (focus, given[i]): the B*(N-1) pair marginals form one stack, checked
-    by one density_spectra call and spin-flipped by one
-    spin_flip_concurrences call.  ``ranked[j]`` lists the positions in
+    by one density_spectra call whose spectra go to one
+    spin_flip_concurrences call, which spin-flips only the pairs their
+    spectral ceiling leaves open (none are skipped at n = 3, where every
+    pair marginal has rank 2).  ``ranked[j]`` lists the positions in
     ``given`` by descending concurrence (a stable sort, so ties keep their
     given position).  ``focus_entries`` and ``focus_spectra`` are each
     state's rho_A and its descending spectrum, checked as one (B, 2, 2)
@@ -304,8 +306,9 @@ class ChainBatch:
         given, pair_keeps = _chain_plan(n_qubits, focus, None if order is None else tuple(order))
         count = len(amplitudes)
         pairs = marginal_stack(amplitudes, n_qubits, pair_keeps).reshape(-1, 4, 4)
-        density_spectra(pairs)
-        concurrence = spin_flip_concurrences(pairs).reshape(count, len(given))
+        pair_spectra = density_spectra(pairs)
+        # a pair marginal has rank at most 2^(n-2): at n = 3 its ceiling is lam1 > 0, so it would skip none
+        concurrence = spin_flip_concurrences(pairs, None if n_qubits == 3 else pair_spectra).reshape(count, len(given))
         rho_a = marginal_stack(amplitudes, n_qubits, [(focus,)])[:, 0]
         spectra = density_spectra(rho_a)
         return cls(focus, given, concurrence, np.argsort(-concurrence, axis=1, kind="stable"), rho_a, spectra)

@@ -12,9 +12,11 @@ implementation: the list maps behind values_of_concurrence, one list
 comprehension over a whole batch in scalar math arithmetic.  eof_f and
 tsallis_g are those maps on one value.
 
-The pair concurrence has one spin-flip kernel, spin_flip_concurrences, which
-takes a (k, 4, 4) stack of two-qubit states and returns their k concurrences
-from one eigvals call; concurrence_two_qubit is the same kernel on one matrix.
+The pair concurrence has one kernel, spin_flip_concurrences, which takes a
+(k, 4, 4) stack of two-qubit states with their spectra and returns their k
+concurrences.  The spectra bound each concurrence from above; a matrix whose
+bound proves C = 0 skips the spin flip, and the others share one eigvals
+call.  concurrence_two_qubit is the same kernel on one matrix.
 """
 from __future__ import annotations
 
@@ -169,8 +171,41 @@ def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
     return mus[..., ::-1]
 
 
-def spin_flip_concurrences(rho: np.ndarray) -> np.ndarray:
-    """Spin-flip concurrence max(0, mu1 - mu2 - mu3 - mu4) of each matrix in a (..., 4, 4) stack."""
+def spin_flip_concurrences(rho: np.ndarray, spectra: np.ndarray | None = None) -> np.ndarray:
+    """Spin-flip concurrence max(0, mu1 - mu2 - mu3 - mu4) of each matrix in a (..., 4, 4) stack.
+
+    ``spectra``, if given, holds the descending spectrum lam1..lam4 of each
+    matrix of a (k, 4, 4) stack or of one matrix, as density_spectra
+    returns it.  A two-qubit state has
+    mu1 - mu2 - mu3 - mu4 <= lam1 - lam3 - 2 sqrt(lam2 lam4), the spectral
+    ceiling (Verstraete, Audenaert and De Moor, PRA 64, 012316 (2001)).  A
+    matrix whose ceiling lies below -EIG_CLIP_ATOL and whose lam4 exceeds
+    EIG_CLIP_ATOL gets C = 0.0 without a spin flip; the others go through
+    spin_flip_mus as one stack.
+
+    Why the skip changes no bit.  lam4 > EIG_CLIP_ATOL keeps the root well
+    conditioned: rounding the spectrum by about 1e-16 moves the ceiling by
+    about 1e-11 at most.  A skipped matrix therefore has an exact ceiling,
+    and so an exact mu1 - mu2 - mu3 - mu4, below -8e-11, and its exact C is
+    0.  The spin flip computes mu1 - mu2 - mu3 - mu4 of such a full-rank
+    matrix far more finely than that, so it too ends below zero and returns
+    0.0; the tests hold the two routes to float.hex equality on Werner
+    states at the ceiling's edge, random mixed states of every rank and
+    Haar and W-class states.  Where lam4 is within rounding of zero, the
+    root would amplify that rounding to about 1e-8, so such a matrix
+    always takes the spin flip (a rank-3 ceiling lam1 - lam3 is never
+    negative anyway).  Without ``spectra`` every matrix takes the spin
+    flip.
+    """
+    if spectra is not None:
+        lam1, lam2, lam3, lam4 = spectra.T
+        ceiling = lam1 - lam3 - 2.0 * np.sqrt(lam2 * np.maximum(lam4, 0.0))
+        live = (ceiling >= -EIG_CLIP_ATOL) | (lam4 <= EIG_CLIP_ATOL)
+        if not live.all():
+            out = np.zeros(live.shape)
+            if live.any():
+                out[live] = spin_flip_concurrences(rho[live])
+            return out
     mus = spin_flip_mus(rho)
     c = mus[..., 0] - mus[..., 1] - mus[..., 2] - mus[..., 3]
     return np.where(c > 0.0, c, 0.0)  # as max(0.0, c): a NaN or a -0.0 reads 0.0
@@ -181,11 +216,11 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
 
     The mu_i are the descending square roots of the eigenvalues of
     rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y); this is
-    spin_flip_concurrences on one matrix.
+    spin_flip_concurrences on one matrix and its spectrum.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
-    return float(spin_flip_concurrences(rho.entries))
+    return float(spin_flip_concurrences(rho.entries, rho.eigenvalues))
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:

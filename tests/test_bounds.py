@@ -336,7 +336,8 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
 
     calls = []
     original = monogamy.bounds.spin_flip_concurrences
-    monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", lambda s: calls.append(s.shape) or original(s))
+    monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences",
+                        lambda s, spectra: calls.append(s.shape) or original(s, spectra))
     assert alpha_sweep(psi, 0, EOF, grid, order=(4, 2, 3, 1)) == expected
     assert calls == [(4, 4, 4)]  # one stack of the four pairs, not one per exponent
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import monogamy
-from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, tsallis_kind
+from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, monogamy_report, tsallis_kind
 from monogamy.bounds import (
     PRECONDITION_ATOL, ChainBatch, _certified_splits, _chain_preconditions, _ladder_weights, _table_plan, step_factor,
 )
@@ -174,3 +174,27 @@ def test_batch_size_follows_the_byte_budget():
     assert batch_size(8) == 256 * 1024 // (48 * 256 + 7 * 256)
     assert batch_size(12) == 1  # one state is over the budget: one at a time
     assert batch_size(30) == 1
+
+
+def _counted_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
+    return calls
+
+
+def test_a_wide_haar_report_takes_no_spin_flip(monkeypatch):
+    # every pair of an 8-qubit Haar state is unentangled, and the spectra that validate the pairs prove it
+    calls = _counted_eigvals(monkeypatch)
+    for seed in range(5):
+        for kind in KINDS:
+            monogamy_report(haar_random(8, seed), 0, kind, 3.0)
+    assert calls == []
+
+
+def test_a_three_qubit_campaign_flips_each_batch_in_one_call(monkeypatch):
+    # a three-qubit pair marginal has rank 2, so its spectrum proves nothing and no ceiling is read
+    calls = _counted_eigvals(monkeypatch)
+    size = batch_size(3)
+    run_campaign(CampaignConfig(3, size + 1, 0, KINDS, ("floor",), 1e-9))
+    assert calls == [(2 * size, 4, 4), (2, 4, 4)]

@@ -42,6 +42,9 @@ def test_usage_errors_exit_2(capsys, state_file):
     assert main(["--state", state_file, "--order", "2,2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a negative seed is named before any state is drawn (the generator's own error does not name it)
+    assert main(["--verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -370,9 +373,9 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     stacks = []
     original = monogamy.bounds.spin_flip_concurrences
 
-    def counted(stack):
+    def counted(stack, spectra):
         stacks.append(stack.shape)
-        return original(stack)
+        return original(stack, spectra)
 
     monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", counted)
     # ... and so are the spectra: one per validated stack, the pairs and rho_A of each batch

@@ -3,13 +3,15 @@ must match a recorded file byte for byte.
 
 The --example curves are the benchmark's own goldens, read here and never
 written; the --verify and --state outputs live in tests/golden/, one
---verify case spanning several campaign batches.
+--verify case spanning several campaign batches.  The n = 6 campaign and
+the 8-qubit Haar state hold pair marginals whose concurrence is 0; the
+W-class state's are all nonzero.
 """
 import os
 
 import pytest
 
-from monogamy import save_state, w_state
+from monogamy import haar_random, save_state, w_state
 from monogamy.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -47,8 +49,10 @@ def test_example_matches_golden(argv, golden, capsys):
         (["--n-qubits", "4", "--samples", "40"], "verify-n4"),
         # batches of 170, 170 and 60 states: the counts and minima carry across batches
         (["--n-qubits", "4", "--samples", "400", "--q", "3"], "verify-n4-batches"),
+        # batches of 60, 60, 60 and 20 states; one of their 1000 pairs is entangled
+        (["--n-qubits", "6", "--samples", "200"], "verify-n6"),
     ],
-    ids=["3", "4", "4-batches"],
+    ids=["3", "4", "4-batches", "6"],
 )
 def test_verify_matches_golden(flags, golden, tmp_path, capsys):
     out = tmp_path / "campaign.csv"
@@ -59,15 +63,25 @@ def test_verify_matches_golden(flags, golden, tmp_path, capsys):
     assert _read(out) == _read(os.path.join(GOLDEN, f"{golden}.csv"))
 
 
-@pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
-def test_state_matches_golden(measure, tmp_path, capsys):
-    path = tmp_path / "w4.json"
-    save_state(w_state(4), path)
+def _check_state(psi, name, measure, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save_state(psi, path)
     out = tmp_path / "row.csv"
     assert main(["--state", str(path), "--measure", measure, "--alpha", "3", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     first, rest = captured.out.split("\n", 1)
     assert first == f"state: {path}"  # the one line that names the temporary file
-    assert rest == _read(os.path.join(GOLDEN, f"state-w4-{measure}.txt"))
-    assert _read(out) == _read(os.path.join(GOLDEN, f"state-w4-{measure}.csv"))
+    assert rest == _read(os.path.join(GOLDEN, f"state-{name}-{measure}.txt"))
+    assert _read(out) == _read(os.path.join(GOLDEN, f"state-{name}-{measure}.csv"))
+
+
+@pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
+def test_state_matches_golden(measure, tmp_path, capsys):
+    _check_state(w_state(4), "w4", measure, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
+def test_wide_haar_state_matches_golden(measure, tmp_path, capsys):
+    # every pair of this 8-qubit state is unentangled, so each pair value is 0
+    _check_state(haar_random(8, 3), "haar8", measure, tmp_path, capsys)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import monogamy.measures
 from monogamy import (
     CONCURRENCE,
     ChainAnalysis,
@@ -29,7 +30,7 @@ from monogamy import (
 from monogamy.measures import cut_values, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
 from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
-from oracles import min_avg_concurrence, random_ket, random_mixed, wootters_concurrence
+from oracles import min_avg_concurrence, random_ket, random_mixed, w_class_amplitudes, wootters_concurrence
 
 np_rng = np.random.default_rng(77)
 
@@ -325,6 +326,77 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
             got = spin_flip_concurrences(psi.pair_marginals(a, partners))
             want = [wootters_concurrence(psi.amplitudes, n, a, b) for b in partners]
             assert np.abs(got - want).max() <= 1e-12, (seed, a)
+
+
+def _haar_pairs(n, count, seed):
+    # the (0, b) pair marginals of ``count`` Haar states, in state order, and their spectra
+    amplitudes = haar_rows(np.empty((count, 2**n), dtype=complex), seed)
+    pairs = marginal_stack(amplitudes, n, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
+    return amplitudes, pairs, density_spectra(pairs)
+
+
+def _ceiling_cases():
+    # a stack of pair states and how many of them the spectral ceiling skips (None: not pinned)
+    ps = 1.0 / 3.0 + np.arange(-20, 21) * 1e-11  # ceiling (3p - 1)/2 from -3e-10 to 3e-10
+    werner_stack = np.array([werner(p).entries for p in ps])
+    yield pytest.param(werner_stack, int(((3.0 * ps - 1.0) / 2.0 < -1e-10).sum()), id="werner")
+    rng = np.random.default_rng(2001)
+    for rank in range(1, 5):
+        # below full rank lam4 is within rounding of zero, so nothing is skipped
+        stack = np.array([random_mixed(rng, 4, rank) for _ in range(300)])
+        yield pytest.param(stack, 0 if rank < 4 else None, id=f"mixed-rank-{rank}")
+    # (1 - |phi><phi|)/3 has ceiling lam1 - lam3 = 0, but a rounded lam4 of +1e-17 would put its
+    # computed ceiling near -3e-9 if the root were read there
+    flat = np.array([(np.eye(4) - np.outer(phi, phi.conj())) / 3.0 for phi in (random_ket(rng, 4) for _ in range(100))])
+    yield pytest.param(flat, 0, id="rank-3-flat")
+    for n in range(4, 9):
+        yield pytest.param(_haar_pairs(n, 60, 40 * n)[1], 60 * (n - 1) if n >= 7 else None, id=f"haar-{n}")
+    for n in range(3, 9):
+        wclass = np.array([w_class_amplitudes(n, k) for k in range(40)])
+        stack = marginal_stack(wclass, n, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
+        yield pytest.param(stack, 0, id=f"wclass-{n}")
+
+
+def _spin_flipped(monkeypatch):
+    # the bytes of every matrix the kernel takes through the spin flip
+    flipped = set()
+    original = monogamy.measures.spin_flip_mus
+
+    def spy(rho):
+        flipped.update(m.tobytes() for m in rho.reshape(-1, 4, 4))
+        return original(rho)
+
+    monkeypatch.setattr(monogamy.measures, "spin_flip_mus", spy)
+    return flipped
+
+
+@pytest.mark.parametrize("stack, skipped", list(_ceiling_cases()))
+def test_spectral_ceiling_changes_no_concurrence(stack, skipped, monkeypatch):
+    flipped = _spin_flipped(monkeypatch)
+    fast = spin_flip_concurrences(stack, density_spectra(stack))
+    skips = [m.tobytes() not in flipped for m in stack]
+    # one matrix at a time, with the spectrum its DensityMatrix keeps, skips the same ones
+    flipped.clear()
+    one = [concurrence_two_qubit(two_qubit(m)) for m in stack]
+    assert [m.tobytes() not in flipped for m in stack] == skips
+    flipped.clear()
+    full = spin_flip_concurrences(stack)
+    assert all(m.tobytes() in flipped for m in stack)  # without spectra, every matrix is flipped
+    assert [c.hex() for c in fast.tolist()] == [c.hex() for c in full.tolist()] == [c.hex() for c in one]
+    if skipped is not None:
+        assert sum(skips) == skipped
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_pairs_the_ceiling_skips_are_unentangled_by_the_oracle(n, monkeypatch):
+    amplitudes, pairs, spectra = _haar_pairs(n, 100, 5000 + n)
+    flipped = _spin_flipped(monkeypatch)
+    spin_flip_concurrences(pairs, spectra)
+    skipped = [k for k, m in enumerate(pairs) if m.tobytes() not in flipped]
+    assert skipped or n == 4  # at n = 4 about 1 pair in 400 is skipped
+    for k in skipped:
+        state, b = divmod(k, n - 1)
+        assert wootters_concurrence(amplitudes[state], n, 0, b + 1) == 0.0
 
 
 def _scalar_pair_value(kind, c):
