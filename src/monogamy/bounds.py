@@ -34,15 +34,14 @@ comparisons between numbers the analysis already holds, one per chain
 position, with ties within PRECONDITION_ATOL counted either way; they
 depend on the measure but not on alpha.
 
-Two evaluators read the same analysis.  ChainAnalysis reports on one
-state, in scalar arithmetic, for any split.  ChainBatch analyses B states
-at once (ChainAnalysis.of is its batch of one) and, for the soundness
-campaign, evaluates them at their auto splits as one table over K
-(measure, alpha) keys: one certification stack for the chains of every
-measure, one pow per distinct alpha and one stacked matmul for every
-ladder, giving (K, B) arrays; what depends on the keys alone is planned
-once per key tuple.  Its entries equal ChainAnalysis.report bit for
-bit, which tests/test_campaign.py checks.
+One evaluator reads every analysis.  ChainBatch analyses B states at
+once, and its table evaluates them for K (measure, alpha) keys, at their
+auto splits or at one given split: one certification stack for the
+chains of every measure, one pow per distinct alpha and one stacked
+matmul for every ladder, giving (K, B) arrays; what depends on the keys
+alone is planned once per key tuple.  A soundness campaign reads the
+table of each batch; ChainAnalysis.of is a batch of one, a report is one
+key of its table and an exponent sweep is one table over the grid.
 """
 from __future__ import annotations
 
@@ -50,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -149,16 +147,6 @@ class WeightLadder:
         return np.asarray(self.base, dtype=np.float64) ** p
 
 
-@lru_cache(maxsize=256)
-def _ladder_weights(base: float, count: int, split: int) -> np.ndarray:
-    # the ladder depends on (base, count, split) alone, never on the state, so every report
-    # with the same measure, exponent, pair count and split shares one read-only vector;
-    # a ladder that raises is not cached and raises again on the next call
-    weights = WeightLadder(base, count, split).weights()
-    weights.flags.writeable = False
-    return weights
-
-
 class Verdict(Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
@@ -173,11 +161,14 @@ class PreconditionVerdict:
     pair except the last) weighs p_i against ``tails[i]`` = S_{i+1}, the
     sum of the later powers; ``verdicts[i]`` is Holds when
     p_i >= S_{i+1} - PRECONDITION_ATOL and Fails otherwise.
+    ``certified[m - 1]`` says whether split m is proven, 1 <= m <= N-2
+    (_certified_splits).
     """
 
     powers: tuple[float, ...]
     tails: tuple[float, ...]
     verdicts: tuple[Verdict, ...]
+    certified: tuple[bool, ...]
 
     def certifies_split(self, m: int) -> bool:
         """Whether the ordering hypothesis for split position m is proven.
@@ -185,46 +176,28 @@ class PreconditionVerdict:
         Pairs before position m must dominate the sum of the later powers,
         and the later ones (but the last) be dominated by it; ties count.
         """
-        n_cmp = len(self.verdicts)
-        if not (1 <= m <= n_cmp + 1):
-            raise ValueError(f"split {m} outside [1, {n_cmp + 1}]")
-        head = all(v is Verdict.HOLDS for v in self.verdicts[:m])
-        tail = all(p <= s + PRECONDITION_ATOL for p, s in zip(self.powers[m:], self.tails[m:]))
-        return head and tail
+        if not (1 <= m <= len(self.certified)):
+            raise ValueError(f"split {m} outside [1, {len(self.certified)}]")
+        return self.certified[m - 1]
 
 
-def _chain_preconditions(powers: Sequence[float]) -> PreconditionVerdict:
-    tails = tuple(accumulate(reversed(powers[1:])))[::-1]
-    verdicts = tuple(Verdict.HOLDS if p >= s - PRECONDITION_ATOL else Verdict.FAILS for p, s in zip(powers, tails))
-    return PreconditionVerdict(tuple(powers), tails, verdicts)
+def _certified_splits(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain comparisons of many chains at once, one chain of powers along the last axis.
 
-
-def _certified_splits(powers: np.ndarray) -> np.ndarray:
-    """PreconditionVerdict.certifies_split of many chains at once.
-
-    ``powers`` holds one chain per row; entry [j, m - 1] of the result is
-    certifies_split(m) of chain j, 1 <= m <= N-1.  The tails are running
-    sums from the last power back, added in the order itertools.accumulate
-    adds them, so every comparison is the one-chain comparison.
+    Returns the tails S_{i+1}, running sums from the last power back; the
+    head comparisons ``holds``, p_i >= S_{i+1} - PRECONDITION_ATOL; and
+    the proven splits: entry [..., m - 1] says whether split m of the chain
+    is proven, 1 <= m <= N-2 for N-1 powers a chain.
     """
-    tails = powers[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    holds = powers[:, :-1] >= tails - PRECONDITION_ATOL
-    under = powers[:, :-1] <= tails + PRECONDITION_ATOL
-    done = np.ones((len(powers), 1), dtype=bool)
-    # split m needs holds at every i < m (all of them for m = N-1) and under at every m <= i <= N-3
-    heads = np.logical_and.accumulate(np.concatenate((holds, done), axis=1), axis=1)
-    rests = np.logical_and.accumulate(np.concatenate((under, done, done), axis=1)[:, :0:-1], axis=1)[:, ::-1]
-    return heads & rests
-
-
-class Certificate(NamedTuple):
-    """What one measure reads from an analysis; see ChainAnalysis.certificate."""
-
-    cut_value: float
-    pair_values: dict[int, float]
-    given: PreconditionVerdict
-    ranked: PreconditionVerdict
-    split: int | None
+    tails = powers[..., :0:-1].cumsum(axis=-1)[..., ::-1]
+    heads = powers[..., :-1]
+    holds = heads >= tails - PRECONDITION_ATOL
+    under = heads <= tails + PRECONDITION_ATOL  # the tail step's p_i <= S_{i+1}
+    # with H and U the running counts of holds and under over the K = N-2 comparisons, split m misses
+    # m - H[m-1] head comparisons (i < m) and (K - m) - (U[K-1] - U[m-1]) tail ones (m <= i <= N-3):
+    # none exactly where U[m-1] - H[m-1] - U[K-1] = -K
+    balance = np.subtract(under, holds, dtype=np.intp).cumsum(axis=-1) - np.add.reduce(under, axis=-1, keepdims=True)
+    return tails, holds, balance == -holds.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -260,9 +233,27 @@ class BoundReport:
         return self.preconditions.certifies_split(self.m)
 
 
+class ChainStack(NamedTuple):
+    """The chains of M measures and B states.
+
+    Entry [i, 0, j] holds state j's pairs under the i-th distinct measure
+    of the keys in the given order, [i, 1, j] in the ranked order: their
+    pair ``values``, the ``powers`` p_i and, from _certified_splits, the
+    ``tails``, the head comparisons ``holds`` and the ``certified`` splits.
+    """
+
+    values: np.ndarray
+    powers: np.ndarray
+    tails: np.ndarray
+    holds: np.ndarray
+    certified: np.ndarray
+
+
 class BatchTable(NamedTuple):
-    """The reports of B states at their auto splits for K (measure, alpha)
-    keys: one (K, B) array per BoundReport field, key k in row k."""
+    """The reports of B states for K (measure, alpha) keys: one (K, B) array
+    per BoundReport number, key k in row k.  ``weights[k, j]`` is the
+    ladder that report applies; it reads the ranked chain of ``chains``
+    where ``m`` is N-2, else the given one."""
 
     m: np.ndarray
     asserted: np.ndarray
@@ -272,6 +263,8 @@ class BatchTable(NamedTuple):
     baseline_sum: np.ndarray
     residual_new: np.ndarray
     residual_gap: np.ndarray
+    weights: np.ndarray
+    chains: ChainStack
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,61 +313,79 @@ class ChainBatch:
             np.array_equal(a, b) for a, b in ((self.concurrence, other.concurrence),
                                               (self.focus_entries, other.focus_entries)))
 
-    def table(self, keys: Sequence[tuple[MeasureKind, float]]) -> BatchTable:
-        """ChainAnalysis.report of every state at its auto split, for each (measure, alpha) key, as arrays.
+    def table(self, keys: Sequence[tuple[MeasureKind, float]], m: int | None = None) -> BatchTable:
+        """The report of every state for each (measure, alpha) key, as arrays; see monogamy_report.
 
-        Each step runs once at the level it depends on.  What depends on the
-        keys and the pair count alone (factors, groupings, ladders) is
-        planned once per key tuple (_table_plan).  Per measure, the pair
-        values come from one values_of_concurrence pass over all B*(N-1)
-        concurrences, the list map that one state's certificate uses, and
-        the given and the ranked chains of all M measures and B states are
-        certified as one stack of 2*M*B rows.  Per distinct alpha, the
-        pair values of the measures that take it are raised by one numpy
-        pow; the cut values are raised by Python's pow, as one state's
-        report raises them.  One stacked matmul applies the new and the
-        prior ladder of every key, a dot product per state.
+        ``m`` is the split of every report; None takes each state's auto
+        split per measure: the fully ascending ladder (m = N-2) if proven,
+        else the largest proven split of the given order, else N-2
+        unproven.  Split N-2 reads the ranked order, every other split the
+        given one.  Each step runs once at the level it depends on.  What
+        depends on the keys and the pair count alone (factors, groupings,
+        ladders) is planned once per key tuple (_table_plan).  Per measure,
+        the pair values come from one values_of_concurrence pass over all
+        B*(N-1) concurrences, and the given and the ranked chains of all M
+        measures and B states are certified as one stack of 2*M*B chains.
+        Per distinct alpha, the pair values of the keys that take it are
+        raised by one numpy pow; the cut values are raised by Python's pow.  One stacked matmul applies the new and the prior ladder of
+        every key, a dot product per state.
         """
+        return self._table(keys, m, _table_plan)
+
+    def _table(self, keys, m, plan_of) -> BatchTable:
+        # table with the plan from plan_of: _table_plan, or the uncached _plan of a sweep
         count, n_pairs = self.concurrence.shape
         if n_pairs < 2:
             raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
-        plan = _table_plan(tuple(keys), n_pairs)  # also rejects a non-finite or below-floor alpha
+        plan = plan_of(tuple(keys), n_pairs)  # also rejects a non-finite or below-floor alpha
+        top = n_pairs - 1
+        if m is not None and not (1 <= int(m) <= top):
+            raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
+        n_measures = len(plan.measures)
         concurrence = self.concurrence.ravel().tolist()
         values = [values_of_concurrence(kind, concurrence) for kind in plan.measures]
         powers = [row if floor == 1.0 else [v**floor for v in row] for floor, row in zip(plan.floors, values)]
-        chains = np.array([values, powers]).reshape(2, len(plan.measures), count, n_pairs)
+        given = np.array(values + powers).reshape(2, n_measures, -1)
         del values, powers  # their Python floats outweigh the arrays
-        # row j of a measure: state j's pairs in the given order; row B + j: in the ranked order
-        chains = np.concatenate((chains, chains[:, :, np.arange(count)[:, None], self.ranked]), axis=2)
-        certified = _certified_splits(chains[1].reshape(-1, n_pairs)).reshape(len(plan.measures), 2 * count, n_pairs)
-        top = n_pairs - 1
-        # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
-        # the first proven one is the split, and none leaves N-2 (ranked) unproven
-        proven = np.concatenate((certified[:, count:, top - 1:top], certified[:, :count, :top - 1][:, :, ::-1]), axis=2)
-        first = proven.argmax(axis=2)
-        m = top - first
-        pair_values = chains[0][np.arange(len(plan.measures))[:, None], np.arange(count) + count * (first == 0)]
+        # [.., 0, j, :]: state j's pairs in the given order; [.., 1, j, :]: in the ranked order
+        reordered = given.take(self.ranked + n_pairs * np.arange(count)[:, None], axis=2)[:, :, None]
+        chains = np.concatenate((given.reshape(2, n_measures, 1, count, n_pairs), reordered), axis=2)
+        tails, holds, certified = _certified_splits(chains[1])
+        if m is None:
+            # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
+            # the first proven one is the split, and none leaves N-2 (ranked) unproven
+            proven = np.concatenate((certified[:, 1, :, -1:], certified[:, 0, :, :-1][:, :, ::-1]), axis=2)
+            m, asserted = top - proven.argmax(axis=2), proven.any(axis=2)
+        else:
+            m = int(m)
+            asserted = certified[:, int(m == top), :, m - 1]
+            m = np.full((n_measures, count), m)
+        m, asserted = m.take(plan.which, axis=0), asserted.take(plan.which, axis=0)  # one row per key
+        ranked = m == top  # which chain each report reads
+        pair_values = chains[0].take(plan.which, axis=0)
+        pair_values = np.where(ranked[:, :, None], pair_values[:, 1], pair_values[:, 0])
+        ladder = plan.offsets + m  # row of each report's ladder among the plan's (key, split) rows
 
+        if plan.overflows:
+            # raise as a key-by-key build of the ladders at the splits its states take would:
+            # the first key in order, new ladder before prior
+            taken = plan.overflow.reshape(2, -1).take(ladder, axis=1).any(axis=2)
+            if taken.any():
+                k = int(taken.any(axis=0).argmax())
+                side = int(taken[:, k].argmax())
+                raise ValueError(f"ladder weights overflow: base {plan.bases[side][k]!r}, {n_pairs} terms")
         powered = np.empty((len(plan.alphas), count, n_pairs))
-        for alpha, rows, owners in plan.alpha_rows:
-            powered[rows] = pair_values[owners] ** alpha
+        for alpha, group in plan.alpha_rows:
+            powered[group] = pair_values[group] ** alpha
         cuts = [cut_values(kind, self.focus_entries, self.focus_spectra).tolist() for kind in plan.measures]
         lhs = np.array([[c**alpha for c in cuts[i]] for i, alpha in zip(plan.which.tolist(), plan.alphas)])
 
-        if plan.overflows:
-            # raise as a key-by-key build of the ladders at the splits each measure takes would:
-            # the first key in order, new ladder before prior, splits ascending
-            splits = [sorted(set(row)) for row in m.tolist()]
-            for k, i in enumerate(plan.which.tolist()):
-                for bases in plan.bases:
-                    for s in splits[i]:
-                        _ladder_weights(bases[k], n_pairs, s)
-        m = m[plan.which]  # from one row per measure to one per key
-        ladders = plan.ladders[:, np.arange(len(plan.alphas))[:, None], m]  # [new or prior, key, state]
+        ladders = plan.ladders.reshape(2, -1, n_pairs).take(ladder, axis=1)  # [new or prior, key, state]
         new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, -1, count)
         baseline_sum = powered.sum(axis=2)
-        return BatchTable(m, proven.any(axis=2)[plan.which], lhs, new_bound, baseline_weighted, baseline_sum,
-                          lhs - new_bound, new_bound - np.maximum(baseline_weighted, baseline_sum))
+        return BatchTable(m, asserted, lhs, new_bound, baseline_weighted, baseline_sum, lhs - new_bound,
+                          new_bound - np.maximum(baseline_weighted, baseline_sum), ladders[0],
+                          ChainStack(chains[0], chains[1], tails, holds, certified))
 
 
 @lru_cache(maxsize=64)
@@ -395,46 +406,55 @@ class _TablePlan(NamedTuple):
 
     ``measures`` are the distinct measures in key order, with their
     ``floors``; key k takes measure ``which[k]`` and exponent ``alphas[k]``.
-    ``alpha_rows`` holds, per distinct alpha, the keys that take it and
-    their measures.  ``bases`` are the step (row 0) and prior (row 1)
-    factors of every key, and ``ladders[side, k, s]`` is the ladder of base
-    ``bases[side][k]`` at split s, or NaN where that ladder overflows
-    (``overflows`` says whether any does).
+    ``alpha_rows`` holds, per distinct alpha, the keys that take it.
+    ``bases`` are the step (row 0) and prior (row 1) factors of every key,
+    and ``ladders[side, k, s]`` is WeightLadder(bases[side][k], N-1, s)
+    .weights() for s >= 1, inf where that ladder overflows
+    (``overflow[side, k, s]``; ``overflows`` says whether any does);
+    ``offsets[k]`` is k (N-1), where key k's ladders start when the
+    (key, split) axes are read as one.
     """
 
     measures: tuple[MeasureKind, ...]
     floors: tuple[float, ...]
     which: np.ndarray
     alphas: tuple[float, ...]
-    alpha_rows: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    alpha_rows: tuple[tuple[float, slice | np.ndarray], ...]
     bases: tuple[tuple[float, ...], tuple[float, ...]]
     ladders: np.ndarray
+    overflow: np.ndarray
     overflows: bool
+    offsets: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _table_plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePlan:
-    # a ValueError (a non-finite or below-floor alpha) is not cached and raises again on the next call
+def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePlan:
+    # a ValueError (a non-finite or below-floor alpha) raises before anything is built
     bases = tuple(step_factor(k, a) for k, a in keys), tuple(prior_factor(k, a) for k, a in keys)
     measures = tuple(dict.fromkeys(kind for kind, _ in keys))
-    which = np.array([measures.index(kind) for kind, _ in keys], dtype=np.intp)
+    index = {kind: i for i, kind in enumerate(measures)}
+    which = np.array([index[kind] for kind, _ in keys], dtype=np.intp)
     alphas = tuple(float(alpha) for _, alpha in keys)
-    alpha_rows = []
-    for alpha in dict.fromkeys(alphas):
-        rows = np.array([k for k, a in enumerate(alphas) if a == alpha], dtype=np.intp)
-        alpha_rows.append((alpha, rows, which[rows]))
-    ladders = np.full((2, len(keys), n_pairs, n_pairs), math.nan)  # split 0 is never taken
-    overflows = False
-    for side, row in enumerate(bases):
-        for k, base in enumerate(row):
-            for s in range(1, n_pairs):
-                try:
-                    ladders[side, k, s] = _ladder_weights(base, n_pairs, s)
-                except ValueError:  # an overflow; ChainBatch.table raises it where a state takes split s
-                    overflows = True
+    groups: dict[float, list[int]] = {}
+    for k, alpha in enumerate(alphas):
+        groups.setdefault(alpha, []).append(k)
+    # a run of consecutive keys is read as a slice, any other group as an index array
+    rows = [slice(g[0], g[-1] + 1) if g[-1] - g[0] == len(g) - 1 else np.array(g, dtype=np.intp)
+            for g in groups.values()]
+    # row s: the ladder powers at split s; row 0 (never taken) is all zeros
+    powers = np.zeros((n_pairs, n_pairs), dtype=np.int64)
+    for s in range(1, n_pairs):
+        powers[s] = WeightLadder(1.0, n_pairs, s).powers()
+    with np.errstate(over="ignore"):  # an overflow is an inf, raised where a state takes that ladder
+        ladders = np.array(bases).reshape(2, -1, 1, 1) ** powers
+    overflow = np.isinf(ladders).any(axis=3)
     ladders.flags.writeable = False
     return _TablePlan(measures, tuple(kind.alpha_floor for kind in measures), which, alphas,
-                      tuple(alpha_rows), bases, ladders, overflows)
+                      tuple(zip(groups, rows)), bases, ladders, overflow, bool(overflow.any()),
+                      n_pairs * np.arange(len(keys))[:, None])
+
+
+# a campaign's batches and a --state call share the plan of their key tuple; a sweep's plan is its own
+_table_plan = lru_cache(maxsize=64)(_plan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,10 +464,9 @@ class ChainAnalysis:
     The pair concurrences keyed by partner qubit (all N-1 from one stack of
     pair marginals, see ChainBatch), the focus marginal rho_A and its
     spectrum, and the pair order as given and as ranked by descending
-    concurrence (ties keep their given position).  One analysis serves
-    every report; the cut and pair values and the chain verdicts, which
-    depend on the measure alone, are kept per measure (see certificate).
-    Two analyses are equal when their states' numbers are.
+    concurrence (ties keep their given position).  Every report is a row
+    of the batch's table.  Two analyses are equal when their states'
+    numbers are.
     """
 
     focus: int
@@ -455,7 +474,6 @@ class ChainAnalysis:
     ranked: tuple[int, ...]
     concurrence: dict[int, float]
     batch: ChainBatch = field(repr=False)
-    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
@@ -469,67 +487,27 @@ class ChainAnalysis:
             return NotImplemented
         return self.batch == other.batch
 
-    def certificate(self, measure: MeasureKind) -> Certificate:
-        """The cut value, the pair values keyed by partner and the chain
-        verdicts of the given and the ranked order under ``measure``, and the
-        auto split: the fully ascending ladder (m = N-2, ranked order) if
-        proven, else the largest proven split of the given order, else N-2
-        unproven (None below three qubits).  Computed once per measure.
-        """
-        cert = self._certificates.get(measure)
-        if cert is None:
-            values = dict(zip(self.concurrence, values_of_concurrence(measure, list(self.concurrence.values()))))
-            given_pre, ranked_pre = [
-                _chain_preconditions([values[b] ** measure.alpha_floor for b in o]) for o in (self.given, self.ranked)
-            ]
-            top = len(self.given) - 1
-            candidates = [(top, ranked_pre)] + [(c, given_pre) for c in range(top - 1, 0, -1)]
-            split = next((c for c, pre in candidates if pre.certifies_split(c)), top) if top >= 1 else None
-            cut = float(cut_values(measure, self.batch.focus_entries, self.batch.focus_spectra)[0])
-            cert = self._certificates[measure] = Certificate(cut, values, given_pre, ranked_pre, split)
-        return cert
-
     def report(self, measure: MeasureKind, alpha: float, m: int | None = None) -> BoundReport:
         """The weighted bound for one measure and exponent; see monogamy_report."""
-        n_pairs = len(self.given)
-        if n_pairs < 2:
-            raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
-        h = step_factor(measure, alpha)  # also rejects a non-finite or below-floor alpha
-        cert = self.certificate(measure)
-        top = n_pairs - 1
-        if m is None:
-            m = cert.split
-        elif not (1 <= int(m) <= top):
-            raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
-        m = int(m)
-        order, pre = (self.ranked, cert.ranked) if m == top else (self.given, cert.given)
+        return self._reports(measure, (alpha,), m, _table_plan)[0]
 
-        lhs = cert.cut_value**alpha
-        pvals = np.array([cert.pair_values[b] for b in order])
-        powered = pvals**alpha
-
-        weights = _ladder_weights(h, n_pairs, m)
-        prior = _ladder_weights(prior_factor(measure, alpha), n_pairs, m)
-        new_bound = float(weights @ powered)
-        baseline_weighted = float(prior @ powered)
-        baseline_sum = float(powered.sum())
-
-        return BoundReport(
-            measure=measure,
-            alpha=float(alpha),
-            m=m,
-            focus=self.focus,
-            order=order,
-            lhs=lhs,
-            pair_values=tuple(pvals.tolist()),
-            weights=tuple(weights.tolist()),
-            new_bound=new_bound,
-            baseline_weighted=baseline_weighted,
-            baseline_sum=baseline_sum,
-            residual_new=lhs - new_bound,
-            residual_gap=new_bound - max(baseline_weighted, baseline_sum),
-            preconditions=pre,
-        )
+    def _reports(self, measure: MeasureKind, alphas: Sequence[float], m: int | None, plan_of) -> list[BoundReport]:
+        # one table of one state over the keys (measure, alpha): every key takes the same split and chain
+        t = self.batch._table([(measure, a) for a in alphas], m, plan_of)
+        m = int(t.m[0, 0])
+        ranked = m == len(self.given) - 1
+        order = self.ranked if ranked else self.given
+        chain = (0, int(ranked), 0)
+        pair_values, powers, tails, holds, certified = (tuple(a[chain].tolist()) for a in t.chains)
+        pre = PreconditionVerdict(powers, tails, tuple(Verdict.HOLDS if h else Verdict.FAILS for h in holds), certified)
+        columns = t.lhs, t.new_bound, t.baseline_weighted, t.baseline_sum, t.residual_new, t.residual_gap
+        numbers = np.concatenate(columns, axis=1).tolist()  # one row of six per key
+        return [
+            BoundReport(measure, float(alpha), m, self.focus, order, lhs, pair_values, tuple(weights), new, weighted,
+                        plain, residual, gap, pre)
+            for alpha, weights, (lhs, new, weighted, plain, residual, gap) in zip(
+                alphas, t.weights[:, 0].tolist(), numbers)
+        ]
 
 
 def monogamy_report(
@@ -553,8 +531,8 @@ def monogamy_report(
     return ChainAnalysis.of(psi, focus, order).report(measure, alpha, m)
 
 
-# an --example sweep through the CLI peaks at 848 B per grid point (tracemalloc at 20 001 and
-# 200 001 points: the grid, a BoundReport and a CSV line each), rounded up to 1 KiB
+# an --example sweep through the CLI peaks at 779 B per grid point (tracemalloc at 20 001 and
+# 200 001 points: the grid, the sweep's table, and a BoundReport and a CSV line each), rounded up to 1 KiB
 _SWEEP_BYTES_PER_POINT = 1024
 
 
@@ -583,6 +561,7 @@ def alpha_sweep(
     order: Sequence[int] | None = None,
     m: int | None = None,
 ) -> list[BoundReport]:
-    """monogamy_report across an exponent grid, from one analysis of the state."""
+    """monogamy_report across an exponent grid: one analysis of the state, one table over the grid."""
     analysis = ChainAnalysis.of(psi, focus, order)
-    return [analysis.report(measure, a, m) for a in alphas]
+    alphas = [float(a) for a in alphas]
+    return analysis._reports(measure, alphas, m, _plan) if alphas else []

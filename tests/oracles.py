@@ -154,3 +154,28 @@ def wootters_concurrence(amplitudes: np.ndarray, n: int, a: int, b: int) -> floa
     s = np.linalg.svd(m.T @ yy @ m, compute_uv=False)
     s = np.concatenate((s, np.zeros(4)))[:4]  # a 2 x 2 tau (n = 3) has two
     return max(0.0, s[0] - s[1] - s[2] - s[3])
+
+
+def chain_certificate(powers, atol: float):
+    """The ordering hypothesis of one chain, straight from its definition.
+
+    ``powers`` are p_0 .. p_{N-2} in chain order.  Returns the tails
+    S_{i+1} = p_{i+1} + ... + p_{N-2} (added from the last power back),
+    the head comparisons p_i >= S_{i+1} - atol, one per pair but the last,
+    and for each ladder split m = 1 .. N-2 whether it is proven:
+    p_i >= S_{i+1} - atol for every i < m and p_i <= S_{i+1} + atol for
+    every m <= i <= N-3.
+    """
+    powers = [float(p) for p in powers]
+    tails = []
+    total = 0.0
+    for p in reversed(powers[1:]):
+        total += p
+        tails.insert(0, total)
+    holds = [p >= s - atol for p, s in zip(powers, tails)]
+    splits = []
+    for m in range(1, len(powers)):
+        head = all(holds[:m])
+        rest = all(powers[i] <= tails[i] + atol for i in range(m, len(powers) - 1))
+        splits.append(head and rest)
+    return tails, holds, splits

@@ -150,11 +150,13 @@ def test_precondition_three_qubits_always_exact():
         analysis = ChainAnalysis.of(haar_random(3, 100 + k), 0)
         c0, c1 = (analysis.concurrence[b] for b in analysis.given)
         for kind in ALL_KINDS:
-            cert = analysis.certificate(kind)
-            assert cert.given.tails == cert.given.powers[1:]
-            assert cert.given.verdicts == ((Verdict.HOLDS if c0 >= c1 else Verdict.FAILS),)
-            assert cert.ranked.verdicts == (Verdict.HOLDS,)
-            assert cert.split == 1
+            r = analysis.report(kind, kind.alpha_floor)
+            assert r.m == 1 and r.order == analysis.ranked  # split 1 is N-2: the ranked order
+            assert r.preconditions.tails == r.preconditions.powers[1:]
+            assert r.preconditions.verdicts == (Verdict.HOLDS,)
+            # the given order's chain is entry [0, 0, 0] of the table's chain stack
+            chains = analysis.batch.table([(kind, kind.alpha_floor)]).chains
+            assert chains.holds[0, 0, 0].tolist() == [c0 >= c1]
 
 
 def test_precondition_w4_frozen_verdicts():
@@ -162,11 +164,11 @@ def test_precondition_w4_frozen_verdicts():
     # after it, while the final comparison ties with the last power and holds
     analysis = ChainAnalysis.of(w_state(4), 0)
     for kind in ALL_KINDS:
-        pre = analysis.certificate(kind).given
+        pre = analysis.report(kind, kind.alpha_floor, 1).preconditions  # split 1 reads the given order
         assert [v.value for v in pre.verdicts] == ["Fails", "Holds"]
         assert not pre.certifies_split(1)
         assert not pre.certifies_split(2)
-    pre = analysis.certificate(CONCURRENCE).given
+    pre = analysis.report(CONCURRENCE, 2.0, 1).preconditions
     assert np.allclose(pre.powers, 0.25, rtol=0.0, atol=1e-12)
     assert np.allclose(pre.tails, (0.5, 0.25), rtol=0.0, atol=1e-12)
 
@@ -182,11 +184,12 @@ def test_precondition_ghz4_holds_with_zero_bound():
 
 def test_certificate_depends_on_the_measure():
     # on this W-class state the first pair outweighs the other two in
-    # E^sqrt(2) but not in C^2, so the verdicts are kept per measure
+    # E^sqrt(2) but not in C^2, so the verdicts differ per measure
     analysis = ChainAnalysis.of(Ket(4, w_class_amplitudes(4, 51)), 0)
-    assert [v.value for v in analysis.certificate(CONCURRENCE).given.verdicts] == ["Fails", "Holds"]
-    assert [v.value for v in analysis.certificate(EOF).given.verdicts] == ["Holds", "Holds"]
-    assert analysis.certificate(EOF) is analysis.certificate(EOF)
+    for kind, verdicts in ((CONCURRENCE, ["Fails", "Holds"]), (EOF, ["Holds", "Holds"])):
+        for alpha in (kind.alpha_floor, 3.0):  # and not per exponent
+            pre = analysis.report(kind, alpha, 1).preconditions
+            assert [v.value for v in pre.verdicts] == verdicts
 
 
 def test_monogamy_report_scenario1_frozen():
@@ -344,26 +347,47 @@ def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
 
 def test_analysis_fixes_the_auto_split_for_every_row():
     # the split depends on the measure's verdicts alone, so every auto report
-    # of one measure takes its certificate's split, whatever the exponent
+    # of one measure takes the split of its floor report, whatever the exponent
     for n in range(3, 7):
         for psi in (w_state(n), ghz_state(n), haar_random(n, 700 + n)):
             analysis = ChainAnalysis.of(psi, 0)
             for kind in ALL_KINDS:
-                split = analysis.certificate(kind).split
+                split = analysis.report(kind, kind.alpha_floor).m
                 for alpha in (kind.alpha_floor, 3.0):
                     auto = analysis.report(kind, alpha)
                     assert auto.m == split
                     assert auto == analysis.report(kind, alpha, split)
-    assert ChainAnalysis.of(ghz_state(2), 0).certificate(CONCURRENCE).split is None
+    with pytest.raises(ValueError, match="at least three qubits"):
+        ChainAnalysis.of(ghz_state(2), 0).report(CONCURRENCE, 2.0)
 
 
 def test_analyses_compare_by_value():
-    # equality reads the state's numbers, not the per-measure certificates kept so far
+    # equality reads the state's numbers, not the reports made so far
     first, second = ChainAnalysis.of(w_state(4), 0), ChainAnalysis.of(w_state(4), 0)
-    first.certificate(EOF)
+    first.report(EOF, 2.0)
     assert first == second
     assert first != ChainAnalysis.of(ghz_state(4), 0)
     assert first != ChainAnalysis.of(haar_random(4, 5), 0)
+
+
+def test_a_sweep_leaves_no_plan_behind():
+    # a sweep's plan holds a ladder pair per grid point; it must be freed when the sweep returns
+    import tracemalloc
+
+    psi = scenario1_state()
+    grid = alpha_grid(2.0, 5.0, 1.5e-4)
+    tracemalloc.start()
+    try:
+        # a first sweep fills numpy's caches and Python's free lists, which keep freed blocks traced
+        assert len(alpha_sweep(psi, 0, CONCURRENCE, grid)) == 20_001
+        before = tracemalloc.get_traced_memory()[0]
+        reports = alpha_sweep(psi, 0, CONCURRENCE, grid + 0.5)  # keys no earlier call has planned
+        assert len(reports) == 20_001
+        del reports
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_ranked_order_keeps_ties_in_given_order():

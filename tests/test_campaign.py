@@ -1,8 +1,9 @@
 """A batch of states gives, bit for bit, what each state gives alone.
 
 The campaign analyses its states in batches (monogamy.campaign.batch_size);
-every row of a batch must equal ChainAnalysis.report of its state, and the
-campaign's counts and minima must equal a state-by-state fold of those
+a state's row of a batch's table must not depend on its batch-mates, so it
+must equal ChainAnalysis.report of the state alone (a table of one), and
+the campaign's counts and minima must equal a state-by-state fold of those
 reports, whether the last batch is full, short, or the only one.
 """
 import math
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 import monogamy
-from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, monogamy_report, tsallis_kind
-from monogamy.bounds import (
-    PRECONDITION_ATOL, ChainBatch, _certified_splits, _chain_preconditions, _ladder_weights, _table_plan, step_factor,
+from monogamy import (
+    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind,
 )
+from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _table_plan, step_factor
 from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
-from oracles import w_class_amplitudes
+from oracles import chain_certificate, w_class_amplitudes
 
 KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0), tsallis_kind(3.0))
 EXPONENTS = ("floor", 2.0, 3.0, 4.5)
@@ -49,6 +50,26 @@ def test_batched_rows_equal_one_state_reports(n):
         assert all(sorted(set(row)) == [1, 4] for row in table.m.tolist())
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_explicit_split_rows_equal_one_state_reports(n):
+    # every state takes the split m: the ranked chain at m = N-2, the given one below it, and
+    # asserted is the reference certifier's verdict on that chain
+    states = [haar_random(n, 500 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
+    batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0)
+    alone = [ChainAnalysis.of(psi, 0) for psi in states]
+    for m in range(1, n - 1):
+        table = batch.table(KEYS, m)
+        assert (table.m == m).all()
+        for k, (kind, alpha) in enumerate(KEYS):
+            for j, analysis in enumerate(alone):
+                r = analysis.report(kind, alpha, m)
+                assert r.order == (analysis.ranked if m == n - 2 else analysis.given)
+                _, _, splits = chain_certificate(r.preconditions.powers, PRECONDITION_ATOL)
+                assert bool(table.asserted[k, j]) == r.asserted == splits[m - 1], (kind, alpha, j, m)
+                for field in FIELDS:
+                    assert float(getattr(table, field)[k, j]).hex() == getattr(r, field).hex(), (kind, alpha, j, m)
+
+
 def _report_entries(table, k, j):
     return [table.m[k, j], table.asserted[k, j]] + [float(getattr(table, f)[k, j]).hex() for f in FIELDS]
 
@@ -72,9 +93,9 @@ OVERFLOW_AT_3 = {CONCURRENCE: 800.0, EOF: 600.0}
 
 def test_a_ladder_overflowing_at_an_unused_split_raises_nothing():
     for kind, alpha in OVERFLOW_AT_3.items():
-        _ladder_weights(step_factor(kind, alpha), 4, 1)
+        WeightLadder(step_factor(kind, alpha), 4, 1).weights()
         with pytest.raises(ValueError, match="ladder weights overflow"):
-            _ladder_weights(step_factor(kind, alpha), 4, 3)
+            WeightLadder(step_factor(kind, alpha), 4, 3).weights()
     # concurrence at 800 on a state whose split is 1; and EOF at 600 on a state whose split is 1
     # while concurrence (at 600, no overflow) takes split 3 in the same table
     cases = [([SPLIT_1], [(CONCURRENCE, 800.0)], [[1]]),
@@ -93,10 +114,12 @@ def test_a_ladder_overflowing_at_a_used_split_raises_as_a_report_does():
     for keys in ([(CONCURRENCE, 800.0)], [(CONCURRENCE, 800.0), (EOF, 800.0)], [(EOF, 800.0), (CONCURRENCE, 800.0)]):
         kind, alpha = keys[0]
         with pytest.raises(ValueError, match="ladder weights overflow") as expected:
+            WeightLadder(step_factor(kind, alpha), 4, 3).weights()  # SPLIT_3 takes split 3
+        with pytest.raises(ValueError) as alone:
             ChainAnalysis.of(Ket(5, SPLIT_3), 0).report(kind, alpha)
         with pytest.raises(ValueError) as got:
             ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 5, 0).table(keys)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == str(alone.value) == str(expected.value)
 
 
 def test_certified_splits_match_one_chain_at_a_time():
@@ -105,11 +128,11 @@ def test_certified_splits_match_one_chain_at_a_time():
     for count in range(1, 8):
         powers = rng.choice([0.0, 0.25, 0.5, 0.5 + PRECONDITION_ATOL / 2, 1.0], size=(300, count))
         powers[:20] = rng.random((20, count))
-        certified = _certified_splits(powers)
-        assert certified.shape == (300, count)
-        for row, flags in zip(powers.tolist(), certified.tolist()):
-            pre = _chain_preconditions(row)
-            assert flags == [pre.certifies_split(m) for m in range(1, count + 1)], row
+        tails, holds, certified = _certified_splits(powers)
+        assert certified.shape == (300, count - 1)  # splits 1 .. N-2
+        for j, row in enumerate(powers.tolist()):
+            expected = chain_certificate(row, PRECONDITION_ATOL)
+            assert [tails[j].tolist(), holds[j].tolist(), certified[j].tolist()] == list(expected), row
 
 
 def _fold(config):

@@ -393,30 +393,43 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     assert sum(shape[0] for shape in stacks) == samples * 3  # every (state, pair) exactly once
     assert spectra == [(3 * size, 4, 4), (size, 2, 2), (3, 4, 4), (1, 2, 2)]
     assert sum(shape[0] for shape in spectra if shape[1:] == (2, 2)) == samples
-    assert chains == [(2 * len(ALL_KINDS) * size, 3), (2 * len(ALL_KINDS), 3)]
+    assert chains == [(len(ALL_KINDS), 2, size, 3), (len(ALL_KINDS), 2, 1, 3)]  # [measure, order, state, pair]
 
 
-def test_campaign_builds_each_weight_ladder_once(monkeypatch):
-    # the ladders depend on (base, pairs, split), never on the state: 50 states x 10 rows,
-    # a new and a prior ladder per row, share a handful of vectors
-    built = Counter()
-    weights = WeightLadder.weights
-
-    def counted(ladder):
-        built[ladder.base, ladder.count, ladder.split] += 1
-        return weights(ladder)
-
-    monkeypatch.setattr(WeightLadder, "weights", counted)
-    _, (rows, violation) = _campaign(3, 50)
+def test_campaign_builds_each_weight_ladder_once():
+    # the ladders depend on (base, pairs, split), never on the state: the plan of the campaign's
+    # key tuple builds all of them at once, and every batch reads that one plan
+    monogamy.bounds._table_plan.cache_clear()
+    _, (rows, violation) = _campaign(3, monogamy.campaign.batch_size(3) + 1)  # a full batch and a batch of one
     assert len(rows) == 10 and not violation
-    assert max(built.values(), default=0) <= 2  # one call per report would be 1000 in all
+    assert monogamy.bounds._table_plan.cache_info()[:2] == (1, 1)  # hits, misses: one build for both batches
 
 
-def test_memoised_ladders_are_read_only_and_errors_are_not_cached():
-    w = monogamy.bounds._ladder_weights(2.0, 4, 2)
-    assert w is monogamy.bounds._ladder_weights(2.0, 4, 2)
-    with pytest.raises(ValueError):
-        w[0] = 5.0
+def test_planned_ladders_equal_weight_ladders():
+    # every ladder of a plan is WeightLadder(base, count, split).weights() to the bit, and a
+    # ladder flagged as overflowing is one that WeightLadder rejects
+    keys = tuple((kind, alpha) for kind in (CONCURRENCE, EOF, tsallis_kind(2.0), tsallis_kind(3.0))
+                 for alpha in np.arange(kind.alpha_floor, 420.0, 0.73).tolist())
+    overflows = 0
+    for count in (2, 3, 5, 8):
+        plan = monogamy.bounds._plan(keys, count)
+        assert not plan.ladders.flags.writeable
+        for side, bases in enumerate(plan.bases):
+            for k, base in enumerate(bases):
+                for split in range(1, count):
+                    try:
+                        expected = [w.hex() for w in WeightLadder(base, count, split).weights().tolist()]
+                    except ValueError as exc:
+                        assert "ladder weights overflow" in str(exc)
+                        assert plan.overflow[side, k, split]
+                        overflows += 1
+                        continue
+                    assert not plan.overflow[side, k, split]
+                    assert [w.hex() for w in plan.ladders[side, k, split].tolist()] == expected, (base, count, split)
+    assert overflows > 0
+
+
+def test_ladder_errors_are_not_cached():
     analysis = ChainAnalysis.of(haar_random(6, 1), 0)
     for alpha, message in ((1.5, "below"), (1000.0, "overflow")):
         for _ in range(2):

@@ -11,8 +11,9 @@ import os
 
 import pytest
 
-from monogamy import haar_random, save_state, w_state
+from monogamy import Ket, haar_random, save_state, w_state
 from monogamy.cli import main
+from oracles import w_class_amplitudes
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXAMPLE_GOLDEN = os.path.join(os.path.dirname(HERE), "perfbench", "golden")
@@ -63,17 +64,18 @@ def test_verify_matches_golden(flags, golden, tmp_path, capsys):
     assert _read(out) == _read(os.path.join(GOLDEN, f"{golden}.csv"))
 
 
-def _check_state(psi, name, measure, tmp_path, capsys):
+def _check_state(psi, name, measure, tmp_path, capsys, flags=(), golden=None):
     path = tmp_path / f"{name}.json"
     save_state(psi, path)
     out = tmp_path / "row.csv"
-    assert main(["--state", str(path), "--measure", measure, "--alpha", "3", "--out", str(out)]) == 0
+    assert main(["--state", str(path), "--measure", measure, "--alpha", "3", *flags, "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     first, rest = captured.out.split("\n", 1)
     assert first == f"state: {path}"  # the one line that names the temporary file
-    assert rest == _read(os.path.join(GOLDEN, f"state-{name}-{measure}.txt"))
-    assert _read(out) == _read(os.path.join(GOLDEN, f"state-{name}-{measure}.csv"))
+    golden = golden or f"state-{name}-{measure}"
+    assert rest == _read(os.path.join(GOLDEN, f"{golden}.txt"))
+    assert _read(out) == _read(os.path.join(GOLDEN, f"{golden}.csv"))
 
 
 @pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
@@ -85,3 +87,18 @@ def test_state_matches_golden(measure, tmp_path, capsys):
 def test_wide_haar_state_matches_golden(measure, tmp_path, capsys):
     # every pair of this 8-qubit state is unentangled, so each pair value is 0
     _check_state(haar_random(8, 3), "haar8", measure, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+@pytest.mark.parametrize("measure", ["eof", "concurrence"])
+def test_explicit_split_matches_golden(measure, m, tmp_path, capsys):
+    # under eof split 1 is asserted and splits 2 and 3 are not; under concurrence none is;
+    # split 3 (m = N-2) takes the ranked order, splits 1 and 2 the given one
+    psi = Ket(5, w_class_amplitudes(5, 252))
+    _check_state(psi, "w5", measure, tmp_path, capsys, ["--m", m], f"state-w5-{measure}-m{m}")
+
+
+@pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
+def test_given_order_matches_golden(measure, tmp_path, capsys):
+    _check_state(haar_random(6, 1), "haar6", measure, tmp_path, capsys, ["--order", "5,4,3,2,1"],
+                 f"state-haar6-order-{measure}")

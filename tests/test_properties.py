@@ -6,9 +6,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monogamy import CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, haar_random, load_state, save_state, tsallis_kind
-from monogamy.bounds import PRECONDITION_ATOL, _chain_preconditions
-from oracles import w_class_amplitudes
+from monogamy import (
+    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, Verdict, haar_random, load_state, save_state, tsallis_kind,
+)
+from monogamy.bounds import PRECONDITION_ATOL
+from oracles import chain_certificate, w_class_amplitudes
 
 states = st.builds(
     lambda n, seed, w_class: Ket(n, w_class_amplitudes(n, seed)) if w_class else haar_random(n, seed),
@@ -44,8 +46,8 @@ def test_top_step_cut_dominates_the_pair_sum(psi, q):
     # pure-state monogamy of M^gamma, the first link of every ladder
     analysis = ChainAnalysis.of(psi, 0)
     for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(q)):
-        cut_power = analysis.report(kind, kind.alpha_floor).lhs
-        assert cut_power >= sum(analysis.certificate(kind).given.powers) - 1e-12
+        r = analysis.report(kind, kind.alpha_floor)
+        assert r.lhs >= sum(r.preconditions.powers) - 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,11 +72,12 @@ def test_verdicts_are_invariant_under_a_common_scale(psi, q, factor):
     # p_i >= S_{i+1} is homogeneous, so only ties within the tolerance can flip
     analysis = ChainAnalysis.of(psi, 0)
     for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(q)):
-        cert = analysis.certificate(kind)
-        for pre in (cert.given, cert.ranked):
-            scaled = _chain_preconditions([factor * p for p in pre.powers])
-            for before, after, p, s in zip(pre.verdicts, scaled.verdicts, scaled.powers, scaled.tails):
-                assert before is after or abs(p - s) <= PRECONDITION_ATOL
+        for m in (1, psi.n_qubits - 2):  # the given and the ranked order
+            pre = analysis.report(kind, kind.alpha_floor, m).preconditions
+            powers = [factor * p for p in pre.powers]
+            tails, holds, _ = chain_certificate(powers, PRECONDITION_ATOL)
+            for before, after, p, s in zip(pre.verdicts, holds, powers, tails):
+                assert (before is Verdict.HOLDS) == after or abs(p - s) <= PRECONDITION_ATOL
 
 
 @settings(max_examples=30, deadline=None)
