@@ -58,6 +58,8 @@ from .qstate import Ket, density_spectra, marginal_stack, physical_memory
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
+# ChainBatch.of sorts 0 * C for the given order and -C for the ranked one
+_CHAIN_KEYS = np.array([0.0, -1.0]).reshape(2, 1, 1)
 
 
 def _checked_alpha(kind: MeasureKind, alpha: float) -> float:
@@ -187,17 +189,20 @@ def _certified_splits(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns the tails S_{i+1}, running sums from the last power back; the
     head comparisons ``holds``, p_i >= S_{i+1} - PRECONDITION_ATOL; and
     the proven splits: entry [..., m - 1] says whether split m of the chain
-    is proven, 1 <= m <= N-2 for N-1 powers a chain.
+    is proven, 1 <= m <= N-2 for N-1 powers a chain.  Split m needs the
+    head steps before m, a prefix of ``holds``, and the tail steps from m
+    on, a suffix of p_i <= S_{i+1} + PRECONDITION_ATOL: one running
+    logical_and each way.
     """
-    tails = powers[..., :0:-1].cumsum(axis=-1)[..., ::-1]
-    heads = powers[..., :-1]
-    holds = heads >= tails - PRECONDITION_ATOL
-    under = heads <= tails + PRECONDITION_ATOL  # the tail step's p_i <= S_{i+1}
-    # with H and U the running counts of holds and under over the K = N-2 comparisons, split m misses
-    # m - H[m-1] head comparisons (i < m) and (K - m) - (U[K-1] - U[m-1]) tail ones (m <= i <= N-3):
-    # none exactly where U[m-1] - H[m-1] - U[K-1] = -K
-    balance = np.subtract(under, holds, dtype=np.intp).cumsum(axis=-1) - np.add.reduce(under, axis=-1, keepdims=True)
-    return tails, holds, balance == -holds.shape[-1]
+    backward = powers[..., ::-1]  # p_{N-2} ... p_0
+    sums = np.add.accumulate(backward[..., :-1], axis=-1)  # S_{N-2} ... S_1
+    tails = sums[..., ::-1]
+    holds = powers[..., :-1] >= tails - PRECONDITION_ATOL
+    certified = np.logical_and.accumulate(holds, axis=-1)  # [m - 1]: every head step i < m holds
+    # [m - 1] for m <= N-3: every tail step m <= i <= N-3 holds too, read from the back; split N-2 has none
+    under = backward[..., 1:-1] <= sums[..., :-1] + PRECONDITION_ATOL  # p_i <= S_{i+1} for i = N-3 ... 1
+    certified[..., :-1] &= np.logical_and.accumulate(under, axis=-1)[..., ::-1]
+    return tails, holds, certified
 
 
 @dataclass(frozen=True)
@@ -277,19 +282,21 @@ class ChainBatch:
     by one density_spectra call whose spectra go to one
     spin_flip_concurrences call, which spin-flips only the pairs their
     spectral ceiling leaves open (none are skipped at n = 3, where every
-    pair marginal has rank 2).  ``ranked[j]`` lists the positions in
-    ``given`` by descending concurrence (a stable sort, so ties keep their
-    given position).  ``focus_entries`` and ``focus_spectra`` are each
-    state's rho_A and its descending spectrum, checked as one (B, 2, 2)
-    stack.  The checked given order and its pair keeps are planned once
-    per (register size, focus, order) (_chain_plan).  Equality reads
-    these numbers only.
+    pair marginal has rank 2).  ``chain_index[0, j]`` holds the positions
+    of state j's pairs in ``concurrence.ravel()`` in the given order, and
+    ``chain_index[1, j]`` in the ranked order, by descending concurrence
+    (a stable sort, so ties keep their given position); one sort yields
+    both, and a table gathers every chain with one take by it.
+    ``focus_entries`` and ``focus_spectra`` are each state's rho_A and its
+    descending spectrum, checked as one (B, 2, 2) stack.  The checked
+    given order and its pair keeps are planned once per (register size,
+    focus, order) (_chain_plan).  Equality reads these numbers only.
     """
 
     focus: int
     given: tuple[int, ...]
     concurrence: np.ndarray
-    ranked: np.ndarray
+    chain_index: np.ndarray
     focus_entries: np.ndarray
     focus_spectra: np.ndarray
 
@@ -304,7 +311,10 @@ class ChainBatch:
         concurrence = spin_flip_concurrences(pairs, None if n_qubits == 3 else pair_spectra).reshape(count, len(given))
         rho_a = marginal_stack(amplitudes, n_qubits, [(focus,)])[:, 0]
         spectra = density_spectra(rho_a)
-        return cls(focus, given, concurrence, np.argsort(-concurrence, axis=1, kind="stable"), rho_a, spectra)
+        # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
+        chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
+        chain_index += np.arange(0, concurrence.size, len(given))[:, None]
+        return cls(focus, given, concurrence, chain_index, rho_a, spectra)
 
     def __eq__(self, other):
         if not isinstance(other, ChainBatch):
@@ -324,11 +334,13 @@ class ChainBatch:
         depends on the keys and the pair count alone (factors, groupings,
         ladders) is planned once per key tuple (_table_plan).  Per measure,
         the pair values come from one values_of_concurrence pass over all
-        B*(N-1) concurrences, and the given and the ranked chains of all M
-        measures and B states are certified as one stack of 2*M*B chains.
-        Per distinct alpha, the pair values of the keys that take it are
-        raised by one numpy pow; the cut values are raised by Python's pow.  One stacked matmul applies the new and the prior ladder of
-        every key, a dot product per state.
+        B*(N-1) concurrences.  One take by ``chain_index`` gathers the
+        values and powers of the given and the ranked chains of all M
+        measures and B states, which are certified as one stack of 2*M*B
+        chains.  Per distinct alpha, the pair values of the keys that take
+        it are raised by one numpy pow; the cut values are raised by
+        Python's pow.  One stacked matmul applies the new and the prior
+        ladder of every key, a dot product per state.
         """
         return self._table(keys, m, _table_plan)
 
@@ -345,16 +357,14 @@ class ChainBatch:
         concurrence = self.concurrence.ravel().tolist()
         values = [values_of_concurrence(kind, concurrence) for kind in plan.measures]
         powers = [row if floor == 1.0 else [v**floor for v in row] for floor, row in zip(plan.floors, values)]
-        given = np.array(values + powers).reshape(2, n_measures, -1)
+        # [values or powers, measure, given or ranked order, state, pair]
+        chains = np.array(values + powers).reshape(2, n_measures, -1).take(self.chain_index, axis=2)
         del values, powers  # their Python floats outweigh the arrays
-        # [.., 0, j, :]: state j's pairs in the given order; [.., 1, j, :]: in the ranked order
-        reordered = given.take(self.ranked + n_pairs * np.arange(count)[:, None], axis=2)[:, :, None]
-        chains = np.concatenate((given.reshape(2, n_measures, 1, count, n_pairs), reordered), axis=2)
         tails, holds, certified = _certified_splits(chains[1])
         if m is None:
-            # candidates from the top down: the ranked order's N-2, then the given order's N-3 ... 1;
-            # the first proven one is the split, and none leaves N-2 (ranked) unproven
-            proven = np.concatenate((certified[:, 1, :, -1:], certified[:, 0, :, :-1][:, :, ::-1]), axis=2)
+            # split s reads the ranked order at s = N-2 and the given one below; candidates from the
+            # top down, the first proven one is the split, and none leaves N-2 (ranked) unproven
+            proven = np.where(plan.ranked_split, certified[:, 1], certified[:, 0])[:, :, ::-1]
             m, asserted = top - proven.argmax(axis=2), proven.any(axis=2)
         else:
             m = int(m)
@@ -412,7 +422,8 @@ class _TablePlan(NamedTuple):
     .weights() for s >= 1, inf where that ladder overflows
     (``overflow[side, k, s]``; ``overflows`` says whether any does);
     ``offsets[k]`` is k (N-1), where key k's ladders start when the
-    (key, split) axes are read as one.
+    (key, split) axes are read as one.  ``ranked_split[s - 1]`` says
+    whether split s reads the ranked order: s = N-2 alone.
     """
 
     measures: tuple[MeasureKind, ...]
@@ -425,6 +436,7 @@ class _TablePlan(NamedTuple):
     overflow: np.ndarray
     overflows: bool
     offsets: np.ndarray
+    ranked_split: np.ndarray
 
 
 def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePlan:
@@ -450,7 +462,7 @@ def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePl
     ladders.flags.writeable = False
     return _TablePlan(measures, tuple(kind.alpha_floor for kind in measures), which, alphas,
                       tuple(zip(groups, rows)), bases, ladders, overflow, bool(overflow.any()),
-                      n_pairs * np.arange(len(keys))[:, None])
+                      n_pairs * np.arange(len(keys))[:, None], np.arange(1, n_pairs) == n_pairs - 1)
 
 
 # a campaign's batches and a --state call share the plan of their key tuple; a sweep's plan is its own
@@ -479,7 +491,7 @@ class ChainAnalysis:
     def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
         batch = ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order)
         given = batch.given
-        ranked = tuple(given[i] for i in batch.ranked[0].tolist())
+        ranked = tuple(given[i] for i in batch.chain_index[1, 0].tolist())  # state 0's positions are its pairs'
         return cls(batch.focus, given, ranked, dict(zip(given, batch.concurrence[0].tolist())), batch)
 
     def __eq__(self, other):

@@ -201,9 +201,10 @@ def spin_flip_concurrences(rho: np.ndarray, spectra: np.ndarray | None = None) -
         lam1, lam2, lam3, lam4 = spectra.T
         ceiling = lam1 - lam3 - 2.0 * np.sqrt(lam2 * np.maximum(lam4, 0.0))
         live = (ceiling >= -EIG_CLIP_ATOL) | (lam4 <= EIG_CLIP_ATOL)
-        if not live.all():
+        open_count = np.count_nonzero(live)
+        if open_count < live.size:
             out = np.zeros(live.shape)
-            if live.any():
+            if open_count:
                 out[live] = spin_flip_concurrences(rho[live])
             return out
     mus = spin_flip_mus(rho)
@@ -256,11 +257,12 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
         # 0 log 0 = 0: each spectrum sums its p positive terms, which lead it, as one length-p sum
         positive = lam > 0.0
         terms = lam * np.log2(np.where(positive, lam, 1.0))
-        positive = positive.sum(axis=1)
-        out = -terms.sum(axis=1)  # the sum of the states whose every eigenvalue is positive
-        for p in set(positive.tolist()) - {lam.shape[1]}:
-            rows = positive == p
-            out[rows] = -terms[rows, :p].sum(axis=1)
+        out = -np.add.reduce(terms, axis=1)  # the sum of the states whose every eigenvalue is positive
+        if np.count_nonzero(positive) < positive.size:
+            positive = np.add.reduce(positive, axis=1)
+            for p in set(positive.tolist()) - {lam.shape[1]}:
+                rows = positive == p
+                out[rows] = -terms[rows, :p].sum(axis=1)
         return out
     if kind.name == "tsallis":
         q = float(kind.q)

@@ -17,9 +17,11 @@ marginals of a focus qubit come as one (k, 4, 4) stack, validated by
 the same density_spectra that checks a single DensityMatrix.
 
 What a marginal needs from the register alone, each keep's validated
-kept-first axis permutation, is planned once per (register size, keeps)
-and cached (_marginal_plan), so repeated reports on registers of one
-shape only copy, conjugate and multiply.
+kept-first axis permutation and, while the keeps hold at most 2^15
+amplitudes (the pair keeps of up to 11 qubits), the gather index that
+applies all of them with one take, is planned once per (register size,
+keeps) and cached (_marginal_plan), so repeated reports on registers of
+one shape only gather, conjugate and multiply.
 """
 from __future__ import annotations
 
@@ -33,7 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-NORM_ATOL = 1e-12
+# a ket within NORM_ATOL of unit norm has ||psi||^2 within 5e-13 of 1, and so leaves half of
+# TRACE_ATOL to the rounding of a marginal's trace: every marginal of a Ket passes density_spectra
+NORM_ATOL = 2.5e-13
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -46,7 +50,12 @@ class StateFileError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Pure state of an ``n_qubits`` register with unit-norm amplitudes, compared by value."""
+    """Pure state of an ``n_qubits`` register with unit-norm amplitudes, compared by value.
+
+    The norm must lie within NORM_ATOL (2.5e-13) of 1, tighter than the
+    TRACE_ATOL (1e-12) that density_spectra asks of a marginal's trace, so
+    that the analysis of every ket accepted here passes its own checks.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -105,17 +114,26 @@ def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequen
     Every entry of ``keeps`` names k qubits (d = 2^k, the same k for all);
     entry [j, i] is the reduced state of ket j on ``keeps[i]``, kept
     qubits in register order.  It is M M^dagger with M the kept-first
-    transpose of the ket as a d x 2^(n-k) matrix; the transposes come
-    from _marginal_plan.  M and its conjugate are written into the same
-    two (B, d, 2^(n-k)) buffers for every keep, so besides the kets the
-    peak is two copies of them.  The stack is not validated;
-    density_spectra checks it.
+    transpose of the ket as a d x 2^(n-k) matrix.  Where _marginal_plan
+    holds a gather index, one take copies the M of _GATHER_KETS // B
+    keeps, at least one, and one matmul multiplies them by their
+    conjugates.  On a register too wide for an index, each M is copied
+    from the transposed kets into the same two (B, d, 2^(n-k)) buffers.
+    Besides the kets, the peak is two copies of them for a batch of three
+    or more, and at most 2 * _GATHER_KETS kets' worth otherwise.  The
+    stack is not validated; density_spectra checks it.
     """
     keeps = tuple(map(tuple, keeps))
-    perms = _marginal_plan(n_qubits, keeps)  # also rejects an empty, duplicate or out-of-range keep
+    perms, index = _marginal_plan(n_qubits, keeps)  # also rejects an empty, duplicate or out-of-range keep
     d = 2 ** len(keeps[0]) if keeps else 1
     count = amplitudes.shape[0]
     stack = np.empty((count, len(keeps), d, d), dtype=np.complex128)
+    if index is not None:
+        step = max(1, _GATHER_KETS // count)  # keeps per take: one keep's M is as large as the B kets
+        for start in range(0, len(keeps), step):
+            m = amplitudes.take(index[start:start + step], axis=1)  # (B, keeps, d, 2^(n-k))
+            np.matmul(m, np.conjugate(m).swapaxes(2, 3), out=stack[:, start:start + step])
+        return stack
     m = np.empty((count, d, amplitudes.shape[1] // d), dtype=np.complex128)
     m_conj = np.empty_like(m)
     kets = amplitudes.reshape((count,) + (2,) * n_qubits)
@@ -127,17 +145,32 @@ def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequen
     return stack
 
 
+# a gather index holds one intp per amplitude and keep; a register whose keeps need more (pair keeps
+# from 12 qubits on) copies each M instead, where the copy's call costs little beside its arithmetic
+_GATHER_ENTRIES = 2**15
+# kets' worth of M (and as many of its conjugate) that one take of marginal_stack may gather: a
+# report's six stay below the heap of decoding its state file, about ten kets of Python floats
+_GATHER_KETS = 3
+
+
 @lru_cache(maxsize=64)
-def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
     """Per keep, the permutation of the axes of a (B, 2, ..., 2) ket array that puts the
-    kept qubits first and then the traced ones, each in register order."""
+    kept qubits first and then the traced ones, each in register order; and, where the keeps
+    hold at most _GATHER_ENTRIES amplitudes, the read-only (K, d, 2^n / d) gather index whose
+    entry [i, r, c] is the position in a ket of keep i's M[r, c]."""
     # a ValueError (a bad keep) is not cached and raises again on the next call
-    perms = []
+    orders = []
     for keep in keeps:
         kept = _sorted_keep(keep, n_qubits)
-        traced = [q for q in range(n_qubits) if q not in kept]
-        perms.append((0,) + tuple(1 + q for q in kept + traced))
-    return tuple(perms)
+        orders.append(kept + [q for q in range(n_qubits) if q not in kept])
+    perms = tuple((0,) + tuple(1 + q for q in order) for order in orders)
+    if not keeps or len(keeps) << n_qubits > _GATHER_ENTRIES:
+        return perms, None
+    positions = np.arange(2**n_qubits).reshape((2,) * n_qubits)
+    index = np.array([positions.transpose(order) for order in orders]).reshape(len(keeps), 2 ** len(keeps[0]), -1)
+    index.flags.writeable = False
+    return perms, index
 
 
 def density_spectra(stack: np.ndarray) -> np.ndarray:
@@ -147,21 +180,24 @@ def density_spectra(stack: np.ndarray) -> np.ndarray:
     trace (1e-12) and positive (smallest eigenvalue >= -1e-10).  The
     checks run in that order over the whole stack, and the first that
     fails raises.  Finiteness comes first, so a NaN or infinite entry is
-    rejected before any arithmetic on it (inf - inf would warn).
+    rejected before any arithmetic on it (inf - inf would warn).  Each
+    check is one reduction over the whole stack (count_nonzero for a
+    boolean test, a ufunc's reduce for a bound), and a trace is the sum of
+    its diagonal.
     """
-    if not np.isfinite(stack).all():
+    if np.count_nonzero(np.isfinite(stack)) < stack.size:
         raise ValueError("density matrix must be finite")
     # |conj(rho_ij) - rho_ji| is |rho_ij - conj(rho_ji)|; taken in place, it holds one copy of the stack
-    deviation = stack.conj()
+    deviation = np.conjugate(stack)
     deviation -= stack.swapaxes(1, 2)
-    if not np.abs(deviation).max(initial=0.0) <= HERMITICITY_ATOL:
+    if not np.maximum.reduce(np.abs(deviation), axis=None, initial=0.0) <= HERMITICITY_ATOL:
         raise ValueError("density matrix must be hermitian")
-    tr = np.trace(stack, axis1=1, axis2=2)
+    tr = np.add.reduce(stack.diagonal(0, 1, 2), axis=1)
     unit = np.abs(tr - 1.0) <= TRACE_ATOL
-    if not unit.all():
+    if np.count_nonzero(unit) < unit.size:
         raise ValueError(f"density matrix must have unit trace, got {tr[unit.argmin()]!r}")
     spectra = np.linalg.eigvalsh(stack)[:, ::-1]
-    smallest = float(spectra[:, -1].min(initial=np.inf))
+    smallest = float(np.minimum.reduce(spectra[:, -1], initial=np.inf))
     if not smallest >= -PSD_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
     return spectra

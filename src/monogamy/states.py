@@ -8,7 +8,8 @@ import numpy as np
 
 from .qstate import NORM_ATOL, Ket
 
-SCHMIDT_NORM_ATOL = 1e-12
+# squares summing to within NORM_ATOL of 1 make a norm within about NORM_ATOL / 2 of 1, which Ket accepts
+SCHMIDT_NORM_ATOL = NORM_ATOL
 
 
 @dataclass(frozen=True)
@@ -17,7 +18,8 @@ class SchmidtParams:
     three-qubit Schmidt form.
 
     The lambdas are nonnegative and their squares sum to 1 (within
-    1e-12); phi is the relative phase on the second coefficient.
+    SCHMIDT_NORM_ATOL, 2.5e-13, so that gsd3's ket has a norm Ket
+    accepts); phi is the relative phase on the second coefficient.
     """
 
     lambdas: tuple[float, float, float, float, float]

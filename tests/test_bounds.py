@@ -16,10 +16,12 @@ from monogamy import (
     alpha_sweep,
     ghz_state,
     haar_random,
+    load_state,
     monogamy_report,
     power_split_margin,
     prior_factor,
     pure_cut_value,
+    save_state,
     step_factor,
     tsallis_kind,
     w_state,
@@ -388,6 +390,34 @@ def test_a_sweep_leaves_no_plan_behind():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
+
+
+def _heap_peak(call):
+    # the most heap a call allocates above the heap at its start, after one untraced call has
+    # filled the plans and caches it reads
+    import tracemalloc
+
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return tracemalloc.get_traced_memory()[1] - start, out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_a_report_allocates_less_heap_than_decoding_its_file(n, tmp_path):
+    # a --state call's heap peak is set by decoding the JSON file; the analysis and its report,
+    # marginal gathers and all, must stay below it (below 6 qubits their fixed costs do not)
+    path = tmp_path / "wide.json"
+    save_state(haar_random(n, 1), path)
+    decode, psi = _heap_peak(lambda: load_state(path))
+    for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(2.0)):
+        report, _ = _heap_peak(lambda: ChainAnalysis.of(psi, 0).report(kind, kind.alpha_floor))
+        assert report < decode, kind
 
 
 def test_ranked_order_keeps_ties_in_given_order():

@@ -13,7 +13,7 @@ import pytest
 
 import monogamy
 from monogamy import (
-    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind,
+    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind, w_state,
 )
 from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _table_plan, step_factor
 from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
@@ -120,6 +120,20 @@ def test_a_ladder_overflowing_at_a_used_split_raises_as_a_report_does():
         with pytest.raises(ValueError) as got:
             ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 5, 0).table(keys)
         assert str(got.value) == str(alone.value) == str(expected.value)
+
+
+def test_chain_index_holds_each_state_s_given_and_ranked_positions():
+    # row 0 of state j is its pairs in the given order, row 1 by descending concurrence with ties in
+    # given order (Python's sort is stable), both as positions in concurrence.ravel()
+    amplitudes = np.array([w_class_amplitudes(5, 3), haar_random(5, 2).amplitudes, w_state(5).amplitudes,
+                           haar_random(5, 4).amplitudes])
+    batch = ChainBatch.of(amplitudes, 5, 0, order=(3, 1, 4, 2))
+    count, n_pairs = batch.concurrence.shape
+    assert batch.chain_index.shape == (2, count, n_pairs)
+    for j, row in enumerate(batch.concurrence.tolist()):
+        ranked = sorted(range(n_pairs), key=lambda i: -row[i])
+        assert batch.chain_index[0, j].tolist() == [j * n_pairs + i for i in range(n_pairs)]
+        assert batch.chain_index[1, j].tolist() == [j * n_pairs + i for i in ranked], row
 
 
 def test_certified_splits_match_one_chain_at_a_time():

@@ -7,6 +7,8 @@ import pytest
 
 from monogamy import (
     CONCURRENCE,
+    CREN,
+    EOF,
     ChainAnalysis,
     DensityMatrix,
     Ket,
@@ -19,6 +21,7 @@ from monogamy import (
     purity,
     save_state,
     trace_norm,
+    tsallis_kind,
     w_state,
 )
 import monogamy.qstate
@@ -43,6 +46,40 @@ def test_ket_validation():
         Ket(2, np.array([1.0, 0.0]))  # wrong length
     with pytest.raises(ValueError):
         Ket(0, np.array([1.0]))
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 3), (8, 1), (10, 2)])
+def test_every_ket_accepted_passes_its_own_analysis(n, seed):
+    # a Ket's norm may stray from 1 by NORM_ATOL; its marginals' traces are its squared norm, which
+    # density_spectra holds to TRACE_ATOL, so every ket Ket accepts must give a report of every measure
+    base = haar_random(n, seed).amplitudes
+    accepted = rejected = 0
+    for d in np.linspace(-1e-12, 1e-12, 41).tolist() + [s * monogamy.qstate.NORM_ATOL for s in (-1, 1)]:
+        try:
+            psi = Ket(n, base * (1.0 + d))
+        except ValueError as exc:
+            assert "unit norm" in str(exc)
+            rejected += 1
+            continue
+        accepted += 1
+        analysis = ChainAnalysis.of(psi, 0)
+        for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(2.5)):
+            analysis.report(kind, kind.alpha_floor)
+        for q in range(n):
+            psi.marginal([q])
+    assert accepted > 0 and rejected > 0
+
+
+def test_ket_norm_boundary():
+    atol = monogamy.qstate.NORM_ATOL
+    assert (2 + atol) * atol < 0.501 * monogamy.qstate.TRACE_ATOL  # ||psi||^2 - 1 leaves half the trace tolerance
+    for d, ok in ((atol / 2, True), (-atol / 2, True), (2 * atol, False), (-2 * atol, False)):
+        amp = np.array([1.0 + d, 0.0])
+        if ok:
+            Ket(1, amp)
+        else:
+            with pytest.raises(ValueError, match="unit norm"):
+                Ket(1, amp)
 
 
 def test_nan_input_is_rejected():
@@ -405,6 +442,39 @@ def test_marginal_plan_is_made_once_per_register_shape():
     assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 2)
     monogamy.qstate.marginal_stack(kets, 5, [(4, 0), (0, 1)])  # another keep order is another plan
     assert plan.cache_info().misses == 2
+
+
+def test_marginal_plan_gathers_while_its_index_is_small():
+    # one intp per amplitude and keep: the pair keeps of 11 qubits fit 2^15 entries, those of 12 do not
+    plan = monogamy.qstate._marginal_plan
+    try:
+        for n, keeps, gathers in ((11, tuple((0, b) for b in range(1, 11)), True),
+                                  (12, tuple((0, b) for b in range(1, 12)), False),
+                                  (15, ((3,),), True), (16, ((3,),), False)):
+            perms, index = plan(n, keeps)
+            assert len(perms) == len(keeps)
+            assert (index is not None) == gathers, n
+            if gathers:
+                assert index.shape == (len(keeps), 2 ** len(keeps[0]), 2 ** (n - len(keeps[0])))
+                assert not index.flags.writeable
+    finally:
+        plan.cache_clear()
+
+
+def test_gathered_and_copied_marginals_agree(monkeypatch):
+    # the gather of many keeps per take and the per-keep copy of a register too wide for an index
+    # give the same stack to the bit, in chunks of one keep or of several
+    kets = np.array([random_ket(np_rng, 2**8) for _ in range(3)])
+    keeps = [(0, b) for b in range(1, 8)] + [(5, 2)]
+    stacks = []
+    for entries, budget in ((2**15, 3), (2**15, 1), (2**15, 100), (0, 3)):
+        monkeypatch.setattr(monogamy.qstate, "_GATHER_ENTRIES", entries)
+        monkeypatch.setattr(monogamy.qstate, "_GATHER_KETS", budget)
+        monogamy.qstate._marginal_plan.cache_clear()
+        stacks += [_hexes(monogamy.qstate.marginal_stack(kets[:1], 8, keeps)),
+                   _hexes(monogamy.qstate.marginal_stack(kets, 8, keeps))]
+    monogamy.qstate._marginal_plan.cache_clear()
+    assert all(got == stacks[0] for got in stacks[::2]) and all(got == stacks[1] for got in stacks[1::2])
 
 
 @pytest.mark.parametrize("keep, message", [((), "must keep at least one factor"), ((1, 1), "duplicate indices"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monogamy import (
+    CONCURRENCE,
     EOF,
     SchmidtParams,
     concurrence_pure,
@@ -11,6 +12,7 @@ from monogamy import (
     ghz_state,
     gsd3,
     haar_random,
+    monogamy_report,
     partial_trace,
     pure_cut_value,
     purity,
@@ -36,6 +38,22 @@ def test_schmidt_params_validation():
         SchmidtParams((0.5, 0.5, 0.5, -0.5, 0.0))
     with pytest.raises(ValueError):
         SchmidtParams((0.5, 0.5, 0.5, 0.5, 0.1))  # squares exceed 1
+
+
+def test_every_schmidt_form_accepted_builds_a_ket_with_a_report():
+    # SchmidtParams holds the squares to SCHMIDT_NORM_ATOL, inside what Ket accepts, so gsd3 never
+    # raises on accepted coefficients and their analysis passes its own marginal checks
+    base = np.array([0.5, 0.5, math.sqrt(6) / 6, math.sqrt(6) / 6, math.sqrt(6) / 6])
+    accepted = 0
+    for d in np.linspace(-1e-12, 1e-12, 41).tolist():
+        try:
+            params = SchmidtParams(tuple((base * math.sqrt(1.0 + d)).tolist()), phi=0.3)
+        except ValueError as exc:
+            assert "sum to 1" in str(exc)
+            continue
+        accepted += 1
+        monogamy_report(gsd3(params), 0, CONCURRENCE, 2.0)
+    assert 0 < accepted < 41
 
 
 def test_gsd3_amplitude_placement():
