@@ -313,7 +313,7 @@ class ChainBatch:
         spectra = density_spectra(rho_a)
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
-        chain_index += np.arange(0, concurrence.size, len(given))[:, None]
+        chain_index += len(given) * np.arange(count)[:, None]
         return cls(focus, given, concurrence, chain_index, rho_a, spectra)
 
     def __eq__(self, other):

@@ -1,11 +1,13 @@
 """Entanglement measures for pure multiqubit cuts and two-qubit mixed states.
 
 Each measure is two maps: a pure-state cut value read from the side-A reduced
-state, ``cut_values(kind, entries, spectra)`` on a batch of reduced states,
-``cut_value_of_marginal(kind, rho_a)`` or ``pure_cut_value(kind, psi,
-side_a)`` with the cut named by its side-A qubits; and a two-qubit closed form
-in the pair concurrence C, ``values_of_concurrence(kind, cs)`` on a list of
-concurrences or ``pair_value(kind, rho)``.
+state, ``cut_values(kind, entries, spectra)`` on a batch of reduced states or
+``pure_cut_value(kind, psi, side_a)`` on one ket with the cut named by its
+side-A qubits; and a two-qubit closed form in the pair concurrence C,
+``values_of_concurrence(kind, cs)`` on a list of concurrences or
+``pair_value(kind, rho)``.  The negativity is the paper's N_c, the convex-roof
+extended negativity (CREN), which cut_values reads from a pure cut's reduced
+spectrum.
 
 The closed forms f(C^2) of EOF and g_q(C^2) of tsallis have one
 implementation: the list maps behind values_of_concurrence, one list
@@ -26,12 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import (
-    DensityMatrix,
-    Ket,
-    partial_transpose,
-    trace_norm,
-)
+from .qstate import DensityMatrix, Ket
 
 DOMAIN_ATOL = 1e-12
 EIG_CLIP_ATOL = 1e-10
@@ -140,9 +137,7 @@ def tsallis_g(q: float, x: float) -> float:
     into the matching tsallis-q entanglement.  This is the batch map of
     values_of_concurrence on one value.
     """
-    q = float(q)
-    if not (2.0 - DOMAIN_ATOL <= q <= 3.0 + DOMAIN_ATOL):
-        raise ValueError(f"q={q!r} outside the supported range [2, 3]")
+    q = tsallis_kind(q).q  # MeasureKind holds the one check of the supported range
     return _tsallis_values(q, [float(x)])[0]
 
 
@@ -224,17 +219,6 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
     return float(spin_flip_concurrences(rho.entries, rho.eigenvalues))
 
 
-def negativity(rho: DensityMatrix, subsystem: int) -> float:
-    """||rho^(T_subsystem)||_1 - 1 across subsystem vs the rest.
-
-    Normalized so a maximally entangled two-qubit pair gives 1.
-    """
-    val = trace_norm(partial_transpose(rho, subsystem)) - 1.0
-    if val < -EIG_CLIP_ATOL:
-        raise ValueError(f"trace norm below 1 ({1.0 + val!r}); input is not a state")
-    return max(val, 0.0)
-
-
 def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Value of ``kind`` on each of B pure states, read from their side-A reduced states.
 
@@ -246,8 +230,8 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
     negativity.  Each value is bit for bit the one-state formula.
     """
     if kind.name == "concurrence":
-        # Tr rho_A^2 of every state from one conjugated product: bit for bit np.vdot(e, e).real of each,
-        # clamped to [0, 1] as qstate.purity clamps it
+        # Tr rho_A^2 of every state from one conjugated product, bit for bit np.vdot(e, e).real of each,
+        # clamped to [0, 1] against rounding
         flat = entries.reshape(len(entries), -1)
         purity = np.minimum(np.maximum(np.vecdot(flat, flat).real, 0.0), 1.0)
         return np.sqrt(2.0 * (1.0 - purity))
@@ -270,16 +254,12 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
     return np.maximum(np.sqrt(lam).sum(axis=1) ** 2 - 1.0, 0.0)
 
 
-def cut_value_of_marginal(kind: MeasureKind, rho_a: DensityMatrix) -> float:
-    """Value of ``kind`` on a pure state whose side-A reduced state is ``rho_a``: cut_values on one state."""
-    return float(cut_values(kind, rho_a.entries[None], rho_a.eigenvalues[None])[0])
-
-
 def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:
     """Value of ``kind`` on a pure state across the cut of ``side_a`` against the rest."""
     if set(side_a) >= set(range(psi.n_qubits)):
         raise ValueError(f"side A {tuple(side_a)} holds every qubit, so side B is empty")
-    return cut_value_of_marginal(kind, psi.marginal(side_a))
+    rho_a = psi.marginal(side_a)
+    return float(cut_values(kind, rho_a.entries[None], rho_a.eigenvalues[None])[0])
 
 
 def values_of_concurrence(kind: MeasureKind, cs: list[float]) -> list[float]:

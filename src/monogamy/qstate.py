@@ -96,17 +96,6 @@ class Ket:
         entries = marginal_stack(self.amplitudes[None], self.n_qubits, [keep])[0, 0]
         return DensityMatrix((2,) * len(keep), entries)  # the plan rejected a duplicate, so k = len(keep)
 
-    def pair_marginals(self, focus: int, partners: Sequence[int]) -> np.ndarray:
-        """The (len(partners), 4, 4) stack of the marginals of (focus, b), b in ``partners``.
-
-        Entry i is bit for bit ``marginal((focus, partners[i])).entries``,
-        and the whole stack is validated once by density_spectra.  This is
-        marginal_stack on one ket.
-        """
-        stack = marginal_stack(self.amplitudes[None], self.n_qubits, [(focus, b) for b in partners]).reshape(-1, 4, 4)
-        density_spectra(stack)
-        return stack
-
 
 def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequence[int]]) -> np.ndarray:
     """The (B, len(keeps), d, d) marginals of each of the B kets in ``amplitudes``, a (B, 2^n) array.
@@ -242,14 +231,6 @@ class DensityMatrix:
             return NotImplemented
         return self.dims == other.dims and np.array_equal(self.entries, other.entries)
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.dims)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
 
 def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
     kept = sorted(int(i) for i in keep)
@@ -270,8 +251,8 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     column axis per factor, and each traced factor's row axis is
     contracted with its column axis.
     """
-    kept = _sorted_keep(keep, rho.n_factors)
-    k = rho.n_factors
+    k = len(rho.dims)
+    kept = _sorted_keep(keep, k)
     rows = list(range(k))
     # a traced factor shares its row label, so einsum sums its diagonal
     cols = [k + i if i in kept else i for i in range(k)]
@@ -280,31 +261,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     dk = int(np.prod([rho.dims[i] for i in kept]))
     reduced = np.einsum(t, rows + cols, out).reshape(dk, dk)
     return DensityMatrix(tuple(rho.dims[i] for i in kept), reduced)
-
-
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Transpose one factor in place; returns a raw matrix.
-
-    The result is generally not positive semidefinite, so no
-    DensityMatrix is constructed.
-    """
-    if subsystem < 0 or subsystem >= rho.n_factors:
-        raise ValueError(f"subsystem {subsystem} out of range for dims {rho.dims}")
-    k = rho.n_factors
-    t = rho.entries.reshape(rho.dims + rho.dims)
-    t = t.swapaxes(subsystem, k + subsystem)
-    return np.ascontiguousarray(t.reshape(rho.order, rho.order))
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), clamped to [0, 1]."""
-    p = float(np.vdot(rho.entries, rho.entries).real)
-    return min(max(p, 0.0), 1.0)
 
 
 def physical_memory() -> int:

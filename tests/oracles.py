@@ -39,6 +39,24 @@ def ptrace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def partial_transpose_loops(mat: np.ndarray, dims, subsystem: int) -> np.ndarray:
+    """Transpose one factor by explicit multi-index loops: entry (i, j) moves to the
+    pair whose ``subsystem`` digits are swapped (slow, obvious)."""
+    dims = tuple(dims)
+    out = np.zeros_like(mat, dtype=complex)
+    for i, row in enumerate(np.ndindex(*dims)):
+        for j, col in enumerate(np.ndindex(*dims)):
+            row_t, col_t = list(row), list(col)
+            row_t[subsystem], col_t[subsystem] = col[subsystem], row[subsystem]
+            out[np.ravel_multi_index(row_t, dims), np.ravel_multi_index(col_t, dims)] = mat[i, j]
+    return out
+
+
+def trace_norm(mat: np.ndarray) -> float:
+    """Sum of the singular values."""
+    return float(np.linalg.svd(mat, compute_uv=False).sum())
+
+
 def sub_normalized_states(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rows are sub-normalized kets whose projector sum rebuilds rho."""
     w, v = np.linalg.eigh(rho)

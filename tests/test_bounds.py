@@ -363,6 +363,12 @@ def test_analysis_fixes_the_auto_split_for_every_row():
         ChainAnalysis.of(ghz_state(2), 0).report(CONCURRENCE, 2.0)
 
 
+def test_one_qubit_report_is_a_value_error():
+    # a register with no pair at all reaches the same check as a two-qubit one
+    with pytest.raises(ValueError, match="need at least three qubits, got 1"):
+        monogamy_report(Ket(1, [1, 0]), 0, CONCURRENCE, 2.0)
+
+
 def test_analyses_compare_by_value():
     # equality reads the state's numbers, not the reports made so far
     first, second = ChainAnalysis.of(w_state(4), 0), ChainAnalysis.of(w_state(4), 0)

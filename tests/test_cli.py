@@ -148,6 +148,15 @@ def test_malformed_state_file_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_one_qubit_state_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}\n')
+    assert main(["--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least three qubits, got 1\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_example_csv_shape_and_determinism(capsys):
     assert main(["--example", "1"]) == 0
     first = capsys.readouterr().out

@@ -19,7 +19,6 @@ from monogamy import (
     eof_f,
     ghz_state,
     haar_random,
-    negativity,
     pair_value,
     partial_trace,
     pure_cut_value,
@@ -30,7 +29,15 @@ from monogamy import (
 from monogamy.measures import cut_values, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
 from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
-from oracles import min_avg_concurrence, random_ket, random_mixed, w_class_amplitudes, wootters_concurrence
+from oracles import (
+    min_avg_concurrence,
+    partial_transpose_loops,
+    random_ket,
+    random_mixed,
+    trace_norm,
+    w_class_amplitudes,
+    wootters_concurrence,
+)
 
 np_rng = np.random.default_rng(77)
 
@@ -205,33 +212,35 @@ def test_tsallis_pure_two_qubit_matches_g_of_squared_concurrence():
         assert abs(pure_cut_value(tsallis_kind(q), psi, (0,)) - tsallis_g(q, c * c)) < 1e-12
 
 
-def test_negativity_known_values():
-    assert abs(negativity(BELL.to_density_matrix(), 0) - 1.0) < 1e-12
-    sep = two_qubit(np.diag([0.25, 0.25, 0.25, 0.25]))
-    assert negativity(sep, 1) == 0.0
+def test_cren_pure_cut_known_values():
+    assert abs(pure_cut_value(CREN, BELL, (0,)) - 1.0) < 1e-12
     lam = (math.sqrt(5) / 5,) * 5
     psi = gsd3(SchmidtParams(lam))
-    assert abs(negativity(psi.to_density_matrix(), 0) - 2.0 * math.sqrt(3) / 5.0) < 1e-12
+    assert abs(pure_cut_value(CREN, psi, CUT3) - 2.0 * math.sqrt(3) / 5.0) < 1e-12
 
 
 def test_negativity_separable_mixture_is_zero():
-    # convex mixtures of product states stay at zero negativity
+    # convex mixtures of product states have a positive partial transpose, so the
+    # oracle route the CREN cross-check uses reads zero negativity on them
     entries = np.zeros((4, 4), dtype=complex)
     for _ in range(6):
         a = random_ket(np_rng, 2)
         b = random_ket(np_rng, 2)
         ab = np.kron(a, b)
         entries += np.outer(ab, ab.conj())
-    rho = two_qubit(entries / 6.0)
-    assert negativity(rho, 0) == 0.0
+    for sub in (0, 1):
+        pt = partial_transpose_loops(entries / 6.0, (2, 2), sub)
+        assert np.linalg.eigvalsh(pt).min() > -1e-12
+        assert abs(trace_norm(pt) - 1.0) < 1e-12
 
 
 def test_pure_cut_value_cren_matches_partial_transpose_route():
+    # the trace norm of the partially transposed projector, less one, from the loop oracle
     for n, focus in ((3, 0), (3, 2), (4, 1)):
         psi = Ket(n, random_ket(np_rng, 2**n))
-        via_schmidt = pure_cut_value(CREN, psi, (focus,))
-        via_pt = negativity(psi.to_density_matrix(), focus)
-        assert abs(via_schmidt - via_pt) < 1e-10
+        projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        via_pt = trace_norm(partial_transpose_loops(projector, (2,) * n, focus)) - 1.0
+        assert abs(pure_cut_value(CREN, psi, (focus,)) - via_pt) < 1e-10
 
 
 def test_pure_cut_value_dispatch():
@@ -304,7 +313,8 @@ def test_pair_stack_matches_one_pair_at_a_time():
         for psi in (haar_random(n, 900 + n), w_state(n)):
             focus = n // 2
             partners = [b for b in range(n) if b != focus][::-1]
-            stack = psi.pair_marginals(focus, partners)
+            stack = marginal_stack(psi.amplitudes[None], n, [(focus, b) for b in partners]).reshape(-1, 4, 4)
+            density_spectra(stack)
             conc = spin_flip_concurrences(stack)
             analysis = ChainAnalysis.of(psi, focus)
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
@@ -323,7 +333,9 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
         psi = haar_random(n, 3000 + seed)
         for a in (0, n - 1):
             partners = [b for b in range(n) if b != a]
-            got = spin_flip_concurrences(psi.pair_marginals(a, partners))
+            stack = marginal_stack(psi.amplitudes[None], n, [(a, b) for b in partners]).reshape(-1, 4, 4)
+            density_spectra(stack)
+            got = spin_flip_concurrences(stack)
             want = [wootters_concurrence(psi.amplitudes, n, a, b) for b in partners]
             assert np.abs(got - want).max() <= 1e-12, (seed, a)
 
@@ -455,7 +467,7 @@ def test_one_value_maps_keep_their_domain_messages():
 
 @pytest.mark.parametrize("count", [1, 5, 292])
 def test_concurrence_cut_values_match_per_state_purity(count):
-    # one batched conjugated product against the per-state np.vdot of qstate.purity, bit for bit
+    # one batched conjugated product against the per-state np.vdot, clamped to [0, 1], bit for bit
     for n, keep in ((3, (0,)), (5, (4,)), (5, (1, 3))):
         amplitudes = haar_rows(np.empty((count, 2**n), dtype=np.complex128), 70 * n + count)
         entries = marginal_stack(amplitudes, n, [keep])[:, 0]
