@@ -18,7 +18,6 @@ from .measures import (
     CREN,
     EOF,
     MeasureKind,
-    binary_entropy,
     concurrence_pure,
     concurrence_two_qubit,
     eof_f,
@@ -35,7 +34,7 @@ from .qstate import (
     partial_trace,
     save_state,
 )
-from .states import SchmidtParams, ghz_state, gsd3, haar_random, w_state
+from .states import SchmidtParams, gsd3, haar_random, w_state
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "CREN",
     "EOF",
     "MeasureKind",
-    "binary_entropy",
     "concurrence_pure",
     "concurrence_two_qubit",
     "eof_f",
@@ -70,7 +68,6 @@ __all__ = [
     "partial_trace",
     "save_state",
     "SchmidtParams",
-    "ghz_state",
     "gsd3",
     "haar_random",
     "w_state",

@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measures import MeasureKind, cut_values, spin_flip_concurrences, values_of_concurrence
-from .qstate import Ket, density_spectra, marginal_stack, physical_memory
+from .qstate import Ket, checked_int, density_spectra, marginal_stack, physical_memory
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -303,7 +303,9 @@ class ChainBatch:
     @classmethod
     def of(cls, amplitudes: np.ndarray, n_qubits: int, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
         """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array of unit vectors."""
-        given, pair_keeps = _chain_plan(n_qubits, focus, None if order is None else tuple(order))
+        focus = checked_int(focus, "focus")  # before the plan lookup: 1.0 would find the plan of 1
+        order = None if order is None else tuple(checked_int(i, "order entry") for i in order)
+        given, pair_keeps = _chain_plan(n_qubits, focus, order)
         count = len(amplitudes)
         pairs = marginal_stack(amplitudes, n_qubits, pair_keeps).reshape(-1, 4, 4)
         pair_spectra = density_spectra(pairs)
@@ -351,8 +353,10 @@ class ChainBatch:
             raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
         plan = plan_of(tuple(keys), n_pairs)  # also rejects a non-finite or below-floor alpha
         top = n_pairs - 1
-        if m is not None and not (1 <= int(m) <= top):
-            raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
+        if m is not None:
+            m = checked_int(m, "m")
+            if not 1 <= m <= top:
+                raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
         n_measures = len(plan.measures)
         concurrence = self.concurrence.ravel().tolist()
         values = [values_of_concurrence(kind, concurrence) for kind in plan.measures]
@@ -367,7 +371,6 @@ class ChainBatch:
             proven = np.where(plan.ranked_split, certified[:, 1], certified[:, 0])[:, :, ::-1]
             m, asserted = top - proven.argmax(axis=2), proven.any(axis=2)
         else:
-            m = int(m)
             asserted = certified[:, int(m == top), :, m - 1]
             m = np.full((n_measures, count), m)
         m, asserted = m.take(plan.which, axis=0), asserted.take(plan.which, axis=0)  # one row per key
@@ -405,7 +408,7 @@ def _chain_plan(n_qubits: int, focus: int, order: tuple[int, ...] | None) -> tup
     if not (0 <= focus < n_qubits):
         raise ValueError(f"focus {focus} out of range for {n_qubits} qubits")
     rest = [i for i in range(n_qubits) if i != focus]
-    given = tuple(rest) if order is None else tuple(int(i) for i in order)
+    given = tuple(rest) if order is None else order
     if sorted(given) != rest:
         raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
     return given, tuple((focus, b) for b in given)

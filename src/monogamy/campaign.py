@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import ChainBatch, step_factor
 from .measures import MeasureKind
-from .qstate import physical_memory
+from .qstate import checked_int, physical_memory
 from .states import haar_rows
 
 # bytes of per-state working set a batch may hold; its numpy buffers peak at about 0.52 MB at n = 3
@@ -61,6 +61,8 @@ class CampaignConfig:
     tolerance: float
 
     def __post_init__(self):
+        for name in ("n_qubits", "samples", "seed"):
+            checked_int(getattr(self, name), name)
         if self.n_qubits < 3:
             raise ValueError(f"campaign needs at least 3 qubits, got {self.n_qubits}")
         # peak of a draw and its analysis: the ket, the marginals' transposed copy and its conjugate;

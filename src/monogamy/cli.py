@@ -218,7 +218,7 @@ def cmd_state(args) -> int:
     _reject_unread_options(args, "state")
     tolerance = _tolerance(args)
     psi = load_state(args.state)
-    measure = _parse_measure(args.measure or "concurrence", args.q)
+    measure = _parse_measure("concurrence" if args.measure is None else args.measure, args.q)
     alpha = args.alpha if args.alpha is not None else measure.alpha_floor
     report = monogamy_report(
         psi,
@@ -250,7 +250,7 @@ def cmd_state(args) -> int:
 
 def cmd_verify(args) -> int:
     _reject_unread_options(args, "verify")
-    names = (args.measure or "concurrence,eof,cren,tsallis").split(",")
+    names = ("concurrence,eof,cren,tsallis" if args.measure is None else args.measure).split(",")
     kinds = tuple(_parse_measure(nm, args.q) for nm in names)
     alphas = _option(args, "alphas").split(",")
     tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, alphas))

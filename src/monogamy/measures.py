@@ -83,32 +83,21 @@ def tsallis_kind(q: float) -> MeasureKind:
     return MeasureKind("tsallis", float(q))
 
 
-def _unit_interval(x: float, what: str) -> float:
+def _unit_interval(x: float) -> float:
     if not (-DOMAIN_ATOL <= x <= 1.0 + DOMAIN_ATOL):
-        raise ValueError(f"{what}={x!r} outside [0, 1]")
+        raise ValueError(f"x={x!r} outside [0, 1]")
     return min(max(x, 0.0), 1.0)
 
 
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1 - x) log2 (1 - x), with 0 log 0 = 0."""
-    x = _unit_interval(float(x), "x")
-    h = 0.0
-    if x > 0.0:
-        h -= x * math.log2(x)
-    if x < 1.0:
-        h -= (1.0 - x) * math.log2(1.0 - x)
-    return h
-
-
 def _unit_values(xs: list[float]) -> list[float]:
-    """_unit_interval(x, "x") of each of ``xs``: the first one outside [0, 1] raises, the others are clamped."""
+    """_unit_interval of each of ``xs``: the first one outside [0, 1] raises, the others are clamped."""
     if min(xs, default=0.0) >= 0.0 and max(xs, default=0.0) <= 1.0 and not math.isnan(sum(xs)):
         return xs  # none outside [0, 1], so clamping would change none
-    return [_unit_interval(x, "x") for x in xs]
+    return [_unit_interval(x) for x in xs]
 
 
 def _eof_values(xs: list[float]) -> list[float]:
-    # f(x) = H(p), p = (1 + sqrt(1 - x)) / 2 in [1/2, 1], as binary_entropy sums it; H(1) = 0.0
+    # f(x) = H(p), p = (1 + sqrt(1 - x)) / 2 in [1/2, 1], summed as -p log2 p - (1-p) log2 (1-p); H(1) = 0.0
     return [0.0 - p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p) if (p := (1.0 + math.sqrt(1.0 - x)) / 2.0) < 1.0
             else 0.0 for x in _unit_values(xs)]
 

@@ -48,6 +48,14 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into a valid ket."""
 
 
+def checked_int(value, what: str) -> int:
+    """``value`` as an int: an int or a numpy integer passes; anything else, a bool or a float or
+    string of integral value among them, raises ValueError naming ``what`` and the value."""
+    if type(value) is int or isinstance(value, np.integer):  # type(True) is bool
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Pure state of an ``n_qubits`` register with unit-norm amplitudes, compared by value.
@@ -61,7 +69,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        if checked_int(self.n_qubits, "n_qubits") < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amp.size != 2**self.n_qubits:
@@ -113,6 +121,8 @@ def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequen
     stack is not validated; density_spectra checks it.
     """
     keeps = tuple(map(tuple, keeps))
+    for q in chain.from_iterable(keeps):  # before the plan lookup: 1.0 would find the plan of 1
+        checked_int(q, "keep entry")
     perms, index = _marginal_plan(n_qubits, keeps)  # also rejects an empty, duplicate or out-of-range keep
     d = 2 ** len(keeps[0]) if keeps else 1
     count = amplitudes.shape[0]
@@ -209,7 +219,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(checked_int(d, "factor dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid factor dimensions {dims}")
         entries = np.asarray(self.entries, dtype=np.complex128)
@@ -233,7 +243,7 @@ class DensityMatrix:
 
 
 def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
-    kept = sorted(int(i) for i in keep)
+    kept = sorted(checked_int(i, "keep entry") for i in keep)
     if not kept:
         raise ValueError("must keep at least one factor")
     if len(set(kept)) != len(kept):

@@ -64,15 +64,6 @@ def w_state(n: int) -> Ket:
     return Ket(n, amp)
 
 
-def ghz_state(n: int) -> Ket:
-    """(|0...0> + |1...1>) / sqrt(2)."""
-    if n < 2:
-        raise ValueError(f"need at least two qubits, got {n}")
-    amp = np.zeros(2**n, dtype=np.complex128)
-    amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    return Ket(n, amp)
-
-
 def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
     """Fill row j of ``out``, a (B, 2^n) complex array, with the Haar random state of seed ``seed + j``.
 

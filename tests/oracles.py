@@ -6,6 +6,8 @@ is checked against a second, structurally different route.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -155,6 +157,23 @@ def w_class_amplitudes(n: int, seed: int) -> np.ndarray:
     for k in range(n):
         amp[1 << (n - 1 - k)] = z[k + 1]
     return amp / np.linalg.norm(amp)
+
+
+def ghz_amplitudes(n: int) -> np.ndarray:
+    """(|0...0> + |1...1>) / sqrt(2) on n qubits."""
+    amp = np.zeros(2**n, dtype=complex)
+    amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
+    return amp
+
+
+def binary_entropy(x: float) -> float:
+    """H(x) = -x log2 x - (1 - x) log2 (1 - x) for x in [0, 1], with 0 log 0 = 0, summed in that order."""
+    h = 0.0
+    if x > 0.0:
+        h -= x * math.log2(x)
+    if x < 1.0:
+        h -= (1.0 - x) * math.log2(1.0 - x)
+    return h
 
 
 def wootters_concurrence(amplitudes: np.ndarray, n: int, a: int, b: int) -> float:

@@ -14,7 +14,6 @@ from monogamy import (
     WeightLadder,
     alpha_grid,
     alpha_sweep,
-    ghz_state,
     haar_random,
     load_state,
     monogamy_report,
@@ -26,8 +25,9 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
+from monogamy.campaign import CampaignConfig, run_campaign
 from monogamy.states import SchmidtParams, gsd3
-from oracles import w_class_amplitudes
+from oracles import ghz_amplitudes, w_class_amplitudes
 
 np_rng = np.random.default_rng(4242)
 
@@ -177,7 +177,7 @@ def test_precondition_w4_frozen_verdicts():
 
 def test_precondition_ghz4_holds_with_zero_bound():
     # no GHZ4 pair is entangled: every power and sum is 0, every comparison ties
-    r = monogamy_report(ghz_state(4), 0, CONCURRENCE, 2.0)
+    r = monogamy_report(Ket(4, ghz_amplitudes(4)), 0, CONCURRENCE, 2.0)
     assert [v.value for v in r.preconditions.verdicts] == ["Holds", "Holds"]
     assert r.asserted
     assert r.m == 2
@@ -351,7 +351,7 @@ def test_analysis_fixes_the_auto_split_for_every_row():
     # the split depends on the measure's verdicts alone, so every auto report
     # of one measure takes the split of its floor report, whatever the exponent
     for n in range(3, 7):
-        for psi in (w_state(n), ghz_state(n), haar_random(n, 700 + n)):
+        for psi in (w_state(n), Ket(n, ghz_amplitudes(n)), haar_random(n, 700 + n)):
             analysis = ChainAnalysis.of(psi, 0)
             for kind in ALL_KINDS:
                 split = analysis.report(kind, kind.alpha_floor).m
@@ -360,7 +360,32 @@ def test_analysis_fixes_the_auto_split_for_every_row():
                     assert auto.m == split
                     assert auto == analysis.report(kind, alpha, split)
     with pytest.raises(ValueError, match="at least three qubits"):
-        ChainAnalysis.of(ghz_state(2), 0).report(CONCURRENCE, 2.0)
+        ChainAnalysis.of(Ket(2, ghz_amplitudes(2)), 0).report(CONCURRENCE, 2.0)
+
+
+@pytest.mark.parametrize("index, value", [("order", (1.5, 2, 3, 4)), ("order", (1.0, 2, 3, 4)), ("order", ("1", 2, 3, 4)),
+                                          ("focus", 1.0), ("focus", "0"), ("focus", True),
+                                          ("m", 1.5), ("m", "2"), ("m", 2.0), ("m", True)])
+def test_report_rejects_non_integral_indices(index, value):
+    # the integer calls first cache the plans of these shapes; a float used to hit them, or be truncated
+    psi = w_state(5)
+    monogamy_report(psi, 0, EOF, 2.0, order=(1, 2, 3, 4), m=2)
+    monogamy_report(psi, 1, EOF, 2.0)
+    indices = {"focus": 0, "order": None, "m": None, index: value}
+    with pytest.raises(ValueError, match=f"{index}( entry)? must be an integer, got"):
+        monogamy_report(psi, indices["focus"], EOF, 2.0, order=indices["order"], m=indices["m"])
+
+
+def test_numpy_integers_pass_every_index_check():
+    i = np.int64
+    psi = w_state(5)
+    want = monogamy_report(psi, 1, EOF, 2.0, order=(0, 2, 3, 4), m=2)
+    assert monogamy_report(psi, i(1), EOF, 2.0, order=tuple(map(i, (0, 2, 3, 4))), m=i(2)) == want
+    assert Ket(i(5), psi.amplitudes) == psi
+    assert psi.marginal((i(0), i(1))) == psi.marginal((0, 1))
+    assert monogamy.DensityMatrix((i(2), i(2)), np.eye(4) / 4).dims == (2, 2)
+    config = CampaignConfig(i(3), i(2), i(0), (EOF,), ("floor",), 1e-9)
+    assert run_campaign(config) == run_campaign(CampaignConfig(3, 2, 0, (EOF,), ("floor",), 1e-9))
 
 
 def test_one_qubit_report_is_a_value_error():
@@ -374,7 +399,7 @@ def test_analyses_compare_by_value():
     first, second = ChainAnalysis.of(w_state(4), 0), ChainAnalysis.of(w_state(4), 0)
     first.report(EOF, 2.0)
     assert first == second
-    assert first != ChainAnalysis.of(ghz_state(4), 0)
+    assert first != ChainAnalysis.of(Ket(4, ghz_amplitudes(4)), 0)
     assert first != ChainAnalysis.of(haar_random(4, 5), 0)
 
 

@@ -205,6 +205,15 @@ def test_nan_residual_folds_as_state_by_state(asserted, monkeypatch):
     assert [math.isnan(r.min_residual_new) for r in rows] == [asserted and r.measure == CONCURRENCE for r in rows]
 
 
+@pytest.mark.parametrize("field, value", [("n_qubits", 3.0), ("n_qubits", "3"), ("samples", 2.5), ("samples", True),
+                                          ("seed", 0.5), ("seed", True), ("seed", "0")])
+def test_campaign_config_rejects_non_integral_counts(field, value):
+    settings = dict(n_qubits=3, samples=2, seed=0, measures=(EOF,), alphas=("floor",), tolerance=1e-9)
+    settings[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        CampaignConfig(**settings)
+
+
 def test_batch_size_follows_the_byte_budget():
     # 48 bytes of ket, its transposed copy and its conjugate per amplitude, 256 per pair marginal
     assert batch_size(3) == 256 * 1024 // (48 * 8 + 2 * 256)

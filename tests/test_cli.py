@@ -141,6 +141,16 @@ def test_grid_guard_covers_the_measured_peak_of_a_sweep(capsys):
     assert 400 * points < peak < monogamy.bounds._SWEEP_BYTES_PER_POINT * points
 
 
+@pytest.mark.parametrize("mode", ["--verify", "--state"])
+def test_an_empty_measure_is_an_unknown_measure(mode, state_file, capsys):
+    # an empty --measure used to read as an omitted one and run the mode's default measures
+    argv = [mode] if mode == "--verify" else [mode, state_file]
+    assert main(argv + ["--measure", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown measure ''")
+
+
 def test_malformed_state_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n_qubits": 2,\n "amplitudes": [[1, 0],]}\n')

@@ -13,11 +13,9 @@ from monogamy import (
     DensityMatrix,
     Ket,
     MeasureKind,
-    binary_entropy,
     concurrence_pure,
     concurrence_two_qubit,
     eof_f,
-    ghz_state,
     haar_random,
     pair_value,
     partial_trace,
@@ -30,6 +28,8 @@ from monogamy.measures import cut_values, spin_flip_concurrences, spin_flip_mus,
 from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import (
+    binary_entropy,
+    ghz_amplitudes,
     min_avg_concurrence,
     partial_transpose_loops,
     random_ket,
@@ -69,19 +69,6 @@ def test_measure_kind_validation():
     assert EOF.alpha_floor == math.sqrt(2.0)
 
 
-def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    assert binary_entropy(-1e-13) == 0.0  # within clamp tolerance
-    for x in np.linspace(0.01, 0.99, 23):
-        assert abs(binary_entropy(x) - binary_entropy(1.0 - x)) < 1e-14
-    with pytest.raises(ValueError):
-        binary_entropy(1.1)
-    with pytest.raises(ValueError):
-        binary_entropy(-0.1)
-
-
 def test_eof_f_endpoints_and_monotonicity():
     assert eof_f(0.0) == 0.0
     assert abs(eof_f(1.0) - 1.0) < 1e-15
@@ -111,7 +98,7 @@ def test_concurrence_pure_known_states():
     assert abs(concurrence_pure(BELL, (0,)) - 1.0) < 1e-14
     product = Ket(2, np.array([1.0, 0.0, 0.0, 0.0]))
     assert concurrence_pure(product, (0,)) == 0.0
-    assert abs(concurrence_pure(ghz_state(3), CUT3) - 1.0) < 1e-14
+    assert abs(concurrence_pure(Ket(3, ghz_amplitudes(3)), CUT3) - 1.0) < 1e-14
     # frozen: W3 focus cut gives sqrt(8/9)
     assert abs(concurrence_pure(w_state(3), CUT3) - 0.9428090415820634) < 1e-14
 

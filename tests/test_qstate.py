@@ -475,6 +475,30 @@ def test_a_bad_keep_raises_the_same_message_every_time(keep, message):
             Ket(5, kets[0]).marginal(keep)
 
 
+@pytest.mark.parametrize("n_qubits", [3.0, 2.5, "3", True])
+def test_ket_rejects_a_non_integral_qubit_count(n_qubits):
+    # 3.0 used to be accepted, and its marginals then raised TypeError
+    with pytest.raises(ValueError, match=f"n_qubits must be an integer, got {n_qubits!r}"):
+        Ket(n_qubits, np.eye(8)[0])
+
+
+@pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("2", 2), (True, 4)])
+def test_density_matrix_rejects_non_integral_dimensions(dims):
+    # (2.7, 2) used to become (2, 2)
+    with pytest.raises(ValueError, match="factor dimension must be an integer"):
+        DensityMatrix(dims, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("keep", [(0, 1.5), (0, 1.0), (0, "1"), (0, True)])
+def test_marginal_stack_rejects_non_integral_keep_entries(keep):
+    kets = np.array([random_ket(np_rng, 8)])
+    monogamy.qstate.marginal_stack(kets, 3, [(0, 1)])  # an integer keep first, so its plan is cached
+    with pytest.raises(ValueError, match="keep entry must be an integer"):
+        monogamy.qstate.marginal_stack(kets, 3, [keep])
+    with pytest.raises(ValueError, match="keep entry must be an integer"):
+        Ket(3, kets[0]).marginal(keep)
+
+
 def _save_with_a_dump_loop(ket, path):
     # the writer save_state replaced: a list of [float(re), float(im)] per amplitude, json.dump, a newline
     data = {"n_qubits": ket.n_qubits, "amplitudes": [[float(a.real), float(a.imag)] for a in ket.amplitudes]}

