@@ -111,13 +111,20 @@ def power_split_margin(t: float, x: float) -> float:
     return (1.0 + t) ** x - 1.0 - (2.0**x - 1.0) * t**x
 
 
+def _ladder_powers(count: int) -> np.ndarray:
+    """Row s of this (count, count) array holds the powers of the ladder split at s (row 0 holds none):
+    p = [0, 1, ..., s-1] + [s+1] * (count-1-s) + [s], the one place that spells the pattern out."""
+    s, i = np.ogrid[:count, :count]
+    return np.where(i < s, i, s + (i < count - 1))
+
+
 @dataclass(frozen=True)
 class WeightLadder:
     """Geometric weight ladder with a split position.
 
-    weights()[i] = base^p_i with powers
-    p = [0, 1, ..., split-1] + [split+1] * (count-1-split) + [split];
-    split = count - 1 yields the fully ascending ladder 0..count-1.
+    weights()[i] = base^p_i with the powers of row ``split`` of
+    _ladder_powers; split = count - 1 yields the fully ascending ladder
+    0..count-1.
     """
 
     base: float
@@ -125,23 +132,18 @@ class WeightLadder:
     split: int
 
     def __post_init__(self):
-        if self.count < 2:
+        if checked_int(self.count, "ladder count") < 2:
             raise ValueError(f"need at least two pair terms, got {self.count}")
-        if not (1 <= self.split <= self.count - 1):
+        if not (1 <= checked_int(self.split, "ladder split") <= self.count - 1):
             raise ValueError(
                 f"split {self.split} outside [1, {self.count - 1}] for {self.count} terms"
             )
         if self.base < 1.0 - ALPHA_ATOL:
             raise ValueError(f"ladder base must be >= 1, got {self.base!r}")
 
-    def powers(self) -> np.ndarray:
-        p = list(range(self.split))
-        p += [self.split + 1] * (self.count - 1 - self.split)
-        p.append(self.split)
-        return np.array(p, dtype=np.int64)
-
     def weights(self) -> np.ndarray:
-        p = self.powers()
+        """The weights, or a ValueError where one overflows: the one overflow check of every ladder."""
+        p = _ladder_powers(self.count)[self.split]
         try:
             float(self.base) ** max(p.tolist())  # raises where numpy would return inf
         except OverflowError:
@@ -344,14 +346,14 @@ class ChainBatch:
         Python's pow.  One stacked matmul applies the new and the prior
         ladder of every key, a dot product per state.
         """
-        return self._table(keys, m, _table_plan)
+        return self._table(tuple(keys), m, _table_plan)
 
     def _table(self, keys, m, plan_of) -> BatchTable:
-        # table with the plan from plan_of: _table_plan, or the uncached _plan of a sweep
+        # table of a tuple of keys with the plan from plan_of: _table_plan, or the uncached _plan of a sweep
         count, n_pairs = self.concurrence.shape
         if n_pairs < 2:
             raise ValueError(f"need at least three qubits, got {n_pairs + 1}")
-        plan = plan_of(tuple(keys), n_pairs)  # also rejects a non-finite or below-floor alpha
+        plan = plan_of(keys, n_pairs)  # also rejects a non-finite or below-floor alpha
         top = n_pairs - 1
         if m is not None:
             m = checked_int(m, "m")
@@ -360,7 +362,8 @@ class ChainBatch:
         n_measures = len(plan.measures)
         concurrence = self.concurrence.ravel().tolist()
         values = [values_of_concurrence(kind, concurrence) for kind in plan.measures]
-        powers = [row if floor == 1.0 else [v**floor for v in row] for floor, row in zip(plan.floors, values)]
+        powers = [row if (floor := kind.alpha_floor) == 1.0 else [v**floor for v in row]
+                  for kind, row in zip(plan.measures, values)]
         # [values or powers, measure, given or ranked order, state, pair]
         chains = np.array(values + powers).reshape(2, n_measures, -1).take(self.chain_index, axis=2)
         del values, powers  # their Python floats outweigh the arrays
@@ -380,13 +383,11 @@ class ChainBatch:
         ladder = plan.offsets + m  # row of each report's ladder among the plan's (key, split) rows
 
         if plan.overflows:
-            # raise as a key-by-key build of the ladders at the splits its states take would:
-            # the first key in order, new ladder before prior
-            taken = plan.overflow.reshape(2, -1).take(ladder, axis=1).any(axis=2)
-            if taken.any():
-                k = int(taken.any(axis=0).argmax())
-                side = int(taken[:, k].argmax())
-                raise ValueError(f"ladder weights overflow: base {plan.bases[side][k]!r}, {n_pairs} terms")
+            # raise as a key-by-key build of the ladders at the splits its states take would: WeightLadder
+            # names the first key in order whose ladder holds an inf, new ladder before prior
+            taken = np.isinf(plan.ladders.reshape(2, -1, n_pairs).take(ladder, axis=1)).any(axis=3)
+            for k, side, j in np.argwhere(taken.swapaxes(0, 1))[:1].tolist():  # the first [key, new or prior, state]
+                WeightLadder((step_factor, prior_factor)[side](*keys[k]), n_pairs, int(m[k, j])).weights()  # raises
         powered = np.empty((len(plan.alphas), count, n_pairs))
         for alpha, group in plan.alpha_rows:
             powered[group] = pair_values[group] ** alpha
@@ -417,26 +418,23 @@ def _chain_plan(n_qubits: int, focus: int, order: tuple[int, ...] | None) -> tup
 class _TablePlan(NamedTuple):
     """What ChainBatch.table reads from its K (measure, alpha) keys and the pair count alone.
 
-    ``measures`` are the distinct measures in key order, with their
-    ``floors``; key k takes measure ``which[k]`` and exponent ``alphas[k]``.
-    ``alpha_rows`` holds, per distinct alpha, the keys that take it.
-    ``bases`` are the step (row 0) and prior (row 1) factors of every key,
-    and ``ladders[side, k, s]`` is WeightLadder(bases[side][k], N-1, s)
-    .weights() for s >= 1, inf where that ladder overflows
-    (``overflow[side, k, s]``; ``overflows`` says whether any does);
+    ``measures`` are the distinct measures in key order; key k takes
+    measure ``which[k]`` and exponent ``alphas[k]``.  ``alpha_rows``
+    holds, per distinct alpha, the keys that take it.  ``ladders[0, k]``
+    and ``ladders[1, k]`` are key k's step and prior factors raised to
+    _ladder_powers(N-1), so row s is its ladder at split s, with an inf
+    where a weight overflows; ``overflows`` says whether any does, and
+    WeightLadder alone then decides which ladder a table rejects.
     ``offsets[k]`` is k (N-1), where key k's ladders start when the
     (key, split) axes are read as one.  ``ranked_split[s - 1]`` says
     whether split s reads the ranked order: s = N-2 alone.
     """
 
     measures: tuple[MeasureKind, ...]
-    floors: tuple[float, ...]
     which: np.ndarray
     alphas: tuple[float, ...]
     alpha_rows: tuple[tuple[float, slice | np.ndarray], ...]
-    bases: tuple[tuple[float, ...], tuple[float, ...]]
     ladders: np.ndarray
-    overflow: np.ndarray
     overflows: bool
     offsets: np.ndarray
     ranked_split: np.ndarray
@@ -455,16 +453,10 @@ def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePl
     # a run of consecutive keys is read as a slice, any other group as an index array
     rows = [slice(g[0], g[-1] + 1) if g[-1] - g[0] == len(g) - 1 else np.array(g, dtype=np.intp)
             for g in groups.values()]
-    # row s: the ladder powers at split s; row 0 (never taken) is all zeros
-    powers = np.zeros((n_pairs, n_pairs), dtype=np.int64)
-    for s in range(1, n_pairs):
-        powers[s] = WeightLadder(1.0, n_pairs, s).powers()
     with np.errstate(over="ignore"):  # an overflow is an inf, raised where a state takes that ladder
-        ladders = np.array(bases).reshape(2, -1, 1, 1) ** powers
-    overflow = np.isinf(ladders).any(axis=3)
+        ladders = np.array(bases).reshape(2, -1, 1, 1) ** _ladder_powers(n_pairs)
     ladders.flags.writeable = False
-    return _TablePlan(measures, tuple(kind.alpha_floor for kind in measures), which, alphas,
-                      tuple(zip(groups, rows)), bases, ladders, overflow, bool(overflow.any()),
+    return _TablePlan(measures, which, alphas, tuple(zip(groups, rows)), ladders, bool(np.isinf(ladders).any()),
                       n_pairs * np.arange(len(keys))[:, None], np.arange(1, n_pairs) == n_pairs - 1)
 
 
@@ -508,7 +500,7 @@ class ChainAnalysis:
 
     def _reports(self, measure: MeasureKind, alphas: Sequence[float], m: int | None, plan_of) -> list[BoundReport]:
         # one table of one state over the keys (measure, alpha): every key takes the same split and chain
-        t = self.batch._table([(measure, a) for a in alphas], m, plan_of)
+        t = self.batch._table(tuple((measure, a) for a in alphas), m, plan_of)
         m = int(t.m[0, 0])
         ranked = m == len(self.given) - 1
         order = self.ranked if ranked else self.given

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import DensityMatrix, Ket
+from .qstate import DensityMatrix, Ket, _sorted_keep
 
 DOMAIN_ATOL = 1e-12
 EIG_CLIP_ATOL = 1e-10
@@ -245,7 +245,8 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
 
 def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:
     """Value of ``kind`` on a pure state across the cut of ``side_a`` against the rest."""
-    if set(side_a) >= set(range(psi.n_qubits)):
+    # the keep checks run first, and every check before a marginal is built: a full side A would be 2^n x 2^n
+    if len(_sorted_keep(side_a, psi.n_qubits)) == psi.n_qubits:
         raise ValueError(f"side A {tuple(side_a)} holds every qubit, so side B is empty")
     rho_a = psi.marginal(side_a)
     return float(cut_values(kind, rho_a.entries[None], rho_a.eigenvalues[None])[0])

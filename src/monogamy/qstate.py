@@ -69,7 +69,8 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if checked_int(self.n_qubits, "n_qubits") < 1:
+        object.__setattr__(self, "n_qubits", checked_int(self.n_qubits, "n_qubits"))  # an int, as JSON takes it
+        if self.n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amp.size != 2**self.n_qubits:
@@ -106,7 +107,7 @@ class Ket:
 
 
 def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (B, len(keeps), d, d) marginals of each of the B kets in ``amplitudes``, a (B, 2^n) array.
+    """The (B, len(keeps), d, d) marginals of each of the B kets in ``amplitudes``, a (B, 2^n) array, B >= 1.
 
     Every entry of ``keeps`` names k qubits (d = 2^k, the same k for all);
     entry [j, i] is the reduced state of ket j on ``keeps[i]``, kept
@@ -126,6 +127,8 @@ def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequen
     perms, index = _marginal_plan(n_qubits, keeps)  # also rejects an empty, duplicate or out-of-range keep
     d = 2 ** len(keeps[0]) if keeps else 1
     count = amplitudes.shape[0]
+    if count == 0:
+        raise ValueError("empty batch: need at least one ket")
     stack = np.empty((count, len(keeps), d, d), dtype=np.complex128)
     if index is not None:
         step = max(1, _GATHER_KETS // count)  # keeps per take: one keep's M is as large as the B kets

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import NORM_ATOL, Ket
+from .qstate import NORM_ATOL, Ket, checked_int
 
 # squares summing to within NORM_ATOL of 1 make a norm within about NORM_ATOL / 2 of 1, which Ket accepts
 SCHMIDT_NORM_ATOL = NORM_ATOL
@@ -56,7 +56,7 @@ def gsd3(params: SchmidtParams) -> Ket:
 
 def w_state(n: int) -> Ket:
     """Equal superposition of the n one-excitation basis states."""
-    if n < 2:
+    if checked_int(n, "n") < 2:
         raise ValueError(f"need at least two qubits, got {n}")
     amp = np.zeros(2**n, dtype=np.complex128)
     for k in range(n):
@@ -78,12 +78,13 @@ def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
     before the next; the rows are checked for unit norm together.
     Returns ``out``.
     """
+    seed = checked_int(seed, "seed")
     count, dim = out.shape
     pairs = out.view(np.float64).reshape(count, dim, 2)  # (real, imaginary) of each amplitude
     norms = np.empty(count)
     real, imag = out.real, out.imag
     for j in range(count):
-        pairs[j] = np.random.default_rng(int(seed) + j).standard_normal(2 * dim).reshape(2, dim).T
+        pairs[j] = np.random.default_rng(seed + j).standard_normal(2 * dim).reshape(2, dim).T
         re, im = real[j], imag[j]
         norms[j] = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm(out[j]), its two strided dots and root
     if not norms.all():
@@ -100,6 +101,6 @@ def haar_random(n: int, seed: int) -> Ket:
 
     It is the state that haar_rows draws for ``seed`` in any row of any batch.
     """
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise ValueError(f"need at least one qubit, got {n}")
     return Ket(n, haar_rows(np.empty((1, 2**n), dtype=np.complex128), seed)[0])

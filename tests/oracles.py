@@ -147,6 +147,15 @@ def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
+def ladder_powers(count: int, split: int) -> list[int]:
+    """The powers of the weight ladder of ``count`` terms split at ``split``, built as a list:
+    0 .. split-1 ascending, then split + 1 for each later term but the last, which takes split."""
+    p = list(range(split))
+    p += [split + 1] * (count - 1 - split)
+    p.append(split)
+    return p
+
+
 def w_class_amplitudes(n: int, seed: int) -> np.ndarray:
     """A W-class ket: normalized complex Gaussians from default_rng(seed) on
     |0...0> and the n single-excitation basis states, zero elsewhere."""

@@ -25,9 +25,10 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
+from monogamy.bounds import ChainBatch, _ladder_powers
 from monogamy.campaign import CampaignConfig, run_campaign
 from monogamy.states import SchmidtParams, gsd3
-from oracles import ghz_amplitudes, w_class_amplitudes
+from oracles import ghz_amplitudes, ladder_powers, w_class_amplitudes
 
 np_rng = np.random.default_rng(4242)
 
@@ -136,6 +137,30 @@ def test_weight_ladder_validation():
         WeightLadder(2.0, 4, 4)
     with pytest.raises(ValueError):
         WeightLadder(0.5, 4, 1)
+
+
+def test_weight_ladder_rejects_non_integral_count_and_split():
+    # WeightLadder(1.0, 3.0, 1).weights() used to raise TypeError, and a split of 1.5 got past the range check
+    for count, split, what in ((3.0, 1, "ladder count"), (3, 1.5, "ladder split"), (True, 1, "ladder count")):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            WeightLadder(1.0, count, split).weights()
+    assert WeightLadder(2.0, np.int64(3), np.int64(1)).weights().tolist() == [1.0, 4.0, 2.0]
+
+
+def test_ladder_powers_match_the_list_construction():
+    # the one power table holds, in row s, the list the ladder of split s was once built as
+    for count in range(2, 13):
+        powers = _ladder_powers(count)
+        assert powers.shape == (count, count)
+        for split in range(1, count):
+            assert powers[split].tolist() == ladder_powers(count, split), (count, split)
+            assert WeightLadder(3.0, count, split).weights().tolist() == [3.0**p for p in ladder_powers(count, split)]
+
+
+def test_an_empty_batch_is_rejected():
+    # zero rows used to divide by zero in marginal_stack
+    with pytest.raises(ValueError, match="empty batch"):
+        ChainBatch.of(np.empty((0, 8), dtype=complex), 3, 0)
 
 
 def test_weights_never_below_one():

@@ -6,11 +6,12 @@ import pytest
 
 import monogamy
 from monogamy import (
-    CONCURRENCE, CREN, EOF, ChainAnalysis, WeightLadder, alpha_grid, alpha_sweep, haar_random, monogamy_report,
-    save_state, tsallis_kind, w_state,
+    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, WeightLadder, alpha_grid, alpha_sweep, haar_random,
+    monogamy_report, prior_factor, save_state, step_factor, tsallis_kind, w_state,
 )
 from monogamy.cli import CampaignConfig, main, run_campaign
 from monogamy.states import SchmidtParams, gsd3
+from oracles import w_class_amplitudes
 
 ALL_KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0))
 
@@ -425,27 +426,46 @@ def test_campaign_builds_each_weight_ladder_once():
 
 
 def test_planned_ladders_equal_weight_ladders():
-    # every ladder of a plan is WeightLadder(base, count, split).weights() to the bit, and a
-    # ladder flagged as overflowing is one that WeightLadder rejects
+    # every ladder of a plan is WeightLadder(factor, count, split).weights() to the bit wherever that
+    # returns, and a plan flags an overflow exactly when it holds a (key, split) that WeightLadder rejects
     keys = tuple((kind, alpha) for kind in (CONCURRENCE, EOF, tsallis_kind(2.0), tsallis_kind(3.0))
                  for alpha in np.arange(kind.alpha_floor, 420.0, 0.73).tolist())
-    overflows = 0
+    flagged = 0
     for count in (2, 3, 5, 8):
         plan = monogamy.bounds._plan(keys, count)
         assert not plan.ladders.flags.writeable
-        for side, bases in enumerate(plan.bases):
-            for k, base in enumerate(bases):
+        rejected = 0
+        for k, key in enumerate(keys):
+            for side, factor in enumerate((step_factor, prior_factor)):
                 for split in range(1, count):
+                    planned = plan.ladders[side, k, split]
                     try:
-                        expected = [w.hex() for w in WeightLadder(base, count, split).weights().tolist()]
+                        expected = [w.hex() for w in WeightLadder(factor(*key), count, split).weights().tolist()]
                     except ValueError as exc:
                         assert "ladder weights overflow" in str(exc)
-                        assert plan.overflow[side, k, split]
-                        overflows += 1
+                        assert np.isinf(planned).any()
+                        rejected += 1
                         continue
-                    assert not plan.overflow[side, k, split]
-                    assert [w.hex() for w in plan.ladders[side, k, split].tolist()] == expected, (base, count, split)
-    assert overflows > 0
+                    assert [w.hex() for w in planned.tolist()] == expected, (key, count, split)
+        assert plan.overflows == (rejected > 0), count
+        flagged += plan.overflows
+    assert flagged > 0
+
+
+def test_a_state_file_taking_an_overflowing_ladder_exits_2(tmp_path, capsys):
+    # at alpha 800 the concurrence ladder of four pairs overflows at split 3 but not at split 1:
+    # a W-class state whose auto split is 1 reports, one whose split is 3 is rejected
+    for seed, split, code in ((78, 1, 0), (0, 3, 2)):
+        path = tmp_path / f"w5-{seed}.json"
+        save_state(Ket(5, w_class_amplitudes(5, seed)), path)
+        assert main(["--state", str(path), "--alpha", "800"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert f"alpha: 800  m: {split}  asserted: yes" in out
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error: ladder weights overflow")
 
 
 def test_ladder_errors_are_not_cached():

@@ -245,6 +245,19 @@ def test_pure_cut_value_dispatch():
         assert abs(pure_cut_value(kind, psi, CUT3) - value) < 1e-12
 
 
+def test_pure_cut_value_names_the_fault_of_a_bad_side(monkeypatch):
+    # an out-of-range or duplicate index used to be reported as a side A holding every qubit
+    psi = w_state(3)
+    for side_a, message in (((0, 1, 2, 5), "out of range"), ((0, 1, 1, 2), "duplicate indices"),
+                            ((0, 1.0), "must be an integer"), ((0, 1, 2), "side B is empty")):
+        with pytest.raises(ValueError, match=message):
+            pure_cut_value(CONCURRENCE, psi, side_a)
+    # every check runs before a marginal is built, so a full side never builds its 2^n x 2^n matrix
+    monkeypatch.setattr(Ket, "marginal", lambda *args: pytest.fail("built a marginal"))
+    with pytest.raises(ValueError, match="side B is empty"):
+        pure_cut_value(CONCURRENCE, psi, (2, 0, 1))
+
+
 def test_pair_value_dispatch():
     rho = two_qubit(random_mixed(np_rng, 4, 4))
     c = concurrence_two_qubit(rho)

@@ -499,6 +499,21 @@ def test_marginal_stack_rejects_non_integral_keep_entries(keep):
         Ket(3, kets[0]).marginal(keep)
 
 
+def test_marginal_stack_rejects_an_empty_batch():
+    # zero rows used to raise ZeroDivisionError; a register too wide for a gather index takes the other path
+    for n in (3, 16):
+        with pytest.raises(ValueError, match="empty batch"):
+            monogamy.qstate.marginal_stack(np.empty((0, 2**n), dtype=np.complex128), n, [(0, 1)])
+
+
+def test_a_numpy_integer_qubit_count_round_trips(tmp_path):
+    # a numpy-integer n_qubits used to be kept, and save_state then failed to serialise it
+    psi = Ket(np.int64(3), np.eye(8)[5])
+    assert type(psi.n_qubits) is int
+    save_state(psi, tmp_path / "state.json")
+    assert load_state(tmp_path / "state.json") == psi
+
+
 def _save_with_a_dump_loop(ket, path):
     # the writer save_state replaced: a list of [float(re), float(im)] per amplitude, json.dump, a newline
     data = {"n_qubits": ket.n_qubits, "amplitudes": [[float(a.real), float(a.imag)] for a in ket.amplitudes]}

@@ -107,6 +107,18 @@ def test_state_builders_reject_tiny_registers():
         haar_random(0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: haar_random(3, 1.5),  # used to draw seed 1's state
+    lambda: haar_random(3, True),  # used to draw seed 1's state
+    lambda: haar_random(3.0, 1),  # used to raise TypeError
+    lambda: w_state(3.0),  # used to raise TypeError
+    lambda: haar_rows(np.empty((2, 8), dtype=np.complex128), 2.0),  # used to draw seeds 2 and 3
+], ids=["float-seed", "bool-seed", "float-n", "float-w", "rows-float-seed"])
+def test_state_builders_reject_non_integral_sizes_and_seeds(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
 def test_haar_random_seed_contract():
     a = haar_random(3, 42)
     b = haar_random(3, 42)
