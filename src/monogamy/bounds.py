@@ -46,7 +46,7 @@ key of its table and an exponent sweep is one table over the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -105,10 +105,15 @@ def power_split_margin(t: float, x: float) -> float:
     x = float(x)
     if not (-ALPHA_ATOL <= t <= 1.0 + ALPHA_ATOL):
         raise ValueError(f"t={t!r} outside [0, 1]")
+    if not math.isfinite(x):
+        raise ValueError(f"x={x!r} is not finite")
     if x < 1.0 - ALPHA_ATOL:
         raise ValueError(f"x={x!r} below 1")
     t = min(max(t, 0.0), 1.0)
-    return (1.0 + t) ** x - 1.0 - (2.0**x - 1.0) * t**x
+    try:
+        return (1.0 + t) ** x - 1.0 - (2.0**x - 1.0) * t**x
+    except OverflowError:
+        raise ValueError(f"x={x!r} is too large: 2^x overflows") from None
 
 
 def _ladder_powers(count: int) -> np.ndarray:
@@ -138,6 +143,8 @@ class WeightLadder:
             raise ValueError(
                 f"split {self.split} outside [1, {self.count - 1}] for {self.count} terms"
             )
+        if not math.isfinite(self.base):
+            raise ValueError(f"ladder base {self.base!r} is not finite")
         if self.base < 1.0 - ALPHA_ATOL:
             raise ValueError(f"ladder base must be >= 1, got {self.base!r}")
 
@@ -158,31 +165,22 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class PreconditionVerdict:
-    """Chain comparisons of one pair order under one measure.
+    """The chain comparisons behind a report's verdict: its chain's row of the table's ChainStack.
 
     ``powers[i]`` is p_i, the i-th pair value raised to the measure's
-    floor exponent, for every pair in chain order.  Comparison i (one per
-    pair except the last) weighs p_i against ``tails[i]`` = S_{i+1}, the
-    sum of the later powers; ``verdicts[i]`` is Holds when
+    floor exponent, for every pair in the report's order.  Comparison i
+    (one per pair except the last) weighs p_i against ``tails[i]`` =
+    S_{i+1}, the sum of the later powers; ``verdicts[i]`` is Holds when
     p_i >= S_{i+1} - PRECONDITION_ATOL and Fails otherwise.
-    ``certified[m - 1]`` says whether split m is proven, 1 <= m <= N-2
-    (_certified_splits).
+    ``certified[m - 1]`` says whether split m of this order is proven,
+    1 <= m <= N-2 (_certified_splits); the report's ``asserted`` is the
+    entry of its own split.
     """
 
     powers: tuple[float, ...]
     tails: tuple[float, ...]
     verdicts: tuple[Verdict, ...]
     certified: tuple[bool, ...]
-
-    def certifies_split(self, m: int) -> bool:
-        """Whether the ordering hypothesis for split position m is proven.
-
-        Pairs before position m must dominate the sum of the later powers,
-        and the later ones (but the last) be dominated by it; ties count.
-        """
-        if not (1 <= m <= len(self.certified)):
-            raise ValueError(f"split {m} outside [1, {len(self.certified)}]")
-        return self.certified[m - 1]
 
 
 def _certified_splits(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,20 +207,22 @@ def _certified_splits(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluation of the weighted bound against its baselines.
+    """One evaluation of the weighted bound against its baselines: one key's row of a BatchTable.
 
     ``lhs`` is the cut value raised to alpha; ``new_bound``,
     ``baseline_weighted`` and ``baseline_sum`` are weighted sums of the
     pair values raised to alpha (ladder, prior linear-factor ladder, and
     unweighted).  ``order`` is the pair order actually used, which for
     the fully ascending ladder is sorted by descending pair concurrence.
-    ``asserted`` reports whether the ordering hypothesis for ``m`` was
-    certified, i.e. whether residual_new >= 0 is guaranteed.
+    ``asserted`` is the table's verdict on the ordering hypothesis for
+    ``m``: whether residual_new >= 0 is guaranteed.  ``preconditions``
+    holds the comparisons of the chain the report reads.
     """
 
     measure: MeasureKind
     alpha: float
     m: int
+    asserted: bool
     focus: int
     order: tuple[int, ...]
     lhs: float
@@ -234,10 +234,6 @@ class BoundReport:
     residual_new: float
     residual_gap: float
     preconditions: PreconditionVerdict
-
-    @property
-    def asserted(self) -> bool:
-        return self.preconditions.certifies_split(self.m)
 
 
 class ChainStack(NamedTuple):
@@ -464,35 +460,20 @@ def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePl
 _table_plan = lru_cache(maxsize=64)(_plan)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ChainAnalysis:
     """Everything the bounds read from one state, computed once: a ChainBatch of one.
 
-    The pair concurrences keyed by partner qubit (all N-1 from one stack of
-    pair marginals, see ChainBatch), the focus marginal rho_A and its
-    spectrum, and the pair order as given and as ranked by descending
-    concurrence (ties keep their given position).  Every report is a row
-    of the batch's table.  Two analyses are equal when their states'
-    numbers are.
+    Every report is one key's row of the batch's table: its split,
+    verdict, pair values and numbers, and the chain comparisons it reads.
+    Two analyses are equal when their batches are.
     """
 
-    focus: int
-    given: tuple[int, ...]
-    ranked: tuple[int, ...]
-    concurrence: dict[int, float]
-    batch: ChainBatch = field(repr=False)
+    batch: ChainBatch
 
     @classmethod
     def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
-        batch = ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order)
-        given = batch.given
-        ranked = tuple(given[i] for i in batch.chain_index[1, 0].tolist())  # state 0's positions are its pairs'
-        return cls(batch.focus, given, ranked, dict(zip(given, batch.concurrence[0].tolist())), batch)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainAnalysis):
-            return NotImplemented
-        return self.batch == other.batch
+        return cls(ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order))
 
     def report(self, measure: MeasureKind, alpha: float, m: int | None = None) -> BoundReport:
         """The weighted bound for one measure and exponent; see monogamy_report."""
@@ -500,20 +481,22 @@ class ChainAnalysis:
 
     def _reports(self, measure: MeasureKind, alphas: Sequence[float], m: int | None, plan_of) -> list[BoundReport]:
         # one table of one state over the keys (measure, alpha): every key takes the same split and chain
-        t = self.batch._table(tuple((measure, a) for a in alphas), m, plan_of)
+        batch = self.batch
+        t = batch._table(tuple((measure, a) for a in alphas), m, plan_of)
         m = int(t.m[0, 0])
-        ranked = m == len(self.given) - 1
-        order = self.ranked if ranked else self.given
+        ranked = m == len(batch.given) - 1
+        # state 0's positions in the flat concurrences are its pairs' positions in the given order
+        order = tuple(batch.given[i] for i in batch.chain_index[1, 0].tolist()) if ranked else batch.given
         chain = (0, int(ranked), 0)
         pair_values, powers, tails, holds, certified = (tuple(a[chain].tolist()) for a in t.chains)
         pre = PreconditionVerdict(powers, tails, tuple(Verdict.HOLDS if h else Verdict.FAILS for h in holds), certified)
         columns = t.lhs, t.new_bound, t.baseline_weighted, t.baseline_sum, t.residual_new, t.residual_gap
         numbers = np.concatenate(columns, axis=1).tolist()  # one row of six per key
         return [
-            BoundReport(measure, float(alpha), m, self.focus, order, lhs, pair_values, tuple(weights), new, weighted,
-                        plain, residual, gap, pre)
-            for alpha, weights, (lhs, new, weighted, plain, residual, gap) in zip(
-                alphas, t.weights[:, 0].tolist(), numbers)
+            BoundReport(measure, float(alpha), m, asserted, batch.focus, order, lhs, pair_values, tuple(weights), new,
+                        weighted, plain, residual, gap, pre)
+            for alpha, asserted, weights, (lhs, new, weighted, plain, residual, gap) in zip(
+                alphas, t.asserted[:, 0].tolist(), t.weights[:, 0].tolist(), numbers)
         ]
 
 

@@ -34,8 +34,11 @@ class SchmidtParams:
         total = sum(v * v for v in lam)
         if not abs(total - 1.0) <= SCHMIDT_NORM_ATOL:  # a NaN coefficient fails
             raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi={phi!r} is not finite")
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "phi", phi)
 
 
 def gsd3(params: SchmidtParams) -> Ket:

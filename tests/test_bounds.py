@@ -114,6 +114,18 @@ def test_power_split_margin_values():
         power_split_margin(0.5, 0.5)
 
 
+def test_ladder_helpers_reject_non_finite_input():
+    # a NaN or inf base gave weights [1, nan, nan] or [1, inf, inf]; a NaN or inf x a margin of nan,
+    # and an x whose 2^x overflows a bare OverflowError
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"ladder base {bad!r} is not finite"):
+            WeightLadder(bad, 3, 1).weights()
+        with pytest.raises(ValueError, match=f"x={bad!r} is not finite"):
+            power_split_margin(0.5, bad)
+    with pytest.raises(ValueError, match=r"x=2000\.0 is too large"):
+        power_split_margin(0.5, 2000.0)
+
+
 def test_power_split_margin_nonnegative_on_grid():
     for t in np.linspace(0.0, 1.0, 41):
         for x in np.linspace(1.0, 6.0, 41):
@@ -175,10 +187,11 @@ def test_precondition_three_qubits_always_exact():
     # is increasing in C, so the concurrences decide it and ranking proves it
     for k in range(20):
         analysis = ChainAnalysis.of(haar_random(3, 100 + k), 0)
-        c0, c1 = (analysis.concurrence[b] for b in analysis.given)
+        c0, c1 = analysis.batch.concurrence[0].tolist()  # partners 1 and 2, the given order
         for kind in ALL_KINDS:
             r = analysis.report(kind, kind.alpha_floor)
-            assert r.m == 1 and r.order == analysis.ranked  # split 1 is N-2: the ranked order
+            assert r.m == 1 and r.order == ((1, 2) if c0 >= c1 else (2, 1))  # split 1 is N-2: the ranked order
+            assert r.asserted
             assert r.preconditions.tails == r.preconditions.powers[1:]
             assert r.preconditions.verdicts == (Verdict.HOLDS,)
             # the given order's chain is entry [0, 0, 0] of the table's chain stack
@@ -191,13 +204,27 @@ def test_precondition_w4_frozen_verdicts():
     # after it, while the final comparison ties with the last power and holds
     analysis = ChainAnalysis.of(w_state(4), 0)
     for kind in ALL_KINDS:
-        pre = analysis.report(kind, kind.alpha_floor, 1).preconditions  # split 1 reads the given order
+        r = analysis.report(kind, kind.alpha_floor, 1)  # split 1 reads the given order
+        pre = r.preconditions
         assert [v.value for v in pre.verdicts] == ["Fails", "Holds"]
-        assert not pre.certifies_split(1)
-        assert not pre.certifies_split(2)
+        assert pre.certified == (False, False)
+        assert not r.asserted
+        assert not analysis.report(kind, kind.alpha_floor, 2).asserted
     pre = analysis.report(CONCURRENCE, 2.0, 1).preconditions
     assert np.allclose(pre.powers, 0.25, rtol=0.0, atol=1e-12)
     assert np.allclose(pre.tails, (0.5, 0.25), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_asserted_is_the_certified_entry_of_the_reports_split(n):
+    # a report's verdict is its table row's; it must agree with the comparisons it carries
+    states = [haar_random(n, 600 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
+    for psi in states:
+        analysis = ChainAnalysis.of(psi, 0)
+        for kind in ALL_KINDS:
+            for m in (None, *range(1, n - 1)):
+                r = analysis.report(kind, kind.alpha_floor, m)
+                assert r.asserted == r.preconditions.certified[r.m - 1], (kind.name, m)
 
 
 def test_precondition_ghz4_holds_with_zero_bound():
@@ -479,8 +506,11 @@ def test_a_report_allocates_less_heap_than_decoding_its_file(n, tmp_path):
 def test_ranked_order_keeps_ties_in_given_order():
     # all W-state pairs tie, so ranking keeps the caller's order
     analysis = ChainAnalysis.of(w_state(5), 2, order=(4, 0, 3, 1))
-    assert analysis.ranked == analysis.given == (4, 0, 3, 1)
-    assert monogamy_report(w_state(5), 2, CONCURRENCE, 2.0, order=(4, 0, 3, 1)).order == (4, 0, 3, 1)
+    assert analysis.batch.given == (4, 0, 3, 1)
+    assert analysis.batch.chain_index[1, 0].tolist() == [0, 1, 2, 3]  # the ranked chain is the given one
+    r = analysis.report(CONCURRENCE, 2.0)
+    assert r.m == 3 and r.order == (4, 0, 3, 1)  # no split is proven: the ranked order of split N-2
+    assert monogamy_report(w_state(5), 2, CONCURRENCE, 2.0, order=(4, 0, 3, 1)) == r
 
 
 def test_wide_register_analysis_builds_no_projector(monkeypatch):

@@ -57,13 +57,16 @@ def test_explicit_split_rows_equal_one_state_reports(n):
     states = [haar_random(n, 500 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
     batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0)
     alone = [ChainAnalysis.of(psi, 0) for psi in states]
+    given = tuple(range(1, n))
+    # by descending concurrence, ties in the given order
+    ranked = [tuple(given[i] for i in np.argsort(-a.batch.concurrence[0], kind="stable")) for a in alone]
     for m in range(1, n - 1):
         table = batch.table(KEYS, m)
         assert (table.m == m).all()
         for k, (kind, alpha) in enumerate(KEYS):
             for j, analysis in enumerate(alone):
                 r = analysis.report(kind, alpha, m)
-                assert r.order == (analysis.ranked if m == n - 2 else analysis.given)
+                assert r.order == (ranked[j] if m == n - 2 else given)
                 _, _, splits = chain_certificate(r.preconditions.powers, PRECONDITION_ATOL)
                 assert bool(table.asserted[k, j]) == r.asserted == splits[m - 1], (kind, alpha, j, m)
                 for field in FIELDS:

@@ -316,13 +316,14 @@ def test_pair_stack_matches_one_pair_at_a_time():
             stack = marginal_stack(psi.amplitudes[None], n, [(focus, b) for b in partners]).reshape(-1, 4, 4)
             density_spectra(stack)
             conc = spin_flip_concurrences(stack)
-            analysis = ChainAnalysis.of(psi, focus)
+            analysis = ChainAnalysis.of(psi, focus)  # its given order: the partners ascending
+            alone = dict(zip(analysis.batch.given, analysis.batch.concurrence[0].tolist()))
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
             for i, b in enumerate(partners):
                 rho = psi.marginal((focus, b))
                 assert stack[i].tobytes() == rho.entries.tobytes()
                 one = concurrence_two_qubit(rho)
-                assert conc[i].hex() == one.hex() == analysis.concurrence[b].hex()
+                assert conc[i].hex() == one.hex() == alone[b].hex()
 
 
 @pytest.mark.parametrize("n", range(4, 9))

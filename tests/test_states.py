@@ -38,6 +38,9 @@ def test_schmidt_params_validation():
         SchmidtParams((0.5, 0.5, 0.5, -0.5, 0.0))
     with pytest.raises(ValueError):
         SchmidtParams((0.5, 0.5, 0.5, 0.5, 0.1))  # squares exceed 1
+    for phi in (math.nan, math.inf, -math.inf):  # gsd3 used to fail on them with a norm of nan
+        with pytest.raises(ValueError, match=f"phi={phi!r} is not finite"):
+            SchmidtParams((1.0, 0.0, 0.0, 0.0, 0.0), phi)
 
 
 def test_every_schmidt_form_accepted_builds_a_ket_with_a_report():
