@@ -2,7 +2,6 @@
 
 from .bounds import (
     BoundReport,
-    ChainAnalysis,
     PreconditionVerdict,
     Verdict,
     WeightLadder,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ChainAnalysis",
     "PreconditionVerdict",
     "Verdict",
     "WeightLadder",

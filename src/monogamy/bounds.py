@@ -40,8 +40,8 @@ auto splits or at one given split: one certification stack for the
 chains of every measure, one pow per distinct alpha and one stacked
 matmul for every ladder, giving (K, B) arrays; what depends on the keys
 alone is planned once per key tuple.  A soundness campaign reads the
-table of each batch; ChainAnalysis.of is a batch of one, a report is one
-key of its table and an exponent sweep is one table over the grid.
+table of each batch; a report is one key of the table of a batch of one
+state, and an exponent sweep is one such table over the grid.
 """
 from __future__ import annotations
 
@@ -288,7 +288,7 @@ class ChainBatch:
     ``focus_entries`` and ``focus_spectra`` are each state's rho_A and its
     descending spectrum, checked as one (B, 2, 2) stack.  The checked
     given order and its pair keeps are planned once per (register size,
-    focus, order) (_chain_plan).  Equality reads these numbers only.
+    focus, order) (_chain_plan).
     """
 
     focus: int
@@ -315,13 +315,6 @@ class ChainBatch:
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
         chain_index += len(given) * np.arange(count)[:, None]
         return cls(focus, given, concurrence, chain_index, rho_a, spectra)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainBatch):
-            return NotImplemented
-        return (self.focus, self.given) == (other.focus, other.given) and all(
-            np.array_equal(a, b) for a, b in ((self.concurrence, other.concurrence),
-                                              (self.focus_entries, other.focus_entries)))
 
     def table(self, keys: Sequence[tuple[MeasureKind, float]], m: int | None = None) -> BatchTable:
         """The report of every state for each (measure, alpha) key, as arrays; see monogamy_report.
@@ -460,44 +453,28 @@ def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePl
 _table_plan = lru_cache(maxsize=64)(_plan)
 
 
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """Everything the bounds read from one state, computed once: a ChainBatch of one.
-
-    Every report is one key's row of the batch's table: its split,
-    verdict, pair values and numbers, and the chain comparisons it reads.
-    Two analyses are equal when their batches are.
-    """
-
-    batch: ChainBatch
-
-    @classmethod
-    def of(cls, psi: Ket, focus: int, order: Sequence[int] | None = None) -> "ChainAnalysis":
-        return cls(ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order))
-
-    def report(self, measure: MeasureKind, alpha: float, m: int | None = None) -> BoundReport:
-        """The weighted bound for one measure and exponent; see monogamy_report."""
-        return self._reports(measure, (alpha,), m, _table_plan)[0]
-
-    def _reports(self, measure: MeasureKind, alphas: Sequence[float], m: int | None, plan_of) -> list[BoundReport]:
-        # one table of one state over the keys (measure, alpha): every key takes the same split and chain
-        batch = self.batch
-        t = batch._table(tuple((measure, a) for a in alphas), m, plan_of)
-        m = int(t.m[0, 0])
-        ranked = m == len(batch.given) - 1
-        # state 0's positions in the flat concurrences are its pairs' positions in the given order
-        order = tuple(batch.given[i] for i in batch.chain_index[1, 0].tolist()) if ranked else batch.given
-        chain = (0, int(ranked), 0)
-        pair_values, powers, tails, holds, certified = (tuple(a[chain].tolist()) for a in t.chains)
-        pre = PreconditionVerdict(powers, tails, tuple(Verdict.HOLDS if h else Verdict.FAILS for h in holds), certified)
-        columns = t.lhs, t.new_bound, t.baseline_weighted, t.baseline_sum, t.residual_new, t.residual_gap
-        numbers = np.concatenate(columns, axis=1).tolist()  # one row of six per key
-        return [
-            BoundReport(measure, float(alpha), m, asserted, batch.focus, order, lhs, pair_values, tuple(weights), new,
-                        weighted, plain, residual, gap, pre)
-            for alpha, asserted, weights, (lhs, new, weighted, plain, residual, gap) in zip(
-                alphas, t.asserted[:, 0].tolist(), t.weights[:, 0].tolist(), numbers)
-        ]
+def _reports(psi: Ket, focus: int, order: Sequence[int] | None, measure: MeasureKind, alphas: Sequence[float],
+             m: int | None, plan_of) -> list[BoundReport]:
+    # one table of the state alone over the keys (measure, alpha): every key takes the same split and chain
+    batch = ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order)
+    if not alphas:  # an empty sweep still checks its focus and order
+        return []
+    t = batch._table(tuple((measure, a) for a in alphas), m, plan_of)
+    m = int(t.m[0, 0])
+    ranked = m == len(batch.given) - 1
+    # state 0's positions in the flat concurrences are its pairs' positions in the given order
+    order = tuple(batch.given[i] for i in batch.chain_index[1, 0].tolist()) if ranked else batch.given
+    chain = (0, int(ranked), 0)
+    pair_values, powers, tails, holds, certified = (tuple(a[chain].tolist()) for a in t.chains)
+    pre = PreconditionVerdict(powers, tails, tuple(Verdict.HOLDS if h else Verdict.FAILS for h in holds), certified)
+    columns = t.lhs, t.new_bound, t.baseline_weighted, t.baseline_sum, t.residual_new, t.residual_gap
+    numbers = np.concatenate(columns, axis=1).tolist()  # one row of six per key
+    return [
+        BoundReport(measure, float(alpha), m, asserted, batch.focus, order, lhs, pair_values, tuple(weights), new,
+                    weighted, plain, residual, gap, pre)
+        for alpha, asserted, weights, (lhs, new, weighted, plain, residual, gap) in zip(
+            alphas, t.asserted[:, 0].tolist(), t.weights[:, 0].tolist(), numbers)
+    ]
 
 
 def monogamy_report(
@@ -518,7 +495,7 @@ def monogamy_report(
     certified, the report falls back to the ascending ladder with the
     verdicts attached and ``asserted`` False.
     """
-    return ChainAnalysis.of(psi, focus, order).report(measure, alpha, m)
+    return _reports(psi, focus, order, measure, (alpha,), m, _table_plan)[0]
 
 
 # an --example sweep through the CLI peaks at 779 B per grid point (tracemalloc at 20 001 and
@@ -552,6 +529,4 @@ def alpha_sweep(
     m: int | None = None,
 ) -> list[BoundReport]:
     """monogamy_report across an exponent grid: one analysis of the state, one table over the grid."""
-    analysis = ChainAnalysis.of(psi, focus, order)
-    alphas = [float(a) for a in alphas]
-    return analysis._reports(measure, alphas, m, _plan) if alphas else []
+    return _reports(psi, focus, order, measure, [float(a) for a in alphas], m, _plan)

@@ -308,6 +308,8 @@ def load_state(path) -> Ket:
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise StateFileError(f"{path}: JSON nested too deeply to decode") from None
     del text  # not read again; freed here, it stays out of the heap peak of the conversion below
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be an object")

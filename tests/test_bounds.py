@@ -6,7 +6,6 @@ import pytest
 import monogamy
 from monogamy import (
     CONCURRENCE,
-    ChainAnalysis,
     CREN,
     EOF,
     Ket,
@@ -186,31 +185,32 @@ def test_precondition_three_qubits_always_exact():
     # one comparison, p_0 against the last pair's own power; every measure
     # is increasing in C, so the concurrences decide it and ranking proves it
     for k in range(20):
-        analysis = ChainAnalysis.of(haar_random(3, 100 + k), 0)
-        c0, c1 = analysis.batch.concurrence[0].tolist()  # partners 1 and 2, the given order
+        psi = haar_random(3, 100 + k)
+        batch = ChainBatch.of(psi.amplitudes[None], 3, 0)
+        c0, c1 = batch.concurrence[0].tolist()  # partners 1 and 2, the given order
         for kind in ALL_KINDS:
-            r = analysis.report(kind, kind.alpha_floor)
+            r = monogamy_report(psi, 0, kind, kind.alpha_floor)
             assert r.m == 1 and r.order == ((1, 2) if c0 >= c1 else (2, 1))  # split 1 is N-2: the ranked order
             assert r.asserted
             assert r.preconditions.tails == r.preconditions.powers[1:]
             assert r.preconditions.verdicts == (Verdict.HOLDS,)
             # the given order's chain is entry [0, 0, 0] of the table's chain stack
-            chains = analysis.batch.table([(kind, kind.alpha_floor)]).chains
+            chains = batch.table([(kind, kind.alpha_floor)]).chains
             assert chains.holds[0, 0, 0].tolist() == [c0 >= c1]
 
 
 def test_precondition_w4_frozen_verdicts():
     # all pairs sit at C = 1/2, so the first power falls short of the two
     # after it, while the final comparison ties with the last power and holds
-    analysis = ChainAnalysis.of(w_state(4), 0)
+    psi = w_state(4)
     for kind in ALL_KINDS:
-        r = analysis.report(kind, kind.alpha_floor, 1)  # split 1 reads the given order
+        r = monogamy_report(psi, 0, kind, kind.alpha_floor, m=1)  # split 1 reads the given order
         pre = r.preconditions
         assert [v.value for v in pre.verdicts] == ["Fails", "Holds"]
         assert pre.certified == (False, False)
         assert not r.asserted
-        assert not analysis.report(kind, kind.alpha_floor, 2).asserted
-    pre = analysis.report(CONCURRENCE, 2.0, 1).preconditions
+        assert not monogamy_report(psi, 0, kind, kind.alpha_floor, m=2).asserted
+    pre = monogamy_report(psi, 0, CONCURRENCE, 2.0, m=1).preconditions
     assert np.allclose(pre.powers, 0.25, rtol=0.0, atol=1e-12)
     assert np.allclose(pre.tails, (0.5, 0.25), rtol=0.0, atol=1e-12)
 
@@ -220,10 +220,9 @@ def test_asserted_is_the_certified_entry_of_the_reports_split(n):
     # a report's verdict is its table row's; it must agree with the comparisons it carries
     states = [haar_random(n, 600 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
     for psi in states:
-        analysis = ChainAnalysis.of(psi, 0)
         for kind in ALL_KINDS:
             for m in (None, *range(1, n - 1)):
-                r = analysis.report(kind, kind.alpha_floor, m)
+                r = monogamy_report(psi, 0, kind, kind.alpha_floor, m=m)
                 assert r.asserted == r.preconditions.certified[r.m - 1], (kind.name, m)
 
 
@@ -239,10 +238,10 @@ def test_precondition_ghz4_holds_with_zero_bound():
 def test_certificate_depends_on_the_measure():
     # on this W-class state the first pair outweighs the other two in
     # E^sqrt(2) but not in C^2, so the verdicts differ per measure
-    analysis = ChainAnalysis.of(Ket(4, w_class_amplitudes(4, 51)), 0)
+    psi = Ket(4, w_class_amplitudes(4, 51))
     for kind, verdicts in ((CONCURRENCE, ["Fails", "Holds"]), (EOF, ["Holds", "Holds"])):
         for alpha in (kind.alpha_floor, 3.0):  # and not per exponent
-            pre = analysis.report(kind, alpha, 1).preconditions
+            pre = monogamy_report(psi, 0, kind, alpha, m=1).preconditions
             assert [v.value for v in pre.verdicts] == verdicts
 
 
@@ -381,22 +380,29 @@ def test_alpha_sweep_singleton_matches_single_report():
     swept = alpha_sweep(psi, 0, CONCURRENCE, [2.5])
     assert len(swept) == 1
     assert swept[0] == single
+    # an empty grid gives no reports, and still rejects a bad focus
+    assert alpha_sweep(psi, 0, CONCURRENCE, []) == []
+    with pytest.raises(ValueError, match="focus 3 out of range"):
+        alpha_sweep(psi, 3, CONCURRENCE, [])
 
 
-def test_one_analysis_serves_a_sweep_and_every_view(monkeypatch):
+def test_a_sweep_is_its_grids_reports_from_one_stack(monkeypatch):
     psi = haar_random(5, 31)
     grid = [2.0, 2.5, 3.0, 4.0]
     expected = [monogamy_report(psi, 0, EOF, a, order=(4, 2, 3, 1)) for a in grid]
-    analysis = ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1))
-    assert analysis == ChainAnalysis.of(psi, 0, order=(4, 2, 3, 1))
-    assert [analysis.report(EOF, a) for a in grid] == expected
+    # this state proves split 1 and not 2 or 3 under EOF, so each explicit split has its own verdict
+    w_class = Ket(5, w_class_amplitudes(5, 252))
+    at_split = {s: [monogamy_report(w_class, 0, EOF, a, m=s) for a in grid] for s in (1, 2, 3)}
+    assert [at_split[s][0].asserted for s in (1, 2, 3)] == [True, False, False]
 
     calls = []
     original = monogamy.bounds.spin_flip_concurrences
     monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences",
                         lambda s, spectra: calls.append(s.shape) or original(s, spectra))
     assert alpha_sweep(psi, 0, EOF, grid, order=(4, 2, 3, 1)) == expected
-    assert calls == [(4, 4, 4)]  # one stack of the four pairs, not one per exponent
+    for s, reports in at_split.items():
+        assert alpha_sweep(w_class, 0, EOF, grid, m=s) == reports, s
+    assert calls == [(4, 4, 4)] * 4  # one stack of the four pairs a sweep, not one per exponent
 
 
 def test_analysis_fixes_the_auto_split_for_every_row():
@@ -404,15 +410,14 @@ def test_analysis_fixes_the_auto_split_for_every_row():
     # of one measure takes the split of its floor report, whatever the exponent
     for n in range(3, 7):
         for psi in (w_state(n), Ket(n, ghz_amplitudes(n)), haar_random(n, 700 + n)):
-            analysis = ChainAnalysis.of(psi, 0)
             for kind in ALL_KINDS:
-                split = analysis.report(kind, kind.alpha_floor).m
+                split = monogamy_report(psi, 0, kind, kind.alpha_floor).m
                 for alpha in (kind.alpha_floor, 3.0):
-                    auto = analysis.report(kind, alpha)
+                    auto = monogamy_report(psi, 0, kind, alpha)
                     assert auto.m == split
-                    assert auto == analysis.report(kind, alpha, split)
+                    assert auto == monogamy_report(psi, 0, kind, alpha, m=split)
     with pytest.raises(ValueError, match="at least three qubits"):
-        ChainAnalysis.of(Ket(2, ghz_amplitudes(2)), 0).report(CONCURRENCE, 2.0)
+        monogamy_report(Ket(2, ghz_amplitudes(2)), 0, CONCURRENCE, 2.0)
 
 
 @pytest.mark.parametrize("index, value", [("order", (1.5, 2, 3, 4)), ("order", (1.0, 2, 3, 4)), ("order", ("1", 2, 3, 4)),
@@ -444,15 +449,6 @@ def test_one_qubit_report_is_a_value_error():
     # a register with no pair at all reaches the same check as a two-qubit one
     with pytest.raises(ValueError, match="need at least three qubits, got 1"):
         monogamy_report(Ket(1, [1, 0]), 0, CONCURRENCE, 2.0)
-
-
-def test_analyses_compare_by_value():
-    # equality reads the state's numbers, not the reports made so far
-    first, second = ChainAnalysis.of(w_state(4), 0), ChainAnalysis.of(w_state(4), 0)
-    first.report(EOF, 2.0)
-    assert first == second
-    assert first != ChainAnalysis.of(Ket(4, ghz_amplitudes(4)), 0)
-    assert first != ChainAnalysis.of(haar_random(4, 5), 0)
 
 
 def test_a_sweep_leaves_no_plan_behind():
@@ -499,18 +495,17 @@ def test_a_report_allocates_less_heap_than_decoding_its_file(n, tmp_path):
     save_state(haar_random(n, 1), path)
     decode, psi = _heap_peak(lambda: load_state(path))
     for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(2.0)):
-        report, _ = _heap_peak(lambda: ChainAnalysis.of(psi, 0).report(kind, kind.alpha_floor))
+        report, _ = _heap_peak(lambda: monogamy_report(psi, 0, kind, kind.alpha_floor))
         assert report < decode, kind
 
 
 def test_ranked_order_keeps_ties_in_given_order():
     # all W-state pairs tie, so ranking keeps the caller's order
-    analysis = ChainAnalysis.of(w_state(5), 2, order=(4, 0, 3, 1))
-    assert analysis.batch.given == (4, 0, 3, 1)
-    assert analysis.batch.chain_index[1, 0].tolist() == [0, 1, 2, 3]  # the ranked chain is the given one
-    r = analysis.report(CONCURRENCE, 2.0)
+    batch = ChainBatch.of(w_state(5).amplitudes[None], 5, 2, order=(4, 0, 3, 1))
+    assert batch.given == (4, 0, 3, 1)
+    assert batch.chain_index[1, 0].tolist() == [0, 1, 2, 3]  # the ranked chain is the given one
+    r = monogamy_report(w_state(5), 2, CONCURRENCE, 2.0, order=(4, 0, 3, 1))
     assert r.m == 3 and r.order == (4, 0, 3, 1)  # no split is proven: the ranked order of split N-2
-    assert monogamy_report(w_state(5), 2, CONCURRENCE, 2.0, order=(4, 0, 3, 1)) == r
 
 
 def test_wide_register_analysis_builds_no_projector(monkeypatch):

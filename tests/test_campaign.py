@@ -2,7 +2,7 @@
 
 The campaign analyses its states in batches (monogamy.campaign.batch_size);
 a state's row of a batch's table must not depend on its batch-mates, so it
-must equal ChainAnalysis.report of the state alone (a table of one), and
+must equal monogamy_report of the state alone (a table of one), and
 the campaign's counts and minima must equal a state-by-state fold of those
 reports, whether the last batch is full, short, or the only one.
 """
@@ -13,7 +13,7 @@ import pytest
 
 import monogamy
 from monogamy import (
-    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind, w_state,
+    CONCURRENCE, CREN, EOF, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind, w_state,
 )
 from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _table_plan, step_factor
 from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
@@ -38,10 +38,9 @@ def test_batched_rows_equal_one_state_reports(n):
     states = [haar_random(n, 400 + k) for k in range(8)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(8)]
     table = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0).table(KEYS)
     assert all(getattr(table, f).shape == (len(KEYS), len(states)) for f in ("m", "asserted") + FIELDS)
-    alone = [ChainAnalysis.of(psi, 0) for psi in states]
     for k, (kind, alpha) in enumerate(KEYS):
-        for j, analysis in enumerate(alone):
-            r = analysis.report(kind, alpha)
+        for j, psi in enumerate(states):
+            r = monogamy_report(psi, 0, kind, alpha)
             assert int(table.m[k, j]) == r.m and bool(table.asserted[k, j]) == r.asserted, (kind, alpha, j)
             for field in FIELDS:
                 assert float(getattr(table, field)[k, j]).hex() == getattr(r, field).hex(), (kind, alpha, j, field)
@@ -56,16 +55,16 @@ def test_explicit_split_rows_equal_one_state_reports(n):
     # asserted is the reference certifier's verdict on that chain
     states = [haar_random(n, 500 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
     batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0)
-    alone = [ChainAnalysis.of(psi, 0) for psi in states]
     given = tuple(range(1, n))
-    # by descending concurrence, ties in the given order
-    ranked = [tuple(given[i] for i in np.argsort(-a.batch.concurrence[0], kind="stable")) for a in alone]
+    # by descending concurrence of the state alone, ties in the given order
+    alone = [ChainBatch.of(psi.amplitudes[None], n, 0).concurrence[0] for psi in states]
+    ranked = [tuple(given[i] for i in np.argsort(-c, kind="stable")) for c in alone]
     for m in range(1, n - 1):
         table = batch.table(KEYS, m)
         assert (table.m == m).all()
         for k, (kind, alpha) in enumerate(KEYS):
-            for j, analysis in enumerate(alone):
-                r = analysis.report(kind, alpha, m)
+            for j, psi in enumerate(states):
+                r = monogamy_report(psi, 0, kind, alpha, m=m)
                 assert r.order == (ranked[j] if m == n - 2 else given)
                 _, _, splits = chain_certificate(r.preconditions.powers, PRECONDITION_ATOL)
                 assert bool(table.asserted[k, j]) == r.asserted == splits[m - 1], (kind, alpha, j, m)
@@ -108,7 +107,7 @@ def test_a_ladder_overflowing_at_an_unused_split_raises_nothing():
         assert table.m.tolist() == splits
         for k, (kind, alpha) in enumerate(keys):
             for j, amplitudes in enumerate(states):
-                r = ChainAnalysis.of(Ket(5, amplitudes), 0).report(kind, alpha)
+                r = monogamy_report(Ket(5, amplitudes), 0, kind, alpha)
                 assert _report_entries(table, k, j) == [r.m, r.asserted] + [getattr(r, f).hex() for f in FIELDS]
 
 
@@ -119,7 +118,7 @@ def test_a_ladder_overflowing_at_a_used_split_raises_as_a_report_does():
         with pytest.raises(ValueError, match="ladder weights overflow") as expected:
             WeightLadder(step_factor(kind, alpha), 4, 3).weights()  # SPLIT_3 takes split 3
         with pytest.raises(ValueError) as alone:
-            ChainAnalysis.of(Ket(5, SPLIT_3), 0).report(kind, alpha)
+            monogamy_report(Ket(5, SPLIT_3), 0, kind, alpha)
         with pytest.raises(ValueError) as got:
             ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 5, 0).table(keys)
         assert str(got.value) == str(alone.value) == str(expected.value)
@@ -154,13 +153,13 @@ def test_certified_splits_match_one_chain_at_a_time():
 
 def _fold(config):
     # the campaign's rows as a state-by-state fold of one-state reports
-    analyses = [ChainAnalysis.of(haar_random(config.n_qubits, config.seed + k), 0) for k in range(config.samples)]
+    states = [haar_random(config.n_qubits, config.seed + k) for k in range(config.samples)]
     out = []
     for kind in KINDS:
         for alpha in _alphas(kind):
             asserted, min_new, min_gap = 0, math.inf, math.inf
-            for analysis in analyses:
-                r = analysis.report(kind, alpha)
+            for psi in states:
+                r = monogamy_report(psi, 0, kind, alpha)
                 min_gap = _nan_min(min_gap, r.residual_gap)
                 if r.asserted:
                     asserted += 1
@@ -189,9 +188,10 @@ def test_nan_residual_folds_as_state_by_state(asserted, monkeypatch):
     # the table fold must equal a state-by-state _nan_min fold, and only an asserted NaN is a violation
     config = CampaignConfig(n_qubits=4, samples=60, seed=17, measures=KINDS, alphas=EXPONENTS, tolerance=1e-9)
     assert config.samples < batch_size(4)
-    analyses = [ChainAnalysis.of(haar_random(4, config.seed + k), 0) for k in range(config.samples)]
-    target = next(k for k, a in enumerate(analyses) if k > 0 and a.report(CONCURRENCE, 2.0).asserted == asserted)
-    poisoned = analyses[target].batch.focus_entries[0]
+    states = [haar_random(4, config.seed + k) for k in range(config.samples)]
+    target = next(k for k, psi in enumerate(states)
+                  if k > 0 and monogamy_report(psi, 0, CONCURRENCE, 2.0).asserted == asserted)
+    poisoned = ChainBatch.of(states[target].amplitudes[None], 4, 0).focus_entries[0]
     cut_values = monogamy.bounds.cut_values
 
     def with_nan(kind, entries, spectra):

@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import monogamy
 from monogamy import (
-    CONCURRENCE, CREN, EOF, ChainAnalysis, Ket, WeightLadder, alpha_grid, alpha_sweep, haar_random,
+    CONCURRENCE, CREN, EOF, Ket, WeightLadder, alpha_grid, alpha_sweep, haar_random,
     monogamy_report, prior_factor, save_state, step_factor, tsallis_kind, w_state,
 )
+from monogamy.bounds import ChainBatch
 from monogamy.cli import CampaignConfig, main, run_campaign
 from monogamy.states import SchmidtParams, gsd3
 from oracles import w_class_amplitudes
@@ -46,6 +51,22 @@ def test_usage_errors_exit_2(capsys, state_file):
     # a negative seed is named before any state is drawn (the generator's own error does not name it)
     assert main(["--verify", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+def test_a_deeply_nested_state_file_exits_2(tmp_path):
+    # json's decoder raises RecursionError past the recursion limit, which used to escape as a
+    # traceback with exit 1, the code of an asserted violation
+    depth = 100_000  # past the limit of any interpreter
+    nested = "[" * depth + "]" * depth
+    env = {**os.environ, "PYTHONPATH": str(Path(monogamy.__file__).parents[1])}
+    for name, text in (("top.json", nested), ("amplitudes.json", f'{{"n_qubits": 1, "amplitudes": {nested}}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        run = subprocess.run([sys.executable, "-m", "monogamy.cli", "--state", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(f"error: {path}: ") and "Traceback" not in run.stderr
+        assert run.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -310,11 +331,11 @@ def test_memory_guard_covers_the_measured_peak():
     # tracemalloc sees numpy's buffers: the draw and the analysis stay within 48 * 2^n
     import tracemalloc
 
-    ChainAnalysis.of(haar_random(4, 0), 0)  # first calls allocate numpy's caches
+    ChainBatch.of(haar_random(4, 0).amplitudes[None], 4, 0)  # first calls allocate numpy's caches
     n = 16
     tracemalloc.start()
     try:
-        ChainAnalysis.of(haar_random(n, 0), 0)
+        ChainBatch.of(haar_random(n, 0).amplitudes[None], n, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -469,11 +490,11 @@ def test_a_state_file_taking_an_overflowing_ladder_exits_2(tmp_path, capsys):
 
 
 def test_ladder_errors_are_not_cached():
-    analysis = ChainAnalysis.of(haar_random(6, 1), 0)
+    psi = haar_random(6, 1)
     for alpha, message in ((1.5, "below"), (1000.0, "overflow")):
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                analysis.report(CONCURRENCE, alpha)
+                monogamy_report(psi, 0, CONCURRENCE, alpha)
 
 
 def test_reused_parser_carries_nothing_over(state_file, tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 import monogamy.measures
 from monogamy import (
     CONCURRENCE,
-    ChainAnalysis,
     CREN,
     EOF,
     DensityMatrix,
@@ -24,6 +23,7 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
+from monogamy.bounds import ChainBatch
 from monogamy.measures import cut_values, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
 from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
@@ -316,8 +316,8 @@ def test_pair_stack_matches_one_pair_at_a_time():
             stack = marginal_stack(psi.amplitudes[None], n, [(focus, b) for b in partners]).reshape(-1, 4, 4)
             density_spectra(stack)
             conc = spin_flip_concurrences(stack)
-            analysis = ChainAnalysis.of(psi, focus)  # its given order: the partners ascending
-            alone = dict(zip(analysis.batch.given, analysis.batch.concurrence[0].tolist()))
+            batch = ChainBatch.of(psi.amplitudes[None], n, focus)  # its given order: the partners ascending
+            alone = dict(zip(batch.given, batch.concurrence[0].tolist()))
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
             for i, b in enumerate(partners):
                 rho = psi.marginal((focus, b))

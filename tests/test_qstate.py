@@ -9,12 +9,12 @@ from monogamy import (
     CONCURRENCE,
     CREN,
     EOF,
-    ChainAnalysis,
     DensityMatrix,
     Ket,
     StateFileError,
     haar_random,
     load_state,
+    monogamy_report,
     partial_trace,
     pure_cut_value,
     save_state,
@@ -59,9 +59,8 @@ def test_every_ket_accepted_passes_its_own_analysis(n, seed):
             rejected += 1
             continue
         accepted += 1
-        analysis = ChainAnalysis.of(psi, 0)
         for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(2.5)):
-            analysis.report(kind, kind.alpha_floor)
+            monogamy_report(psi, 0, kind, kind.alpha_floor)
         for q in range(n):
             psi.marginal([q])
     assert accepted > 0 and rejected > 0
@@ -88,7 +87,7 @@ def test_nan_input_is_rejected():
         with pytest.raises(ValueError, match="must be finite"):
             DensityMatrix((2,), [[bad, 0], [0, 0]])
     with pytest.raises(ValueError, match="unit norm"):  # not numpy's LinAlgError from the spin flip
-        ChainAnalysis.of(Ket(3, [nan] + [0] * 7), 0)
+        monogamy_report(Ket(3, [nan] + [0] * 7), 0, CONCURRENCE, 2.0)
     with pytest.raises(ValueError, match="sum to 1"):
         SchmidtParams((nan, 1.0, 0.0, 0.0, 0.0))
 
