@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measures import MeasureKind, cut_values, spin_flip_concurrences, values_of_concurrence
-from .qstate import Ket, checked_int, density_spectra, marginal_stack, physical_memory
+from .qstate import Ket, _register_size, checked_int, density_spectra, marginal_stack, physical_memory
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -286,9 +286,7 @@ class ChainBatch:
     (a stable sort, so ties keep their given position); one sort yields
     both, and a table gathers every chain with one take by it.
     ``focus_entries`` and ``focus_spectra`` are each state's rho_A and its
-    descending spectrum, checked as one (B, 2, 2) stack.  The checked
-    given order and its pair keeps are planned once per (register size,
-    focus, order) (_chain_plan).
+    descending spectrum, checked as one (B, 2, 2) stack.
     """
 
     focus: int
@@ -299,17 +297,23 @@ class ChainBatch:
     focus_spectra: np.ndarray
 
     @classmethod
-    def of(cls, amplitudes: np.ndarray, n_qubits: int, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
-        """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array of unit vectors."""
-        focus = checked_int(focus, "focus")  # before the plan lookup: 1.0 would find the plan of 1
+    def of(cls, amplitudes: np.ndarray, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
+        """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array of unit vectors, n its row width's."""
+        n_qubits = _register_size(amplitudes)
+        focus = checked_int(focus, "focus")
         order = None if order is None else tuple(checked_int(i, "order entry") for i in order)
-        given, pair_keeps = _chain_plan(n_qubits, focus, order)
+        if not (0 <= focus < n_qubits):
+            raise ValueError(f"focus {focus} out of range for {n_qubits} qubits")
+        rest = [i for i in range(n_qubits) if i != focus]
+        given = tuple(rest) if order is None else order
+        if sorted(given) != rest:
+            raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
         count = len(amplitudes)
-        pairs = marginal_stack(amplitudes, n_qubits, pair_keeps).reshape(-1, 4, 4)
+        pairs = marginal_stack(amplitudes, [(focus, b) for b in given]).reshape(-1, 4, 4)
         pair_spectra = density_spectra(pairs)
         # a pair marginal has rank at most 2^(n-2): at n = 3 its ceiling is lam1 > 0, so it would skip none
         concurrence = spin_flip_concurrences(pairs, None if n_qubits == 3 else pair_spectra).reshape(count, len(given))
-        rho_a = marginal_stack(amplitudes, n_qubits, [(focus,)])[:, 0]
+        rho_a = marginal_stack(amplitudes, [(focus,)])[:, 0]
         spectra = density_spectra(rho_a)
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
@@ -391,19 +395,6 @@ class ChainBatch:
                           ChainStack(chains[0], chains[1], tails, holds, certified))
 
 
-@lru_cache(maxsize=64)
-def _chain_plan(n_qubits: int, focus: int, order: tuple[int, ...] | None) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The checked given order of a register shape, and the (focus, partner) keep of each pair in it."""
-    # a ValueError (a bad focus, checked first, or a bad order) is not cached and raises again on the next call
-    if not (0 <= focus < n_qubits):
-        raise ValueError(f"focus {focus} out of range for {n_qubits} qubits")
-    rest = [i for i in range(n_qubits) if i != focus]
-    given = tuple(rest) if order is None else order
-    if sorted(given) != rest:
-        raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
-    return given, tuple((focus, b) for b in given)
-
-
 class _TablePlan(NamedTuple):
     """What ChainBatch.table reads from its K (measure, alpha) keys and the pair count alone.
 
@@ -456,7 +447,7 @@ _table_plan = lru_cache(maxsize=64)(_plan)
 def _reports(psi: Ket, focus: int, order: Sequence[int] | None, measure: MeasureKind, alphas: Sequence[float],
              m: int | None, plan_of) -> list[BoundReport]:
     # one table of the state alone over the keys (measure, alpha): every key takes the same split and chain
-    batch = ChainBatch.of(psi.amplitudes[None], psi.n_qubits, focus, order)
+    batch = ChainBatch.of(psi.amplitudes[None], focus, order)
     if not alphas:  # an empty sweep still checks its focus and order
         return []
     t = batch._table(tuple((measure, a) for a in alphas), m, plan_of)

@@ -139,7 +139,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     buffer = np.empty((size, 2**n), dtype=np.complex128)
     for start in range(0, config.samples, size):
         amplitudes = haar_rows(buffer[: min(size, config.samples - start)], config.seed + start)
-        table = ChainBatch.of(amplitudes, n, 0).table(keys)
+        table = ChainBatch.of(amplitudes, 0).table(keys)
         asserted += table.asserted.sum(axis=1)
         # an unasserted state enters as inf, which moves no minimum and passes the tolerance
         new = np.where(table.asserted, table.residual_new, math.inf)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -102,25 +103,34 @@ class Ket:
         M M^dagger.  Costs O(4^k 2^(n-k)) rather than the O(4^n) of
         tracing the projector.  This is marginal_stack on one ket.
         """
-        entries = marginal_stack(self.amplitudes[None], self.n_qubits, [keep])[0, 0]
+        entries = marginal_stack(self.amplitudes[None], [keep])[0, 0]
         return DensityMatrix((2,) * len(keep), entries)  # the plan rejected a duplicate, so k = len(keep)
 
 
-def marginal_stack(amplitudes: np.ndarray, n_qubits: int, keeps: Sequence[Sequence[int]]) -> np.ndarray:
+def _register_size(amplitudes: np.ndarray) -> int:
+    """The n of a (B, 2^n) array of kets, read from its row width; any other shape raises ValueError."""
+    width = amplitudes.shape[1] if amplitudes.ndim == 2 else 0
+    if width < 2 or width & (width - 1):
+        raise ValueError(f"kets must be a (B, 2^n) array with n >= 1, got shape {amplitudes.shape}")
+    return width.bit_length() - 1
+
+
+def marginal_stack(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
     """The (B, len(keeps), d, d) marginals of each of the B kets in ``amplitudes``, a (B, 2^n) array, B >= 1.
 
-    Every entry of ``keeps`` names k qubits (d = 2^k, the same k for all);
-    entry [j, i] is the reduced state of ket j on ``keeps[i]``, kept
-    qubits in register order.  It is M M^dagger with M the kept-first
-    transpose of the ket as a d x 2^(n-k) matrix.  Where _marginal_plan
-    holds a gather index, one take copies the M of _GATHER_KETS // B
-    keeps, at least one, and one matmul multiplies them by their
-    conjugates.  On a register too wide for an index, each M is copied
-    from the transposed kets into the same two (B, d, 2^(n-k)) buffers.
-    Besides the kets, the peak is two copies of them for a batch of three
-    or more, and at most 2 * _GATHER_KETS kets' worth otherwise.  The
-    stack is not validated; density_spectra checks it.
+    Every entry of ``keeps`` names k of the n qubits the row width gives
+    (d = 2^k, the same k for all); entry [j, i] is the reduced state of
+    ket j on ``keeps[i]``, kept qubits in register order.  It is M M^dagger
+    with M the kept-first transpose of the ket as a d x 2^(n-k) matrix.
+    Where _marginal_plan holds a gather index, one take copies the M of
+    _GATHER_KETS // B keeps, at least one, and one matmul multiplies them
+    by their conjugates.  On a register too wide for an index, each M is
+    copied from the transposed kets into the same two (B, d, 2^(n-k))
+    buffers.  Besides the kets, the peak is two copies of them for a batch
+    of three or more, and at most 2 * _GATHER_KETS kets' worth otherwise.
+    The stack is not validated; density_spectra checks it.
     """
+    n_qubits = _register_size(amplitudes)
     keeps = tuple(map(tuple, keeps))
     for q in chain.from_iterable(keeps):  # before the plan lookup: 1.0 would find the plan of 1
         checked_int(q, "keep entry")
@@ -285,6 +295,16 @@ def physical_memory() -> int:
 _INT_OVERFLOW = 2**1024 - 2**970
 
 
+# a bad value of a state file is quoted as reprlib abbreviates it, which bounds a long string, int or
+# list and a deep nesting, and cut to this many characters, which bounds many short items nested a few deep
+_QUOTE_CHARS = 50
+
+
+def _quoted(value) -> str:
+    text = reprlib.repr(value)
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS - 3] + "..."
+
+
 def _is_pair(pair) -> bool:
     # JSON true/false parse as bool, an int subclass, but they are no amplitude
     return type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)
@@ -300,16 +320,18 @@ def load_state(path) -> Ket:
     and one np.fromiter over the flattened pairs converts them all; the
     first malformed or overflowing pair is named by index.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        data = json.loads(text)  # with the file closed, its read buffer stays out of the heap peak
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:  # json's decoder recurses once per nested array or object
         raise StateFileError(f"{path}: JSON nested too deeply to decode") from None
+    except ValueError as exc:  # bytes that are no UTF-8, or an integer literal past int()'s digit limit
+        raise StateFileError(f"{path}: {exc}") from None
     del text  # not read again; freed here, it stays out of the heap peak of the conversion below
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be an object")
@@ -319,9 +341,9 @@ def load_state(path) -> Ket:
     except KeyError as exc:
         raise StateFileError(f"{path}: missing key {exc.args[0]!r}") from exc
     if not isinstance(n, int) or isinstance(n, bool):
-        raise StateFileError(f"{path}: n_qubits must be an integer, got {n!r}")
+        raise StateFileError(f"{path}: n_qubits must be an integer, got {_quoted(n)}")
     if n < 1:
-        raise StateFileError(f"{path}: n_qubits must be positive, got {n}")
+        raise StateFileError(f"{path}: n_qubits must be positive, got {_quoted(n)}")
     found = len(raw) if isinstance(raw, list) else type(raw).__name__
     # a list holds fewer than 2^63 items, so 2**n is built and printed only below that
     if not isinstance(raw, list) or n >= 63 or len(raw) != 2**n:
@@ -331,7 +353,7 @@ def load_state(path) -> Ket:
     if not (set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
             and set(map(type, chain.from_iterable(raw))) <= {int, float}):
         i = next(i for i, pair in enumerate(raw) if not _is_pair(pair))
-        raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {raw[i]!r}")
+        raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {_quoted(raw[i])}")
     try:
         # the (re, im) pairs in float64 are the complex128 amplitudes; ints round as float() rounds them
         amp = np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw)).view(np.complex128)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from monogamy import (
 )
 from monogamy.bounds import ChainBatch, _ladder_powers
 from monogamy.campaign import CampaignConfig, run_campaign
+from monogamy.qstate import marginal_stack
 from monogamy.states import SchmidtParams, gsd3
 from oracles import ghz_amplitudes, ladder_powers, w_class_amplitudes
 
@@ -171,7 +173,25 @@ def test_ladder_powers_match_the_list_construction():
 def test_an_empty_batch_is_rejected():
     # zero rows used to divide by zero in marginal_stack
     with pytest.raises(ValueError, match="empty batch"):
-        ChainBatch.of(np.empty((0, 8), dtype=complex), 3, 0)
+        ChainBatch.of(np.empty((0, 8), dtype=complex), 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (8,), (1, 2, 4)])
+def test_kets_not_in_rows_of_a_power_of_two_width_are_rejected_by_their_shape(shape):
+    # the register size is read from the row width, and any other shape is named
+    amplitudes = np.zeros(shape, dtype=np.complex128)
+    for call in (lambda: marginal_stack(amplitudes, [(0,)]), lambda: ChainBatch.of(amplitudes, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"(B, 2^n) array with n >= 1, got shape {shape}")):
+            call()
+
+
+def test_the_row_width_is_the_register_size():
+    # a qubit count passed beside the rows once read the 8-wide row of |000> as a two-qubit ket
+    kets = np.eye(8, dtype=np.complex128)[:1]
+    assert ChainBatch.of(kets, 0).given == (1, 2)
+    assert marginal_stack(kets, [(0, 2)]).shape == (1, 1, 4, 4)
+    with pytest.raises(ValueError, match=r"keep=\(0, 3\) out of range for 3 factors"):
+        marginal_stack(kets, [(0, 3)])
 
 
 def test_weights_never_below_one():
@@ -186,7 +206,7 @@ def test_precondition_three_qubits_always_exact():
     # is increasing in C, so the concurrences decide it and ranking proves it
     for k in range(20):
         psi = haar_random(3, 100 + k)
-        batch = ChainBatch.of(psi.amplitudes[None], 3, 0)
+        batch = ChainBatch.of(psi.amplitudes[None], 0)
         c0, c1 = batch.concurrence[0].tolist()  # partners 1 and 2, the given order
         for kind in ALL_KINDS:
             r = monogamy_report(psi, 0, kind, kind.alpha_floor)
@@ -330,11 +350,9 @@ def test_report_validation():
 ])
 def test_a_bad_focus_or_order_raises_the_same_message_every_time(focus, order, message):
     psi = scenario1_state()
-    monogamy.bounds._chain_plan.cache_clear()
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             monogamy_report(psi, focus, CONCURRENCE, 2.0, order=order)
-    assert monogamy.bounds._chain_plan.cache_info().currsize == 0
     # a good call in between leaves the error as it was
     monogamy_report(psi, 0, CONCURRENCE, 2.0, order=(2, 1))
     with pytest.raises(ValueError, match=message):
@@ -501,7 +519,7 @@ def test_a_report_allocates_less_heap_than_decoding_its_file(n, tmp_path):
 
 def test_ranked_order_keeps_ties_in_given_order():
     # all W-state pairs tie, so ranking keeps the caller's order
-    batch = ChainBatch.of(w_state(5).amplitudes[None], 5, 2, order=(4, 0, 3, 1))
+    batch = ChainBatch.of(w_state(5).amplitudes[None], 2, order=(4, 0, 3, 1))
     assert batch.given == (4, 0, 3, 1)
     assert batch.chain_index[1, 0].tolist() == [0, 1, 2, 3]  # the ranked chain is the given one
     r = monogamy_report(w_state(5), 2, CONCURRENCE, 2.0, order=(4, 0, 3, 1))

@@ -36,7 +36,7 @@ FIELDS = ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new
 def test_batched_rows_equal_one_state_reports(n):
     # one table holds every (measure, alpha) key and one batch of Haar and W-class states
     states = [haar_random(n, 400 + k) for k in range(8)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(8)]
-    table = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0).table(KEYS)
+    table = ChainBatch.of(np.array([psi.amplitudes for psi in states]), 0).table(KEYS)
     assert all(getattr(table, f).shape == (len(KEYS), len(states)) for f in ("m", "asserted") + FIELDS)
     for k, (kind, alpha) in enumerate(KEYS):
         for j, psi in enumerate(states):
@@ -54,10 +54,10 @@ def test_explicit_split_rows_equal_one_state_reports(n):
     # every state takes the split m: the ranked chain at m = N-2, the given one below it, and
     # asserted is the reference certifier's verdict on that chain
     states = [haar_random(n, 500 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
-    batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), n, 0)
+    batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), 0)
     given = tuple(range(1, n))
     # by descending concurrence of the state alone, ties in the given order
-    alone = [ChainBatch.of(psi.amplitudes[None], n, 0).concurrence[0] for psi in states]
+    alone = [ChainBatch.of(psi.amplitudes[None], 0).concurrence[0] for psi in states]
     ranked = [tuple(given[i] for i in np.argsort(-c, kind="stable")) for c in alone]
     for m in range(1, n - 1):
         table = batch.table(KEYS, m)
@@ -78,7 +78,7 @@ def _report_entries(table, k, j):
 
 def test_a_key_tuple_is_planned_once():
     _table_plan.cache_clear()
-    batches = [ChainBatch.of(np.array([haar_random(4, seed + k).amplitudes for k in range(3)]), 4, 0)
+    batches = [ChainBatch.of(np.array([haar_random(4, seed + k).amplitudes for k in range(3)]), 0)
                for seed in (0, 10)]
     tables = [batch.table(list(KEYS)) for batch in batches + batches]
     assert _table_plan.cache_info()[:2] == (3, 1)  # hits, misses: one plan serves every batch
@@ -103,7 +103,7 @@ def test_a_ladder_overflowing_at_an_unused_split_raises_nothing():
     cases = [([SPLIT_1], [(CONCURRENCE, 800.0)], [[1]]),
              ([SPLIT_3_1], [(CONCURRENCE, 600.0), (EOF, 600.0)], [[3], [1]])]
     for states, keys, splits in cases:
-        table = ChainBatch.of(np.array(states), 5, 0).table(keys)
+        table = ChainBatch.of(np.array(states), 0).table(keys)
         assert table.m.tolist() == splits
         for k, (kind, alpha) in enumerate(keys):
             for j, amplitudes in enumerate(states):
@@ -120,7 +120,7 @@ def test_a_ladder_overflowing_at_a_used_split_raises_as_a_report_does():
         with pytest.raises(ValueError) as alone:
             monogamy_report(Ket(5, SPLIT_3), 0, kind, alpha)
         with pytest.raises(ValueError) as got:
-            ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 5, 0).table(keys)
+            ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 0).table(keys)
         assert str(got.value) == str(alone.value) == str(expected.value)
 
 
@@ -129,7 +129,7 @@ def test_chain_index_holds_each_state_s_given_and_ranked_positions():
     # given order (Python's sort is stable), both as positions in concurrence.ravel()
     amplitudes = np.array([w_class_amplitudes(5, 3), haar_random(5, 2).amplitudes, w_state(5).amplitudes,
                            haar_random(5, 4).amplitudes])
-    batch = ChainBatch.of(amplitudes, 5, 0, order=(3, 1, 4, 2))
+    batch = ChainBatch.of(amplitudes, 0, order=(3, 1, 4, 2))
     count, n_pairs = batch.concurrence.shape
     assert batch.chain_index.shape == (2, count, n_pairs)
     for j, row in enumerate(batch.concurrence.tolist()):
@@ -191,7 +191,7 @@ def test_nan_residual_folds_as_state_by_state(asserted, monkeypatch):
     states = [haar_random(4, config.seed + k) for k in range(config.samples)]
     target = next(k for k, psi in enumerate(states)
                   if k > 0 and monogamy_report(psi, 0, CONCURRENCE, 2.0).asserted == asserted)
-    poisoned = ChainBatch.of(states[target].amplitudes[None], 4, 0).focus_entries[0]
+    poisoned = ChainBatch.of(states[target].amplitudes[None], 0).focus_entries[0]
     cut_values = monogamy.bounds.cut_values
 
     def with_nan(kind, entries, spectra):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -67,6 +68,29 @@ def test_a_deeply_nested_state_file_exits_2(tmp_path):
         assert run.returncode == 2, run.stderr
         assert run.stderr.startswith(f"error: {path}: ") and "Traceback" not in run.stderr
         assert run.stdout == ""
+
+
+def test_a_state_file_error_quotes_a_bad_value_in_one_short_line(tmp_path):
+    # a bad value used to be quoted whole: 689 KB of stderr for an entry of 100 000 ints
+    deep, tree = [0], 10**39
+    for _ in range(900):
+        deep = [deep]
+    for _ in range(6):  # reprlib keeps six items a level for six levels: it alone prints 2 MB of this
+        tree = [tree] * 6
+    env = {**os.environ, "PYTHONPATH": str(Path(monogamy.__file__).parents[1])}
+    for name, n_qubits, entry, field in (("long.json", 1, list(range(100_000)), "amplitude 0"),
+                                         ("deep.json", 1, deep, "amplitude 0"),
+                                         ("wide.json", 1, tree, "amplitude 0"),
+                                         ("count.json", "3" * 200_000, [0, 0], "n_qubits")):
+        path = tmp_path / name
+        path.write_text(json.dumps({"n_qubits": n_qubits, "amplitudes": [entry, [0, 0]]}))
+        run = subprocess.run([sys.executable, "-m", "monogamy.cli", "--state", str(path)],
+                             capture_output=True, env=env)
+        assert run.returncode == 2, name
+        err = run.stderr.decode()
+        assert err.startswith(f"error: {path}: {field} must be ") and err.count("\n") == 1, name
+        assert len(run.stderr) - len(bytes(path)) < 300 and "Traceback" not in err, name
+        assert run.stdout == b""
 
 
 @pytest.mark.parametrize(
@@ -331,11 +355,11 @@ def test_memory_guard_covers_the_measured_peak():
     # tracemalloc sees numpy's buffers: the draw and the analysis stay within 48 * 2^n
     import tracemalloc
 
-    ChainBatch.of(haar_random(4, 0).amplitudes[None], 4, 0)  # first calls allocate numpy's caches
+    ChainBatch.of(haar_random(4, 0).amplitudes[None], 0)  # first calls allocate numpy's caches
     n = 16
     tracemalloc.start()
     try:
-        ChainBatch.of(haar_random(n, 0).amplitudes[None], n, 0)
+        ChainBatch.of(haar_random(n, 0).amplitudes[None], 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -516,20 +540,19 @@ def test_reused_parser_carries_nothing_over(state_file, tmp_path, capsys):
 
 
 def test_state_calls_plan_once_per_register_shape(state_file, tmp_path, capsys):
-    chain_plan, marginal_plan = monogamy.bounds._chain_plan, monogamy.qstate._marginal_plan
-    chain_plan.cache_clear()
+    marginal_plan = monogamy.qstate._marginal_plan
     marginal_plan.cache_clear()
     for measure in ("concurrence", "eof", "cren", "tsallis", "eof"):
         assert main(["--state", state_file, "--measure", measure]) == 0
-    # one chain plan, and one marginal plan each for the pair keeps and the focus keep
-    assert (chain_plan.cache_info().misses, chain_plan.cache_info().hits) == (1, 4)
+    # one marginal plan each for the pair keeps and the focus keep
     assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (2, 8)
     wide = tmp_path / "wide.json"
     save_state(haar_random(5, 3), wide)
     for argv in (["--focus", "1"], ["--focus", "1"], ["--focus", "1", "--order", "4,3,2,0"], []):
         assert main(["--state", str(wide), *argv]) == 0
-    # three more shapes: (5, focus 1), (5, focus 1, an order), (5, focus 0)
-    assert (chain_plan.cache_info().misses, chain_plan.cache_info().hits) == (4, 5)
+    # five more plans: the pair and focus keeps of (5, focus 1) and of (5, focus 0), and the pair keeps
+    # of (5, focus 1) in another order, whose focus keep is planned already
+    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (7, 11)
     capsys.readouterr()
 
 

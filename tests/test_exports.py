@@ -2,7 +2,8 @@
 
 A deletion that drops a name from one of the two lists and not the other
 (a stale import, or a stale ``__all__`` entry) fails here, and so does a
-public function, class or method that nothing but its unit tests calls.
+public function, class or method that nothing but its unit tests calls,
+or a private module-level helper that nothing in the package calls.
 """
 import ast
 import re
@@ -71,6 +72,28 @@ def test_every_public_name_has_a_caller():
     referenced = set().union(*(_references(_tree(path)) for path in callers))
     defined = [name for path in modules for name in _public_definitions(_tree(path))]
     assert sorted(set(defined) - referenced) == []
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """The private names a module-level statement defines: a function, a class or assigned names."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [target.id for target in targets if isinstance(target, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_helper_has_a_caller():
+    # aim 2's rule for private code: each module-level private name of the package is referenced by
+    # another statement of the package than the one that defines it; an import is no reference
+    nodes = [node for path in sorted(PACKAGE.glob("*.py")) for node in _tree(path).body]
+    references = [_references(node) for node in nodes]
+    unused = [name for i, node in enumerate(nodes) for name in _private_names(node)
+              if not any(name in found for j, found in enumerate(references) if j != i)]
+    assert unused == []
 
 
 def test_readme_library_example_runs(capsys):

@@ -313,10 +313,10 @@ def test_pair_stack_matches_one_pair_at_a_time():
         for psi in (haar_random(n, 900 + n), w_state(n)):
             focus = n // 2
             partners = [b for b in range(n) if b != focus][::-1]
-            stack = marginal_stack(psi.amplitudes[None], n, [(focus, b) for b in partners]).reshape(-1, 4, 4)
+            stack = marginal_stack(psi.amplitudes[None], [(focus, b) for b in partners]).reshape(-1, 4, 4)
             density_spectra(stack)
             conc = spin_flip_concurrences(stack)
-            batch = ChainBatch.of(psi.amplitudes[None], n, focus)  # its given order: the partners ascending
+            batch = ChainBatch.of(psi.amplitudes[None], focus)  # its given order: the partners ascending
             alone = dict(zip(batch.given, batch.concurrence[0].tolist()))
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
             for i, b in enumerate(partners):
@@ -334,7 +334,7 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
         psi = haar_random(n, 3000 + seed)
         for a in (0, n - 1):
             partners = [b for b in range(n) if b != a]
-            stack = marginal_stack(psi.amplitudes[None], n, [(a, b) for b in partners]).reshape(-1, 4, 4)
+            stack = marginal_stack(psi.amplitudes[None], [(a, b) for b in partners]).reshape(-1, 4, 4)
             density_spectra(stack)
             got = spin_flip_concurrences(stack)
             want = [wootters_concurrence(psi.amplitudes, n, a, b) for b in partners]
@@ -344,7 +344,7 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
 def _haar_pairs(n, count, seed):
     # the (0, b) pair marginals of ``count`` Haar states, in state order, and their spectra
     amplitudes = haar_rows(np.empty((count, 2**n), dtype=complex), seed)
-    pairs = marginal_stack(amplitudes, n, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
+    pairs = marginal_stack(amplitudes, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
     return amplitudes, pairs, density_spectra(pairs)
 
 
@@ -366,7 +366,7 @@ def _ceiling_cases():
         yield pytest.param(_haar_pairs(n, 60, 40 * n)[1], 60 * (n - 1) if n >= 7 else None, id=f"haar-{n}")
     for n in range(3, 9):
         wclass = np.array([w_class_amplitudes(n, k) for k in range(40)])
-        stack = marginal_stack(wclass, n, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
+        stack = marginal_stack(wclass, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
         yield pytest.param(stack, 0, id=f"wclass-{n}")
 
 
@@ -471,9 +471,41 @@ def test_concurrence_cut_values_match_per_state_purity(count):
     # one batched conjugated product against the per-state np.vdot, clamped to [0, 1], bit for bit
     for n, keep in ((3, (0,)), (5, (4,)), (5, (1, 3))):
         amplitudes = haar_rows(np.empty((count, 2**n), dtype=np.complex128), 70 * n + count)
-        entries = marginal_stack(amplitudes, n, [keep])[:, 0]
+        entries = marginal_stack(amplitudes, [keep])[:, 0]
         want = [math.sqrt(max(2.0 * (1.0 - min(max(float(np.vdot(e, e).real), 0.0), 1.0)), 0.0)).hex()
                 for e in entries]
         got = cut_values(CONCURRENCE, entries, density_spectra(entries))
         assert got.shape == (count,)
         assert [v.hex() for v in got.tolist()] == want
+
+
+def _eof_by_positive_terms(spectrum):
+    # the entropy of one spectrum as the sum of its p positive terms, which lead it, as one length-p sum
+    lam = spectrum[spectrum > 0.0]
+    return float(-(lam * np.log2(lam)).sum())
+
+
+def test_eof_cut_values_sum_each_spectrum_s_positive_terms_alone():
+    # a spectrum with zero eigenvalues is summed over its positive terms alone, and from a side of three
+    # qubits on that changes bits against the sum over the whole row
+    product = Ket(3, np.eye(8)[5])  # |101>: the focus is a product factor, its spectrum (1, 0)
+    assert pure_cut_value(EOF, product, (0,)) == 0.0
+    side = w_state(5).marginal((0, 1, 2))  # rank 2 on three qubits
+    assert np.count_nonzero(side.eigenvalues > 1e-12) == 2
+    got = cut_values(EOF, side.entries[None], side.eigenvalues[None])[0]
+    assert got.hex() == _eof_by_positive_terms(side.eigenvalues).hex()
+    # a batch of d = 8 spectra with 1 to 8 positive eigenvalues, the rest 0 or a rounding below it
+    rng = np.random.default_rng(5)
+    spectra = np.zeros((400, 8))
+    for row, p in zip(spectra, rng.integers(1, 9, size=400)):
+        row[:p] = np.sort(rng.random(p))[::-1]
+        row[:p] /= row[:p].sum()
+        row[p:] = rng.choice([0.0, -1e-17], size=8 - p)
+    entries = np.zeros((400, 8, 8), dtype=np.complex128)  # EOF reads the spectra alone
+    got = [v.hex() for v in cut_values(EOF, entries, spectra).tolist()]
+    assert got == [_eof_by_positive_terms(s).hex() for s in spectra]
+    assert got == [cut_values(EOF, e[None], s[None])[0].hex() for e, s in zip(entries, spectra)]
+    # the sum over the whole row, zero terms included, differs in some rows: the regrouping shows
+    lam = np.maximum(spectra, 0.0)
+    row_sums = -np.add.reduce(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=1)
+    assert got != [v.hex() for v in row_sums.tolist()]

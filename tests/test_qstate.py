@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ def test_state_file_requires_integer_qubit_count(tmp_path, n_qubits):
         load_state(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n_qubits": 1' + "0" * 5000 + ', "amplitudes": []}',
+    '{"n_qubits": 1, "amplitudes": [[1' + "0" * 5000 + ", 0], [0, 0]]}",
+    b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}\xff',
+], ids=["long-count", "long-amplitude", "not-utf-8"])
+def test_a_state_file_the_decoder_rejects_is_named(tmp_path, text):
+    # an integer literal past int()'s 4300-digit limit, or bytes that are no UTF-8, used to raise
+    # the decoder's ValueError, which named no file
+    path = tmp_path / "state.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(StateFileError, match=f"^{re.escape(str(path))}: ") as raised:
+        load_state(path)
+    assert "\n" not in str(raised.value) and len(str(raised.value)) - len(str(path)) < 300
+
+
 def test_state_file_rejects_boolean_amplitudes(tmp_path):
     # JSON true is a Python int subclass, but it is no amplitude
     path = tmp_path / "state.json"
@@ -412,7 +428,7 @@ def test_marginal_stack_matches_a_per_keep_transpose_oracle(n):
                       [(0, b) for b in range(1, n)],
                       [(n - 1, 0), (2, 1), (1, n - 1)],  # unsorted
                       [(2, 0, 1), (n - 1, 1, 0)]):
-            got = monogamy.qstate.marginal_stack(kets, n, keeps)
+            got = monogamy.qstate.marginal_stack(kets, keeps)
             assert got.shape == (count, len(keeps)) + (2 ** len(keeps[0]),) * 2
             for i, keep in enumerate(keeps):
                 assert _hexes(got[:, i]) == _hexes(_marginal_by_transpose(kets, n, keep)), (count, keep)
@@ -423,9 +439,9 @@ def test_marginal_plan_is_made_once_per_register_shape():
     plan.cache_clear()
     kets = np.array([random_ket(np_rng, 32)])
     for keeps in ([(0, 1), (0, 4)], [[0, 1], [0, 4]], ((0, 1), (0, 4))):
-        monogamy.qstate.marginal_stack(kets, 5, keeps)
+        monogamy.qstate.marginal_stack(kets, keeps)
     assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 2)
-    monogamy.qstate.marginal_stack(kets, 5, [(4, 0), (0, 1)])  # another keep order is another plan
+    monogamy.qstate.marginal_stack(kets, [(4, 0), (0, 1)])  # another keep order is another plan
     assert plan.cache_info().misses == 2
 
 
@@ -456,8 +472,8 @@ def test_gathered_and_copied_marginals_agree(monkeypatch):
         monkeypatch.setattr(monogamy.qstate, "_GATHER_ENTRIES", entries)
         monkeypatch.setattr(monogamy.qstate, "_GATHER_KETS", budget)
         monogamy.qstate._marginal_plan.cache_clear()
-        stacks += [_hexes(monogamy.qstate.marginal_stack(kets[:1], 8, keeps)),
-                   _hexes(monogamy.qstate.marginal_stack(kets, 8, keeps))]
+        stacks += [_hexes(monogamy.qstate.marginal_stack(kets[:1], keeps)),
+                   _hexes(monogamy.qstate.marginal_stack(kets, keeps))]
     monogamy.qstate._marginal_plan.cache_clear()
     assert all(got == stacks[0] for got in stacks[::2]) and all(got == stacks[1] for got in stacks[1::2])
 
@@ -469,7 +485,7 @@ def test_a_bad_keep_raises_the_same_message_every_time(keep, message):
     kets = np.array([random_ket(np_rng, 32)])
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            monogamy.qstate.marginal_stack(kets, 5, [(0, 1), keep])
+            monogamy.qstate.marginal_stack(kets, [(0, 1), keep])
         with pytest.raises(ValueError, match=message):
             Ket(5, kets[0]).marginal(keep)
 
@@ -491,9 +507,9 @@ def test_density_matrix_rejects_non_integral_dimensions(dims):
 @pytest.mark.parametrize("keep", [(0, 1.5), (0, 1.0), (0, "1"), (0, True)])
 def test_marginal_stack_rejects_non_integral_keep_entries(keep):
     kets = np.array([random_ket(np_rng, 8)])
-    monogamy.qstate.marginal_stack(kets, 3, [(0, 1)])  # an integer keep first, so its plan is cached
+    monogamy.qstate.marginal_stack(kets, [(0, 1)])  # an integer keep first, so its plan is cached
     with pytest.raises(ValueError, match="keep entry must be an integer"):
-        monogamy.qstate.marginal_stack(kets, 3, [keep])
+        monogamy.qstate.marginal_stack(kets, [keep])
     with pytest.raises(ValueError, match="keep entry must be an integer"):
         Ket(3, kets[0]).marginal(keep)
 
@@ -502,7 +518,7 @@ def test_marginal_stack_rejects_an_empty_batch():
     # zero rows used to raise ZeroDivisionError; a register too wide for a gather index takes the other path
     for n in (3, 16):
         with pytest.raises(ValueError, match="empty batch"):
-            monogamy.qstate.marginal_stack(np.empty((0, 2**n), dtype=np.complex128), n, [(0, 1)])
+            monogamy.qstate.marginal_stack(np.empty((0, 2**n), dtype=np.complex128), [(0, 1)])
 
 
 def test_a_numpy_integer_qubit_count_round_trips(tmp_path):
