@@ -53,8 +53,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, cut_values, spin_flip_concurrences, values_of_concurrence
-from .qstate import Ket, _register_size, checked_int, density_spectra, marginal_stack, physical_memory
+from .measures import MeasureKind, cut_values, rank2_concurrences, spin_flip_concurrences, values_of_concurrence
+from .qstate import (Ket, _marginal_factors, _register_size, checked_int, density_spectra, marginal_stack,
+                     physical_memory)
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -277,14 +278,19 @@ class ChainBatch:
     All B states share the focus and the given pair order.
     ``concurrence[j, i]`` is the concurrence of state j's pair
     (focus, given[i]): the B*(N-1) pair marginals form one stack, checked
-    by one density_spectra call whose spectra go to one
-    spin_flip_concurrences call, which spin-flips only the pairs their
-    spectral ceiling leaves open (none are skipped at n = 3, where every
-    pair marginal has rank 2).  ``chain_index[0, j]`` holds the positions
-    of state j's pairs in ``concurrence.ravel()`` in the given order, and
-    ``chain_index[1, j]`` in the ranked order, by descending concurrence
-    (a stable sort, so ties keep their given position); one sort yields
-    both, and a table gathers every chain with one take by it.
+    by one density_spectra call.  At n = 3 each pair leaves one traced
+    qubit, so its marginal is M M^dagger with M a 4 x 2 slice of the ket,
+    and one rank2_concurrences call reads every C in closed form from the
+    M that marginal_stack's gather index takes.  From n = 4 on, one
+    spin_flip_concurrences call takes the whole stack; from n = 5 on it
+    also takes the spectra and spin-flips only the pairs their spectral
+    ceiling leaves open (at n = 4 it would skip about 1 pair in 400, and
+    its test would cost more than the skips save).  ``chain_index[0, j]``
+    holds the positions of state j's pairs in ``concurrence.ravel()`` in
+    the given order, and ``chain_index[1, j]`` in the ranked order, by
+    descending concurrence (a stable sort, so ties keep their given
+    position); one sort yields both, and a table gathers every chain with
+    one take by it.
     ``focus_entries`` and ``focus_spectra`` are each state's rho_A and its
     descending spectrum, checked as one (B, 2, 2) stack.
     """
@@ -309,10 +315,16 @@ class ChainBatch:
         if sorted(given) != rest:
             raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
         count = len(amplitudes)
-        pairs = marginal_stack(amplitudes, [(focus, b) for b in given]).reshape(-1, 4, 4)
+        keeps = [(focus, b) for b in given]
+        pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)
         pair_spectra = density_spectra(pairs)
-        # a pair marginal has rank at most 2^(n-2): at n = 3 its ceiling is lam1 > 0, so it would skip none
-        concurrence = spin_flip_concurrences(pairs, None if n_qubits == 3 else pair_spectra).reshape(count, len(given))
+        if n_qubits == 3:
+            # one traced qubit: each pair is M M^dagger with M the 4 x 2 slice of its ket that the gather took
+            concurrence = rank2_concurrences(_marginal_factors(amplitudes, keeps))
+        else:
+            # the ceiling skips about 1 pair in 400 at n = 4, where its test costs more than it saves
+            concurrence = spin_flip_concurrences(pairs, None if n_qubits == 4 else pair_spectra)
+            concurrence = concurrence.reshape(count, len(given))
         rho_a = marginal_stack(amplitudes, [(focus,)])[:, 0]
         spectra = density_spectra(rho_a)
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat

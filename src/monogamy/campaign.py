@@ -4,13 +4,14 @@ State k is the Haar random state of seed ``seed + k`` (states.haar_rows;
 haar_random(n, seed + k) is the same state as a Ket).  The states are
 drawn and analysed in batches of up to B (see batch_size): each batch is
 drawn straight into one (B, 2^n) array and analysed as one ChainBatch,
-so its pair marginals form one stack with one validation, whose spectra
-spare the spin flip of every pair they prove unentangled (nearly all of
-them from n = 6 on, none at n = 3); the rest share one spin-flip call.
-Its reports for all K rows come as one (K, B) table
-(ChainBatch.table) in which the chains of every measure are certified
-once.  Array operations fold the table into each row's count
-and minima in state order (first NaN, else first least), and _nan_min
+so its pair marginals form one stack with one validation.  At n = 3 one
+closed-form call reads every pair concurrence from the kets, with no
+spin flip; from n = 4 on the pairs share one spin-flip call, and from
+n = 5 on their spectra spare it every pair they prove unentangled
+(nearly all of them from n = 6 on).  Its reports for all K rows come as
+one (K, B) table (ChainBatch.table) in which the chains of every measure
+are certified once.  Array operations fold the table into each row's
+count and minima in state order (first NaN, else first least), and _nan_min
 carries the minima from batch to batch, so the rows equal those of a
 campaign that analyses one state at a time, bit for bit, and memory does
 not grow with the number of samples.

@@ -14,11 +14,16 @@ implementation: the list maps behind values_of_concurrence, one list
 comprehension over a whole batch in scalar math arithmetic.  eof_f and
 tsallis_g are those maps on one value.
 
-The pair concurrence has one kernel, spin_flip_concurrences, which takes a
-(k, 4, 4) stack of two-qubit states with their spectra and returns their k
-concurrences.  The spectra bound each concurrence from above; a matrix whose
-bound proves C = 0 skips the spin flip, and the others share one eigvals
-call.  concurrence_two_qubit is the same kernel on one matrix.
+The pair concurrence has two kernels, both Wootters' formula.
+spin_flip_concurrences takes a (k, 4, 4) stack of two-qubit states with
+their spectra and returns their k concurrences.  The spectra bound each
+concurrence from above; a matrix whose bound proves C = 0 skips the spin
+flip, and the others share one eigvals call.  concurrence_two_qubit is that
+kernel on one matrix.  rank2_concurrences takes the 4 x 2 factors M of
+rank-2 states rho = M M^dagger, as a 3-qubit ket holds them for each of its
+pairs, and reads C in closed form from M, with no eigenvalue call; it is
+exact to rounding where the spin flip loses up to about 3e-8 to the two
+zero eigenvalues of a rank-2 rho rho~.
 """
 from __future__ import annotations
 
@@ -42,8 +47,10 @@ _ALPHA_FLOORS = {
     "tsallis": 1.0,
 }
 
-# sign pattern s_i s_j of the two-qubit spin flip, s = (-1, 1, 1, -1) the antidiagonal of sigma_y (x) sigma_y
-_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# s = (-1, 1, 1, -1), the antidiagonal of S = sigma_y (x) sigma_y: the spin flip S rho* S has the sign
+# pattern s_i s_j, and S M is M with its rows reversed and the row signs s
+_ANTIDIAGONAL = np.array([-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGNS = np.outer(_ANTIDIAGONAL, _ANTIDIAGONAL)
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,13 @@ def spin_flip_concurrences(rho: np.ndarray, spectra: np.ndarray | None = None) -
     always takes the spin flip (a rank-3 ceiling lam1 - lam3 is never
     negative anyway).  Without ``spectra`` every matrix takes the spin
     flip.
+
+    On a matrix of rank 2 or less, two eigenvalues of rho rho~ are zero up
+    to rounding (about 1e-17), and their roots put about 3e-9 each into
+    mu3 and mu4, so C comes out low by up to about 3e-8.
+    rank2_concurrences reads such a matrix's C from its factor instead,
+    exact to rounding; ChainBatch takes that route at n = 3, where every
+    pair marginal has rank 2.
     """
     if spectra is not None:
         lam1, lam2, lam3, lam4 = spectra.T
@@ -194,6 +208,32 @@ def spin_flip_concurrences(rho: np.ndarray, spectra: np.ndarray | None = None) -
     mus = spin_flip_mus(rho)
     c = mus[..., 0] - mus[..., 1] - mus[..., 2] - mus[..., 3]
     return np.where(c > 0.0, c, 0.0)  # as max(0.0, c): a NaN or a -0.0 reads 0.0
+
+
+def rank2_concurrences(factors: np.ndarray) -> np.ndarray:
+    """Concurrence of each two-qubit state rho = M M^dagger of a (..., 4, 2) stack of factors M.
+
+    Wootters' mu_i are the singular values of tau = M^T S M, S = sigma_y
+    (x) sigma_y (Uhlmann, PRA 62, 032307 (2000)).  Here tau is a complex
+    symmetric [[a, b], [b, c]], so mu3 = mu4 = 0 and C = mu1 - mu2, with
+    mu1^2 + mu2^2 = |a|^2 + 2|b|^2 + |c|^2 and mu1 mu2 = |ac - b^2|.  C is
+    read as (mu1^2 - mu2^2) / (mu1 + mu2): the numerator is the eigenvalue
+    gap of tau tau^dagger, sqrt((|a|^2 - |c|^2)^2 + 4 |conj(a) b + conj(b) c|^2),
+    and the denominator sqrt(|a|^2 + 2|b|^2 + |c|^2 + 2|ac - b^2|).
+    Neither subtracts the nearly equal mu1 and mu2, so C is exact to a few
+    ulps (the root of the difference of their squares would lose half the
+    digits near mu1 = mu2).  C = 0 where tau = 0.  The factors are not
+    validated: a caller checks M M^dagger first.
+    """
+    tau = factors.swapaxes(-1, -2) @ (factors[..., ::-1, :] * _ANTIDIAGONAL[:, None])
+    a, b, c = tau[..., 0, 0], tau[..., 0, 1], tau[..., 1, 1]
+    squares = tau.real**2
+    squares += tau.imag**2  # |a|^2, |b|^2, |b|^2, |c|^2
+    off = np.conjugate(a) * b
+    off += np.conjugate(b) * c
+    gap = np.hypot(squares[..., 0, 0] - squares[..., 1, 1], 2.0 * np.abs(off))
+    total = np.sqrt(squares.sum(axis=(-2, -1)) + 2.0 * np.abs(a * c - b * b))
+    return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0.0)
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:
@@ -230,12 +270,13 @@ def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> n
         # 0 log 0 = 0: each spectrum sums its p positive terms, which lead it, as one length-p sum
         positive = lam > 0.0
         terms = lam * np.log2(np.where(positive, lam, 1.0))
-        out = -np.add.reduce(terms, axis=1)  # the sum of the states whose every eigenvalue is positive
+        # 0.0 - sum, as _eof_values writes it: a product side's sum 0.0 gives 0.0, not -0.0
+        out = 0.0 - np.add.reduce(terms, axis=1)  # the sum of the states whose every eigenvalue is positive
         if np.count_nonzero(positive) < positive.size:
             positive = np.add.reduce(positive, axis=1)
             for p in set(positive.tolist()) - {lam.shape[1]}:
                 rows = positive == p
-                out[rows] = -terms[rows, :p].sum(axis=1)
+                out[rows] = 0.0 - terms[rows, :p].sum(axis=1)
         return out
     if kind.name == "tsallis":
         q = float(kind.q)

@@ -21,7 +21,8 @@ kept-first axis permutation and, while the keeps hold at most 2^15
 amplitudes (the pair keeps of up to 11 qubits), the gather index that
 applies all of them with one take, is planned once per (register size,
 keeps) and cached (_marginal_plan), so repeated reports on registers of
-one shape only gather, conjugate and multiply.
+one shape only gather, conjugate and multiply.  _marginal_factors takes
+the same gather for the kept-first matrices M themselves.
 """
 from __future__ import annotations
 
@@ -183,6 +184,13 @@ def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[t
     index = np.array([positions.transpose(order) for order in orders]).reshape(len(keeps), 2 ** len(keeps[0]), -1)
     index.flags.writeable = False
     return perms, index
+
+
+def _marginal_factors(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (B, K, d, 2^(n-k)) kept-first matrices M of marginal_stack(amplitudes, keeps), each marginal
+    M M^dagger, by one take of the same cached gather index.  Unchecked: for keeps that marginal_stack
+    has accepted on kets of this width, of a register narrow enough to have the index."""
+    return amplitudes.take(_marginal_plan(_register_size(amplitudes), tuple(map(tuple, keeps)))[1], axis=1)
 
 
 def density_spectra(stack: np.ndarray) -> np.ndarray:

@@ -241,9 +241,13 @@ def test_a_wide_haar_report_takes_no_spin_flip(monkeypatch):
     assert calls == []
 
 
-def test_a_three_qubit_campaign_flips_each_batch_in_one_call(monkeypatch):
-    # a three-qubit pair marginal has rank 2, so its spectrum proves nothing and no ceiling is read
+def test_a_three_qubit_campaign_takes_no_spin_flip(monkeypatch):
+    # a three-qubit pair's C comes in closed form from its 4 x 2 slice of the ket, one call a batch
     calls = _counted_eigvals(monkeypatch)
+    factors = []
+    closed_form = monogamy.bounds.rank2_concurrences
+    monkeypatch.setattr(monogamy.bounds, "rank2_concurrences", lambda m: factors.append(m.shape) or closed_form(m))
     size = batch_size(3)
     run_campaign(CampaignConfig(3, size + 1, 0, KINDS, ("floor",), 1e-9))
-    assert calls == [(2 * size, 4, 4), (2, 4, 4)]
+    assert calls == []
+    assert factors == [(size, 2, 4, 2), (1, 2, 4, 2)]
