@@ -53,9 +53,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, cut_values, rank2_concurrences, spin_flip_concurrences, values_of_concurrence
-from .qstate import (Ket, _marginal_factors, _register_size, checked_int, density_spectra, marginal_stack,
-                     physical_memory)
+from .measures import MeasureKind, rank2_concurrences, spin_flip_concurrences, values_of_concurrence
+from .qstate import (Ket, _cut_concurrences, _marginal_factors, _register_size, checked_int, density_spectra,
+                     marginal_stack, physical_memory)
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -275,36 +275,35 @@ class BatchTable(NamedTuple):
 class ChainBatch:
     """The state-only work behind the reports of B states, computed once, as arrays.
 
-    All B states share the focus and the given pair order.
+    All B states share the focus and the given pair order.  ``cut[j]`` is
+    C(focus | rest) of state j, which every measure's cut value maps; it
+    comes from _cut_concurrences, which checks the kets once for every step.
     ``concurrence[j, i]`` is the concurrence of state j's pair
-    (focus, given[i]): the B*(N-1) pair marginals form one stack, checked
-    by one density_spectra call.  At n = 3 each pair leaves one traced
-    qubit, so its marginal is M M^dagger with M a 4 x 2 slice of the ket,
-    and one rank2_concurrences call reads every C in closed form from the
-    M that marginal_stack's gather index takes.  From n = 4 on, one
-    spin_flip_concurrences call takes the whole stack; from n = 5 on it
-    also takes the spectra and spin-flips only the pairs their spectral
-    ceiling leaves open (at n = 4 it would skip about 1 pair in 400, and
-    its test would cost more than the skips save).  ``chain_index[0, j]``
+    (focus, given[i]).  At n = 3 one rank2_concurrences call reads every C
+    in closed form from the 4 x 2 slices M of the kets (each pair is
+    M M^dagger) that marginal_stack's gather index takes, and no marginal
+    is built.  From n = 4 on, the B*(N-1) pair marginals form one stack
+    for one spin_flip_concurrences call; from n = 5 on, density_spectra
+    takes their spectra, and the spin flip only the pairs whose spectral
+    ceiling stays open (at n = 4 it would skip about 1 pair in 400, and
+    the spectra cost more than the skips save).  ``chain_index[0, j]``
     holds the positions of state j's pairs in ``concurrence.ravel()`` in
     the given order, and ``chain_index[1, j]`` in the ranked order, by
     descending concurrence (a stable sort, so ties keep their given
     position); one sort yields both, and a table gathers every chain with
     one take by it.
-    ``focus_entries`` and ``focus_spectra`` are each state's rho_A and its
-    descending spectrum, checked as one (B, 2, 2) stack.
     """
 
     focus: int
     given: tuple[int, ...]
     concurrence: np.ndarray
     chain_index: np.ndarray
-    focus_entries: np.ndarray
-    focus_spectra: np.ndarray
+    cut: np.ndarray
 
     @classmethod
     def of(cls, amplitudes: np.ndarray, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
-        """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array of unit vectors, n its row width's."""
+        """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array, n its row width's; an empty
+        batch, a non-finite row or one whose ||row||^2 strays from 1 by over 6e-13 raises ValueError."""
         n_qubits = _register_size(amplitudes)
         focus = checked_int(focus, "focus")
         order = None if order is None else tuple(checked_int(i, "order entry") for i in order)
@@ -314,23 +313,20 @@ class ChainBatch:
         given = tuple(rest) if order is None else order
         if sorted(given) != rest:
             raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
+        cut = _cut_concurrences(amplitudes, focus)  # checks the rows
         count = len(amplitudes)
         keeps = [(focus, b) for b in given]
-        pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)
-        pair_spectra = density_spectra(pairs)
         if n_qubits == 3:
-            # one traced qubit: each pair is M M^dagger with M the 4 x 2 slice of its ket that the gather took
+            # one traced qubit: each pair is M M^dagger with M the 4 x 2 slice of its ket that the gather takes
             concurrence = rank2_concurrences(_marginal_factors(amplitudes, keeps))
         else:
-            # the ceiling skips about 1 pair in 400 at n = 4, where its test costs more than it saves
-            concurrence = spin_flip_concurrences(pairs, None if n_qubits == 4 else pair_spectra)
+            pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)
+            concurrence = spin_flip_concurrences(pairs, None if n_qubits == 4 else density_spectra(pairs))
             concurrence = concurrence.reshape(count, len(given))
-        rho_a = marginal_stack(amplitudes, [(focus,)])[:, 0]
-        spectra = density_spectra(rho_a)
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
         chain_index += len(given) * np.arange(count)[:, None]
-        return cls(focus, given, concurrence, chain_index, rho_a, spectra)
+        return cls(focus, given, concurrence, chain_index, cut)
 
     def table(self, keys: Sequence[tuple[MeasureKind, float]], m: int | None = None) -> BatchTable:
         """The report of every state for each (measure, alpha) key, as arrays; see monogamy_report.
@@ -343,7 +339,8 @@ class ChainBatch:
         depends on the keys and the pair count alone (factors, groupings,
         ladders) is planned once per key tuple (_table_plan).  Per measure,
         the pair values come from one values_of_concurrence pass over all
-        B*(N-1) concurrences.  One take by ``chain_index`` gathers the
+        B*(N-1) concurrences, and the cut values from one over the B cut
+        concurrences.  One take by ``chain_index`` gathers the
         values and powers of the given and the ranked chains of all M
         measures and B states, which are certified as one stack of 2*M*B
         chains.  Per distinct alpha, the pair values of the keys that take
@@ -396,7 +393,8 @@ class ChainBatch:
         powered = np.empty((len(plan.alphas), count, n_pairs))
         for alpha, group in plan.alpha_rows:
             powered[group] = pair_values[group] ** alpha
-        cuts = [cut_values(kind, self.focus_entries, self.focus_spectra).tolist() for kind in plan.measures]
+        cut = self.cut.tolist()
+        cuts = [values_of_concurrence(kind, cut) for kind in plan.measures]
         lhs = np.array([[c**alpha for c in cuts[i]] for i, alpha in zip(plan.which.tolist(), plan.alphas)])
 
         ladders = plan.ladders.reshape(2, -1, n_pairs).take(ladder, axis=1)  # [new or prior, key, state]

@@ -4,13 +4,14 @@ State k is the Haar random state of seed ``seed + k`` (states.haar_rows;
 haar_random(n, seed + k) is the same state as a Ket).  The states are
 drawn and analysed in batches of up to B (see batch_size): each batch is
 drawn straight into one (B, 2^n) array and analysed as one ChainBatch,
-so its pair marginals form one stack with one validation.  At n = 3 one
-closed-form call reads every pair concurrence from the kets, with no
-spin flip; from n = 4 on the pairs share one spin-flip call, and from
-n = 5 on their spectra spare it every pair they prove unentangled
-(nearly all of them from n = 6 on).  Its reports for all K rows come as
-one (K, B) table (ChainBatch.table) in which the chains of every measure
-are certified once.  Array operations fold the table into each row's
+which checks the rows once and reads their cut concurrences in one call.
+At n = 3 one closed-form call reads every pair concurrence from the
+kets, with no marginal and no spin flip; from n = 4 on the pair
+marginals form one stack for one spin-flip call, and from n = 5 on the
+stack's spectra spare it every pair they prove unentangled (nearly all
+of them from n = 6 on).  Its reports for all K rows come as one (K, B)
+table (ChainBatch.table) in which the chains of every measure are
+certified once.  Array operations fold the table into each row's
 count and minima in state order (first NaN, else first least), and _nan_min
 carries the minima from batch to batch, so the rows equal those of a
 campaign that analyses one state at a time, bit for bit, and memory does
@@ -28,16 +29,17 @@ from .measures import MeasureKind
 from .qstate import checked_int, physical_memory
 from .states import haar_rows
 
-# bytes of per-state working set a batch may hold; its numpy buffers peak at about 0.52 MB at n = 3
+# bytes of per-state working set a batch may hold; a full batch's analysis and table peak at 0.59 MB at n = 3
 _BATCH_BYTES = 256 * 1024
 
 
 def batch_size(n_qubits: int) -> int:
     """States per batch: as many as fit _BATCH_BYTES, at least one.
 
-    A state's working set is its ket, the transposed copy of the ket that
-    a marginal takes and its conjugate (48 * 2^n bytes), and its (N-1)
-    pair marginals (256 bytes each).
+    A state's working set is counted as its ket, a kept-first copy of it
+    and that copy's conjugate (48 * 2^n bytes) and its N-1 pair marginals
+    (256 bytes each), marginal_stack's from n = 4 on; at n = 3, with no
+    marginal, ChainBatch.of of a full batch peaks at 0.30 MB (0.46 MB with).
     """
     return max(1, _BATCH_BYTES // (3 * 16 * 2**n_qubits + (n_qubits - 1) * 256))
 

@@ -1,13 +1,12 @@
 """Entanglement measures for pure multiqubit cuts and two-qubit mixed states.
 
-Each measure is two maps: a pure-state cut value read from the side-A reduced
-state, ``cut_values(kind, entries, spectra)`` on a batch of reduced states or
-``pure_cut_value(kind, psi, side_a)`` on one ket with the cut named by its
-side-A qubits; and a two-qubit closed form in the pair concurrence C,
-``values_of_concurrence(kind, cs)`` on a list of concurrences or
-``pair_value(kind, rho)``.  The negativity is the paper's N_c, the convex-roof
-extended negativity (CREN), which cut_values reads from a pure cut's reduced
-spectrum.
+Each measure is one map of a concurrence C, ``values_of_concurrence(kind,
+cs)``: C itself for concurrence and the paper's N_c, the convex-roof
+extended negativity (CREN); f(C^2) for EOF and g_q(C^2) for tsallis.  A
+qubit A's cut against the rest of a pure state has rho_A of spectrum
+(1 +- sqrt(1 - C^2)) / 2, C = 2 sqrt(det rho_A), whose entropies are those
+maps and whose (Tr sqrt(rho_A))^2 - 1 is C: ``pure_cut_value(kind, psi,
+side_a)`` maps that C; ``pair_value(kind, rho)`` maps a pair concurrence.
 
 The closed forms f(C^2) of EOF and g_q(C^2) of tsallis have one
 implementation: the list maps behind values_of_concurrence, one list
@@ -33,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import DensityMatrix, Ket, _sorted_keep
+from .qstate import DensityMatrix, Ket, _cut_concurrences, _sorted_keep
 
 DOMAIN_ATOL = 1e-12
 EIG_CLIP_ATOL = 1e-10
@@ -138,7 +137,7 @@ def tsallis_g(q: float, x: float) -> float:
 
 
 def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
-    """sqrt(2 (1 - Tr rho_A^2)) across the cut of ``side_a`` against the rest."""
+    """2 sqrt(det rho_A) across the cut of ``side_a``, one qubit or all but one, against the rest."""
     return pure_cut_value(CONCURRENCE, psi, side_a)
 
 
@@ -248,49 +247,21 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
     return float(spin_flip_concurrences(rho.entries, rho.eigenvalues))
 
 
-def cut_values(kind: MeasureKind, entries: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Value of ``kind`` on each of B pure states, read from their side-A reduced states.
-
-    ``entries`` is the (B, d, d) stack of side-A reduced states and
-    ``spectra`` their (B, d) descending spectra.  Concurrence is
-    sqrt(2 (1 - Tr rho_A^2)); the others read the reduced spectrum: the
-    base-2 von Neumann entropy for EOF, (1 - Tr rho_A^q) / (q - 1) for
-    tsallis, and (Tr sqrt(rho_A))^2 - 1 for the convex-roof extended
-    negativity.  Each value is bit for bit the one-state formula.
-    """
-    if kind.name == "concurrence":
-        # Tr rho_A^2 of every state from one conjugated product, bit for bit np.vdot(e, e).real of each,
-        # clamped to [0, 1] against rounding
-        flat = entries.reshape(len(entries), -1)
-        purity = np.minimum(np.maximum(np.vecdot(flat, flat).real, 0.0), 1.0)
-        return np.sqrt(2.0 * (1.0 - purity))
-    # eigenvalues within rounding of zero enter entropies and roots as 0
-    lam = np.where(spectra < 0.0, 0.0, spectra)
-    if kind.name == "eof":
-        # 0 log 0 = 0: each spectrum sums its p positive terms, which lead it, as one length-p sum
-        positive = lam > 0.0
-        terms = lam * np.log2(np.where(positive, lam, 1.0))
-        # 0.0 - sum, as _eof_values writes it: a product side's sum 0.0 gives 0.0, not -0.0
-        out = 0.0 - np.add.reduce(terms, axis=1)  # the sum of the states whose every eigenvalue is positive
-        if np.count_nonzero(positive) < positive.size:
-            positive = np.add.reduce(positive, axis=1)
-            for p in set(positive.tolist()) - {lam.shape[1]}:
-                rows = positive == p
-                out[rows] = 0.0 - terms[rows, :p].sum(axis=1)
-        return out
-    if kind.name == "tsallis":
-        q = float(kind.q)
-        return (1.0 - (lam**q).sum(axis=1)) / (q - 1.0)
-    return np.maximum(np.sqrt(lam).sum(axis=1) ** 2 - 1.0, 0.0)
-
-
 def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:
-    """Value of ``kind`` on a pure state across the cut of ``side_a`` against the rest."""
-    # the keep checks run first, and every check before a marginal is built: a full side A would be 2^n x 2^n
-    if len(_sorted_keep(side_a, psi.n_qubits)) == psi.n_qubits:
+    """Value of ``kind`` across the cut of one qubit A of a pure state against the rest.
+
+    ``side_a`` is A, or every qubit but A (the same cut); any other side raises ValueError.  The value maps
+    C(A | rest) through values_of_concurrence, as the left-hand side of a report does.
+    """
+    # the keep checks run first, so a bad index is named before the side's size
+    n = psi.n_qubits
+    side = _sorted_keep(side_a, n)
+    if len(side) == n:
         raise ValueError(f"side A {tuple(side_a)} holds every qubit, so side B is empty")
-    rho_a = psi.marginal(side_a)
-    return float(cut_values(kind, rho_a.entries[None], rho_a.eigenvalues[None])[0])
+    if len(side) not in (1, n - 1):
+        raise ValueError(f"side A {tuple(side_a)} is neither one qubit nor all qubits but one")
+    focus = side[0] if len(side) == 1 else next(q for q in range(n) if q not in side)
+    return values_of_concurrence(kind, _cut_concurrences(psi.amplitudes[None], focus).tolist())[0]
 
 
 def values_of_concurrence(kind: MeasureKind, cs: list[float]) -> list[float]:

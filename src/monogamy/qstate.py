@@ -13,8 +13,9 @@ axis per qubit, moves the kept axes to the front and takes M M^dagger of
 the resulting 2^k x 2^(n-k) matrix, so no 2^n x 2^n projector is built;
 a density matrix is reshaped to one row and one column axis per factor
 and its traced factors are contracted with einsum.  The two-qubit
-marginals of a focus qubit come as one (k, 4, 4) stack, validated by
-the same density_spectra that checks a single DensityMatrix.
+marginals of a focus qubit come as one (k, 4, 4) stack.  A qubit's cut
+needs no marginal: _cut_concurrences reads C(A | rest) from the Gram
+matrix of the ket's halves at the focus, and checks the kets once.
 
 What a marginal needs from the register alone, each keep's validated
 kept-first axis permutation and, while the keeps hold at most 2^15
@@ -42,6 +43,10 @@ import numpy as np
 NORM_ATOL = 2.5e-13
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
+# the row check of _cut_concurrences: a row within NORM_ATOL of unit norm (Ket's and haar_rows') has ||row||^2
+# within 2 NORM_ATOL + NORM_ATOL^2, just over 5e-13, of 1; 1e-13 more covers rounding, and the 4e-13 left below
+# TRACE_ATOL covers a marginal's trace, the same sum in another order, so its marginals pass density_spectra
+SQUARED_NORM_ATOL = 6e-13
 PSD_ATOL = 1e-10
 STATE_FILE_NORM_ATOL = 1e-6
 
@@ -96,17 +101,6 @@ class Ket:
         entries = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix((2,) * self.n_qubits, entries)
 
-    def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
-        """Reduced state of the qubits in ``keep``, in register order.
-
-        Built from the amplitudes alone: with M the 2^k x 2^(n-k) matrix
-        whose rows are the kept qubits' basis states, the marginal is
-        M M^dagger.  Costs O(4^k 2^(n-k)) rather than the O(4^n) of
-        tracing the projector.  This is marginal_stack on one ket.
-        """
-        entries = marginal_stack(self.amplitudes[None], [keep])[0, 0]
-        return DensityMatrix((2,) * len(keep), entries)  # the plan rejected a duplicate, so k = len(keep)
-
 
 def _register_size(amplitudes: np.ndarray) -> int:
     """The n of a (B, 2^n) array of kets, read from its row width; any other shape raises ValueError."""
@@ -129,7 +123,7 @@ def marginal_stack(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np
     copied from the transposed kets into the same two (B, d, 2^(n-k))
     buffers.  Besides the kets, the peak is two copies of them for a batch
     of three or more, and at most 2 * _GATHER_KETS kets' worth otherwise.
-    The stack is not validated; density_spectra checks it.
+    The stack is not validated; the row check of _cut_concurrences covers it.
     """
     n_qubits = _register_size(amplitudes)
     keeps = tuple(map(tuple, keeps))
@@ -188,9 +182,41 @@ def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[t
 
 def _marginal_factors(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
     """The (B, K, d, 2^(n-k)) kept-first matrices M of marginal_stack(amplitudes, keeps), each marginal
-    M M^dagger, by one take of the same cached gather index.  Unchecked: for keeps that marginal_stack
-    has accepted on kets of this width, of a register narrow enough to have the index."""
+    M M^dagger, by one take of the same cached gather index.  Unchecked kets, and int keep entries (1.0
+    would find the plan of 1), of a register narrow enough to have the index; the plan rejects a bad keep."""
     return amplitudes.take(_marginal_plan(_register_size(amplitudes), tuple(map(tuple, keeps)))[1], axis=1)
+
+
+def _cut_concurrences(amplitudes: np.ndarray, focus: int) -> np.ndarray:
+    """The (B,) cut concurrences C(focus | rest) of the kets in the rows of ``amplitudes``, a (B, 2^n) array.
+
+    First the rows are checked, once: at least one, every amplitude finite
+    (before any arithmetic, which would warn on inf - inf), and ||row||^2
+    within SQUARED_NORM_ATOL of 1.  That is all density_spectra checked of
+    their marginals: M M^dagger is hermitian and positive by construction.
+    With psi0, psi1 the halves of a ket on which the focus reads 0 and 1,
+    C = 2 sqrt(det rho_A) = 2 sqrt(max(0, ||psi0||^2 ||psi1||^2 - |<psi0, psi1>|^2)),
+    all four products from one vecdot over views of the rows, with no copy.
+    C keeps its relative accuracy where a half is small, near a product
+    focus; where the halves are nearly parallel, the rounding of the two
+    products (about 1e-16) enters under the root: C is good to about 2e-8.
+    """
+    count = len(amplitudes)
+    if count == 0:
+        raise ValueError("empty batch: need at least one ket")
+    if np.count_nonzero(np.isfinite(amplitudes)) < amplitudes.size:
+        raise ValueError("kets must be finite")
+    halves = amplitudes.reshape(count, 2**focus, 2, -1)  # [ket, qubits before the focus, focus, qubits after]
+    if halves.shape[1] > halves.shape[3]:
+        halves = halves.transpose(0, 3, 2, 1)  # vecdot runs along the longer axis, the sum takes the other
+    gram = np.vecdot(halves[:, :, :, None], halves[:, :, None]).sum(axis=1)  # [j, a, b] = <psi_a, psi_b> of ket j
+    norm0, norm1, overlap = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
+    squared = norm0 + norm1
+    unit = np.abs(squared - 1.0) <= SQUARED_NORM_ATOL
+    if np.count_nonzero(unit) < count:
+        raise ValueError(f"kets must have unit norm, got a squared norm of {float(squared[unit.argmin()])!r}")
+    det = norm0 * norm1 - (overlap.real**2 + overlap.imag**2)
+    return 2.0 * np.sqrt(np.maximum(det, 0.0))
 
 
 def density_spectra(stack: np.ndarray) -> np.ndarray:

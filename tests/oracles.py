@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
+
+# digits of the mpmath references: far past float64's 16, so their own rounding is never what a test sees
+EXACT_DIGITS = 50
 
 
 def ptrace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -225,3 +229,47 @@ def chain_certificate(powers, atol: float):
         rest = all(powers[i] <= tails[i] + atol for i in range(m, len(powers) - 1))
         splits.append(head and rest)
     return tails, holds, splits
+
+
+def exact_cut_concurrence(amplitudes: np.ndarray, focus: int):
+    """C(focus | rest) of a ket, as a 50-digit mpmath number.
+
+    The float amplitudes are taken exactly and the ket is normalized in
+    mpmath.  rho_A = [[a, b], [conj(b), d]] is summed entry by entry over
+    the basis indices, split by the focus bit (qubit 0 is the top bit), and
+    C = 2 sqrt(lam+ lam-) from its eigenvalues
+    lam+- = (1 +- sqrt((a - d)^2 + 4 |b|^2)) / 2.
+    """
+    amplitudes = np.asarray(amplitudes).ravel().tolist()
+    n = len(amplitudes).bit_length() - 1
+    bit = 1 << (n - 1 - focus)
+    with mpmath.workdps(EXACT_DIGITS):
+        z = [mpmath.mpc(v.real, v.imag) for v in amplitudes]
+        norm = mpmath.fsum(v.real**2 + v.imag**2 for v in z)
+        low = [i for i in range(len(z)) if not i & bit]
+        a = mpmath.fsum(z[i].real**2 + z[i].imag**2 for i in low) / norm
+        d = mpmath.fsum(z[i | bit].real**2 + z[i | bit].imag**2 for i in low) / norm
+        b = mpmath.fsum(mpmath.conj(z[i]) * z[i | bit] for i in low) / norm
+        gap = mpmath.sqrt((a - d) ** 2 + 4 * abs(b) ** 2)
+        return 2 * mpmath.sqrt(max((1 + gap) / 2 * (1 - gap) / 2, 0))
+
+
+def exact_cut_value(measure: str, c, q=None):
+    """A pure state's cut value of ``measure`` from its cut concurrence ``c`` (an mpmath number), at 50 digits.
+
+    Read from the spectrum lam+- = (1 +- sqrt(1 - c^2)) / 2 of the side:
+    the base-2 von Neumann entropy for 'eof', (1 - sum lam^q) / (q - 1)
+    for 'tsallis', (sum sqrt(lam))^2 - 1 for 'cren', and c for
+    'concurrence'.
+    """
+    with mpmath.workdps(EXACT_DIGITS):
+        root = mpmath.sqrt(max(1 - c * c, 0))
+        lam = [(1 + root) / 2, (1 - root) / 2]
+        if measure == "eof":
+            return -mpmath.fsum(x * mpmath.log(x, 2) for x in lam if x > 0)
+        if measure == "tsallis":
+            q = mpmath.mpf(q)
+            return (1 - mpmath.fsum(x**q for x in lam)) / (q - 1)
+        if measure == "cren":
+            return mpmath.fsum(mpmath.sqrt(x) for x in lam) ** 2 - 1
+        return +c

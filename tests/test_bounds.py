@@ -457,7 +457,8 @@ def test_numpy_integers_pass_every_index_check():
     want = monogamy_report(psi, 1, EOF, 2.0, order=(0, 2, 3, 4), m=2)
     assert monogamy_report(psi, i(1), EOF, 2.0, order=tuple(map(i, (0, 2, 3, 4))), m=i(2)) == want
     assert Ket(i(5), psi.amplitudes) == psi
-    assert psi.marginal((i(0), i(1))) == psi.marginal((0, 1))
+    assert np.array_equal(marginal_stack(psi.amplitudes[None], [(i(0), i(1))]), marginal_stack(psi.amplitudes[None], [(0, 1)]))
+    assert pure_cut_value(EOF, psi, (i(1),)) == pure_cut_value(EOF, psi, (1,))
     assert monogamy.DensityMatrix((i(2), i(2)), np.eye(4) / 4).dims == (2, 2)
     config = CampaignConfig(i(3), i(2), i(0), (EOF,), ("floor",), 1e-9)
     assert run_campaign(config) == run_campaign(CampaignConfig(3, 2, 0, (EOF,), ("floor",), 1e-9))

@@ -155,7 +155,7 @@ def _fold(config):
     # the campaign's rows as a state-by-state fold of one-state reports
     states = [haar_random(config.n_qubits, config.seed + k) for k in range(config.samples)]
     out = []
-    for kind in KINDS:
+    for kind in config.measures:
         for alpha in _alphas(kind):
             asserted, min_new, min_gap = 0, math.inf, math.inf
             for psi in states:
@@ -184,28 +184,29 @@ def test_campaign_rows_do_not_depend_on_the_batching(n):
 
 @pytest.mark.parametrize("asserted", [True, False], ids=["asserted", "unasserted"])
 def test_nan_residual_folds_as_state_by_state(asserted, monkeypatch):
-    # one state of a batch gets a NaN concurrence cut value, so a NaN residual_new in every concurrence row:
-    # the table fold must equal a state-by-state _nan_min fold, and only an asserted NaN is a violation
-    config = CampaignConfig(n_qubits=4, samples=60, seed=17, measures=KINDS, alphas=EXPONENTS, tolerance=1e-9)
+    # one state of a batch gets a NaN cut concurrence, so a NaN residual_new in every row of the two measures
+    # whose cut value is C itself (the others' maps reject a NaN): the table fold must equal a state-by-state
+    # _nan_min fold, and only an asserted NaN is a violation
+    config = CampaignConfig(n_qubits=4, samples=60, seed=17, measures=(CONCURRENCE, CREN), alphas=EXPONENTS,
+                            tolerance=1e-9)
     assert config.samples < batch_size(4)
     states = [haar_random(4, config.seed + k) for k in range(config.samples)]
     target = next(k for k, psi in enumerate(states)
                   if k > 0 and monogamy_report(psi, 0, CONCURRENCE, 2.0).asserted == asserted)
-    poisoned = ChainBatch.of(states[target].amplitudes[None], 0).focus_entries[0]
-    cut_values = monogamy.bounds.cut_values
+    poisoned = states[target].amplitudes
+    cut_concurrences = monogamy.bounds._cut_concurrences
 
-    def with_nan(kind, entries, spectra):
-        out = cut_values(kind, entries, spectra)
-        if kind == CONCURRENCE:
-            out[(entries == poisoned).all(axis=(1, 2))] = math.nan
+    def with_nan(amplitudes, focus):
+        out = cut_concurrences(amplitudes, focus)
+        out[(amplitudes == poisoned).all(axis=1)] = math.nan
         return out
 
-    monkeypatch.setattr(monogamy.bounds, "cut_values", with_nan)
+    monkeypatch.setattr(monogamy.bounds, "_cut_concurrences", with_nan)
     rows, violation = run_campaign(config)
     got = [(r.measure, r.alpha, r.asserted, r.min_residual_new.hex(), r.min_residual_gap.hex()) for r in rows]
     assert got == _fold(config)
     assert violation == asserted
-    assert [math.isnan(r.min_residual_new) for r in rows] == [asserted and r.measure == CONCURRENCE for r in rows]
+    assert len(rows) == 6 and [math.isnan(r.min_residual_new) for r in rows] == [asserted] * 6
 
 
 @pytest.mark.parametrize("field, value", [("n_qubits", 3.0), ("n_qubits", "3"), ("samples", 2.5), ("samples", True),
@@ -242,12 +243,27 @@ def test_a_wide_haar_report_takes_no_spin_flip(monkeypatch):
 
 
 def test_a_three_qubit_campaign_takes_no_spin_flip(monkeypatch):
-    # a three-qubit pair's C comes in closed form from its 4 x 2 slice of the ket, one call a batch
+    # a three-qubit pair's C comes in closed form from its 4 x 2 slice of the ket, one call a batch; the
+    # cut's C comes from the ket too, so no spectrum is taken
     calls = _counted_eigvals(monkeypatch)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))
     factors = []
     closed_form = monogamy.bounds.rank2_concurrences
     monkeypatch.setattr(monogamy.bounds, "rank2_concurrences", lambda m: factors.append(m.shape) or closed_form(m))
     size = batch_size(3)
     run_campaign(CampaignConfig(3, size + 1, 0, KINDS, ("floor",), 1e-9))
-    assert calls == []
+    assert calls == [] and spectra == []
     assert factors == [(size, 2, 4, 2), (1, 2, 4, 2)]
+
+
+def test_a_four_qubit_campaign_takes_no_spectrum(monkeypatch):
+    # at n = 4 the pair stack goes to the spin flip unvalidated: the rows were checked, and the ceiling
+    # that would read its spectra is off there
+    validated = []
+    density_spectra = monogamy.bounds.density_spectra
+    monkeypatch.setattr(monogamy.bounds, "density_spectra", lambda s: validated.append(s.shape) or density_spectra(s))
+    size = batch_size(4)
+    rows, violation = run_campaign(CampaignConfig(4, size + 1, 0, KINDS, ("floor",), 1e-9))
+    assert validated == [] and not violation and all(r.tested == size + 1 for r in rows)

@@ -391,7 +391,7 @@ def test_verify_deduplicates_measures(capsys, tmp_path):
 
 def test_nan_residual_on_an_asserted_row_is_a_violation(capsys, tmp_path, monkeypatch):
     # NaN < -tolerance is False, so a NaN residual must be caught as not >= -tolerance
-    monkeypatch.setattr(monogamy.bounds, "cut_values", lambda kind, entries, spectra: np.full(len(entries), math.nan))
+    monkeypatch.setattr(monogamy.bounds, "_cut_concurrences", lambda amplitudes, focus: np.full(len(amplitudes), math.nan))
     assert main(["--verify", "--samples", "3", "--measure", "concurrence", "--alphas", "2"]) == 1
     out = capsys.readouterr().out
     assert "asserted=3" in out and "min_residual_new=nan" in out
@@ -443,7 +443,8 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
         return original(stack, spectra)
 
     monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", counted)
-    # ... and so are the spectra: one per validated stack, the pairs and rho_A of each batch
+    # ... and no spectrum is taken: the rows are checked once, the cut's C is read from the ket, and at
+    # n = 4 the spin flip reads no spectra
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))
@@ -456,9 +457,15 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     assert len(rows) == 10 and not violation
     assert stacks == [(3 * size, 4, 4), (3, 4, 4)]
     assert sum(shape[0] for shape in stacks) == samples * 3  # every (state, pair) exactly once
-    assert spectra == [(3 * size, 4, 4), (size, 2, 2), (3, 4, 4), (1, 2, 2)]
-    assert sum(shape[0] for shape in spectra if shape[1:] == (2, 2)) == samples
+    assert spectra == []
     assert chains == [(len(ALL_KINDS), 2, size, 3), (len(ALL_KINDS), 2, 1, 3)]  # [measure, order, state, pair]
+    # at n = 3 the closed form reads each pair's C from the ket, and no marginal is built
+    built = []
+    marginal_stack = monogamy.bounds.marginal_stack
+    monkeypatch.setattr(monogamy.bounds, "marginal_stack", lambda *args: built.append(args) or marginal_stack(*args))
+    _, (rows, violation) = _campaign(3, monogamy.campaign.batch_size(3) + 1)
+    assert len(rows) == 10 and not violation
+    assert built == [] and spectra == []
 
 
 def test_campaign_builds_each_weight_ladder_once():
@@ -544,16 +551,15 @@ def test_state_calls_plan_once_per_register_shape(state_file, tmp_path, capsys):
     marginal_plan.cache_clear()
     for measure in ("concurrence", "eof", "cren", "tsallis", "eof"):
         assert main(["--state", state_file, "--measure", measure]) == 0
-    # one marginal plan each for the pair keeps and the focus keep; at n = 3 each report reads the pair
-    # keeps' plan a second time, for the 4 x 2 factors of its closed-form concurrences
-    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (2, 13)
+    # one marginal plan, of the pair keeps, which each n = 3 report reads for the 4 x 2 factors of its
+    # closed-form concurrences; the cut reads no marginal
+    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (1, 4)
     wide = tmp_path / "wide.json"
     save_state(haar_random(5, 3), wide)
     for argv in (["--focus", "1"], ["--focus", "1"], ["--focus", "1", "--order", "4,3,2,0"], []):
         assert main(["--state", str(wide), *argv]) == 0
-    # five more plans: the pair and focus keeps of (5, focus 1) and of (5, focus 0), and the pair keeps
-    # of (5, focus 1) in another order, whose focus keep is planned already
-    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (7, 16)
+    # three more plans: the pair keeps of (5, focus 1), of (5, focus 1) in another order and of (5, focus 0)
+    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (4, 5)
     capsys.readouterr()
 
 

@@ -24,7 +24,7 @@ from monogamy import (
     w_state,
 )
 from monogamy.bounds import ChainBatch
-from monogamy.measures import cut_values, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
+from monogamy.measures import spin_flip_concurrences, spin_flip_mus, values_of_concurrence
 from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import (
@@ -252,10 +252,14 @@ def test_pure_cut_value_names_the_fault_of_a_bad_side(monkeypatch):
                             ((0, 1.0), "must be an integer"), ((0, 1, 2), "side B is empty")):
         with pytest.raises(ValueError, match=message):
             pure_cut_value(CONCURRENCE, psi, side_a)
-    # every check runs before a marginal is built, so a full side never builds its 2^n x 2^n matrix
-    monkeypatch.setattr(Ket, "marginal", lambda *args: pytest.fail("built a marginal"))
+    # every check runs before the ket is read
+    monkeypatch.setattr(monogamy.measures, "_cut_concurrences", lambda *args: pytest.fail("read the ket"))
     with pytest.raises(ValueError, match="side B is empty"):
         pure_cut_value(CONCURRENCE, psi, (2, 0, 1))
+    # a side of two qubits of five is no cut of one qubit against the rest
+    for side_a in ((0, 1), (3, 1, 4)):
+        with pytest.raises(ValueError, match="neither one qubit nor all qubits but one"):
+            pure_cut_value(CONCURRENCE, w_state(5), side_a)
 
 
 def test_pair_value_dispatch():
@@ -321,7 +325,7 @@ def test_pair_stack_matches_one_pair_at_a_time():
             alone = dict(zip(batch.given, batch.concurrence[0].tolist()))
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
             for i, b in enumerate(partners):
-                rho = psi.marginal((focus, b))
+                rho = two_qubit(marginal_stack(psi.amplitudes[None], [(focus, b)])[0, 0])
                 assert stack[i].tobytes() == rho.entries.tobytes()
                 one = concurrence_two_qubit(rho)
                 assert conc[i].hex() == one.hex()
@@ -470,59 +474,20 @@ def test_one_value_maps_keep_their_domain_messages():
 
 
 @pytest.mark.parametrize("count", [1, 5, 292])
-def test_concurrence_cut_values_match_per_state_purity(count):
-    # one batched conjugated product against the per-state np.vdot, clamped to [0, 1], bit for bit
-    for n, keep in ((3, (0,)), (5, (4,)), (5, (1, 3))):
+def test_a_batch_s_cut_concurrences_are_each_state_s_own(count):
+    # the cut concurrence of a state does not depend on its batch-mates: bit for bit what
+    # pure_cut_value reads from the state alone, at a focus whose halves split before it, after it or both
+    for n, focus in ((3, 0), (5, 4), (5, 2), (8, 3)):
         amplitudes = haar_rows(np.empty((count, 2**n), dtype=np.complex128), 70 * n + count)
-        entries = marginal_stack(amplitudes, [keep])[:, 0]
-        want = [math.sqrt(max(2.0 * (1.0 - min(max(float(np.vdot(e, e).real), 0.0), 1.0)), 0.0)).hex()
-                for e in entries]
-        got = cut_values(CONCURRENCE, entries, density_spectra(entries))
+        got = ChainBatch.of(amplitudes, focus).cut
         assert got.shape == (count,)
-        assert [v.hex() for v in got.tolist()] == want
-
-
-def _eof_by_positive_terms(spectrum):
-    # the entropy of one spectrum as the sum of its p positive terms, which lead it, as one length-p sum,
-    # subtracted from 0.0 so that a pure spectrum's entropy is 0.0, not -0.0
-    lam = spectrum[spectrum > 0.0]
-    return float(0.0 - (lam * np.log2(lam)).sum())
+        assert [v.hex() for v in got.tolist()] == [pure_cut_value(CONCURRENCE, Ket(n, a), (focus,)).hex()
+                                                   for a in amplitudes]
 
 
 def test_eof_cut_value_of_a_product_side_is_positive_zero():
-    # |101>: the focus is a product factor, its spectrum (1, 0) and its one term 1 log2 1 = 0.0; the
-    # entropy is 0.0 - 0.0, with no minus sign a caller could read
-    value = pure_cut_value(EOF, Ket(3, np.eye(8)[5]), (0,))
-    assert value.hex() == (0.0).hex()
-    assert math.copysign(1.0, value) == 1.0
-    # so is the entropy of a full-rank pure spectrum, and a nonzero entropy is the negated sum bit for bit
-    spectra = np.array([[1.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
-    got = cut_values(EOF, np.zeros((3, 2, 2), dtype=np.complex128), spectra).tolist()
-    lam = spectra[2]
-    assert [v.hex() for v in got] == [(0.0).hex(), (1.0).hex(), float(-(lam * np.log2(lam)).sum()).hex()]
-
-
-def test_eof_cut_values_sum_each_spectrum_s_positive_terms_alone():
-    # a spectrum with zero eigenvalues is summed over its positive terms alone, and from a side of three
-    # qubits on that changes bits against the sum over the whole row
-    product = Ket(3, np.eye(8)[5])  # |101>: the focus is a product factor, its spectrum (1, 0)
-    assert pure_cut_value(EOF, product, (0,)) == 0.0
-    side = w_state(5).marginal((0, 1, 2))  # rank 2 on three qubits
-    assert np.count_nonzero(side.eigenvalues > 1e-12) == 2
-    got = cut_values(EOF, side.entries[None], side.eigenvalues[None])[0]
-    assert got.hex() == _eof_by_positive_terms(side.eigenvalues).hex()
-    # a batch of d = 8 spectra with 1 to 8 positive eigenvalues, the rest 0 or a rounding below it
-    rng = np.random.default_rng(5)
-    spectra = np.zeros((400, 8))
-    for row, p in zip(spectra, rng.integers(1, 9, size=400)):
-        row[:p] = np.sort(rng.random(p))[::-1]
-        row[:p] /= row[:p].sum()
-        row[p:] = rng.choice([0.0, -1e-17], size=8 - p)
-    entries = np.zeros((400, 8, 8), dtype=np.complex128)  # EOF reads the spectra alone
-    got = [v.hex() for v in cut_values(EOF, entries, spectra).tolist()]
-    assert got == [_eof_by_positive_terms(s).hex() for s in spectra]
-    assert got == [cut_values(EOF, e[None], s[None])[0].hex() for e, s in zip(entries, spectra)]
-    # the sum over the whole row, zero terms included, differs in some rows: the regrouping shows
-    lam = np.maximum(spectra, 0.0)
-    row_sums = -np.add.reduce(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=1)
-    assert got != [v.hex() for v in row_sums.tolist()]
+    # |101>: the focus is a product factor, C = 0 and f(0) = H(1) = 0.0, with no minus sign a caller could read
+    for side in ((0,), (1, 2)):
+        value = pure_cut_value(EOF, Ket(3, np.eye(8)[5]), side)
+        assert value.hex() == (0.0).hex()
+        assert math.copysign(1.0, value) == 1.0

@@ -1,15 +1,20 @@
-"""Property tests: bound dominance, the pair-sum certificate and the state file round trip."""
+"""Property tests: bound dominance, the pair-sum certificate, the state file round trip and the row check."""
+import itertools
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monogamy import (
     CONCURRENCE, CREN, EOF, Ket, Verdict, haar_random, load_state, monogamy_report, save_state, tsallis_kind,
 )
-from monogamy.bounds import PRECONDITION_ATOL
+from monogamy.bounds import PRECONDITION_ATOL, ChainBatch
+from monogamy.qstate import NORM_ATOL, SQUARED_NORM_ATOL, density_spectra, marginal_stack
 from oracles import chain_certificate, w_class_amplitudes
 
 states = st.builds(
@@ -93,3 +98,76 @@ def test_state_file_round_trip(n, parts):
         back = load_state(path)
     assert back.n_qubits == n
     assert np.abs(back.amplitudes - psi.amplitudes).max() <= 1e-15
+
+
+def _base_row(rng, n, shape, focus, eps):
+    # a unit row: Haar; rank-deficient (a few basis states, so every marginal is of low rank); or near a
+    # product at the focus, its halves there u and eps v, or u and u + eps v
+    dim = 2**n
+    if shape == "haar":
+        row = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    elif shape == "rank-deficient":
+        row = np.zeros(dim, dtype=complex)
+        support = rng.choice(dim, size=int(rng.integers(1, 4)), replace=False)
+        row[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    else:
+        u, v = (rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2) for _ in range(2))
+        halves = np.stack([u, eps * v] if shape == "small half" else [u, u + eps * v])
+        row = halves.reshape(2, 2**focus, -1).transpose(1, 0, 2).ravel()  # the focus bit picks the half
+    return row / np.linalg.norm(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["haar", "rank-deficient", "small half", "parallel halves"]),
+    edge=st.sampled_from(["row check", "Ket"]),
+    side=st.sampled_from([-1.0, 1.0]),
+    ulps=st.integers(-4, 4),
+    log_eps=st.integers(3, 12),
+)
+def test_the_row_check_accepts_every_ket_and_only_rows_whose_marginals_pass(n, seed, shape, edge, side, ulps,
+                                                                           log_eps):
+    # ChainBatch.of checks its rows once, where they enter, in place of density_spectra on every marginal:
+    # a row scaled to the edge of the row check's bound or of Ket's NORM_ATOL, give or take a few ulps,
+    # passes it whenever Ket accepts it, and once it passes, its every focus and pair marginal passes
+    # density_spectra, rounding included
+    rng = np.random.default_rng(seed)
+    focus = int(rng.integers(n))
+    row = _base_row(rng, n, shape, focus, 10.0**-log_eps)
+    if edge == "row check":
+        row *= math.sqrt((1.0 + side * SQUARED_NORM_ATOL) / float(np.vdot(row, row).real))
+    else:
+        row *= (1.0 + side * NORM_ATOL) / np.linalg.norm(row)
+    row *= 1.0 + ulps * 2.0**-53
+    try:
+        Ket(n, row)
+        ket_accepts = True
+    except ValueError:
+        ket_accepts = False
+    try:
+        ChainBatch.of(row[None], focus)
+    except ValueError as exc:
+        assert not ket_accepts and "kets must have unit norm" in str(exc)
+        return
+    keeps = [[(q,) for q in range(n)], list(itertools.combinations(range(n), 2))]
+    for keep in keeps:
+        density_spectra(marginal_stack(row[None], keep)[0])
+
+
+@pytest.mark.parametrize("bad, message", [(math.nan, "kets must be finite"), (math.inf, "kets must be finite"),
+                                          (complex(0, -math.inf), "kets must be finite"),
+                                          (None, "kets must have unit norm"), ("empty", "empty batch")])
+def test_a_bad_row_raises_a_value_error_with_no_warning(bad, message):
+    kets = np.array([haar_random(4, seed).amplitudes for seed in range(3)])
+    if bad == "empty":
+        kets = kets[:0]
+    elif bad is None:
+        kets[1] *= 1.0 + 1e-12
+    else:
+        kets[2, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            ChainBatch.of(kets, 0)

@@ -23,7 +23,7 @@ from monogamy import (
     w_state,
 )
 import monogamy.qstate
-from monogamy.qstate import density_spectra
+from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams
 from oracles import partial_transpose_loops, ptrace_loops, random_ket, random_mixed, trace_norm
 
@@ -62,8 +62,7 @@ def test_every_ket_accepted_passes_its_own_analysis(n, seed):
         accepted += 1
         for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(2.5)):
             monogamy_report(psi, 0, kind, kind.alpha_floor)
-        for q in range(n):
-            psi.marginal([q])
+        density_spectra(marginal_stack(psi.amplitudes[None], [(q,) for q in range(n)])[0])
     assert accepted > 0 and rejected > 0
 
 
@@ -166,22 +165,22 @@ def test_partial_trace_matches_loop_oracle(keep):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_ket_marginal_matches_loop_oracle(n):
+def test_marginal_stack_of_one_ket_matches_loop_oracle(n):
     psi = Ket(n, random_ket(np_rng, 2**n))
     proj = psi.to_density_matrix().entries
     for k in range(1, n + 1):
         for keep in itertools.combinations(range(n), k):
-            got = psi.marginal(keep)
-            assert got.dims == (2,) * k
-            assert np.abs(got.entries - ptrace_loops(proj, (2,) * n, keep)).max() < 1e-13
+            got = marginal_stack(psi.amplitudes[None], [keep])[0, 0]
+            assert got.shape == (2**k, 2**k)
+            assert np.abs(got - ptrace_loops(proj, (2,) * n, keep)).max() < 1e-13
 
 
-def test_ket_marginal_keeps_register_order_and_rejects_bad_keep():
-    psi = Ket(4, random_ket(np_rng, 16))
-    assert np.array_equal(psi.marginal((3, 0, 2)).entries, psi.marginal((0, 2, 3)).entries)
+def test_marginal_stack_keeps_register_order_and_rejects_bad_keep():
+    kets = random_ket(np_rng, 16)[None]
+    assert np.array_equal(marginal_stack(kets, [(3, 0, 2)]), marginal_stack(kets, [(0, 2, 3)]))
     for bad in [(), (1, 1), (4,), (-1,)]:
         with pytest.raises(ValueError):
-            psi.marginal(bad)
+            marginal_stack(kets, [bad])
 
 
 def test_partial_trace_keeps_register_order():
@@ -233,7 +232,8 @@ def test_partial_transpose_involution_and_trace():
 def test_density_matrix_eigenvalues_descending_and_trace():
     # the spectrum the positivity check computes is kept, not recomputed
     psi = Ket(4, random_ket(np_rng, 16))
-    for rho in (random_dm(np_rng, (2, 4)), psi.to_density_matrix(), psi.marginal((0,)), psi.marginal((1, 3))):
+    proj = psi.to_density_matrix()
+    for rho in (random_dm(np_rng, (2, 4)), proj, partial_trace(proj, (0,)), partial_trace(proj, (1, 3))):
         vals = rho.eigenvalues
         assert vals.shape == (rho.entries.shape[0],)
         assert np.all(np.diff(vals) <= 0)
@@ -486,8 +486,6 @@ def test_a_bad_keep_raises_the_same_message_every_time(keep, message):
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             monogamy.qstate.marginal_stack(kets, [(0, 1), keep])
-        with pytest.raises(ValueError, match=message):
-            Ket(5, kets[0]).marginal(keep)
 
 
 @pytest.mark.parametrize("n_qubits", [3.0, 2.5, "3", True])
@@ -510,8 +508,6 @@ def test_marginal_stack_rejects_non_integral_keep_entries(keep):
     monogamy.qstate.marginal_stack(kets, [(0, 1)])  # an integer keep first, so its plan is cached
     with pytest.raises(ValueError, match="keep entry must be an integer"):
         monogamy.qstate.marginal_stack(kets, [keep])
-    with pytest.raises(ValueError, match="keep entry must be an integer"):
-        Ket(3, kets[0]).marginal(keep)
 
 
 def test_marginal_stack_rejects_an_empty_batch():

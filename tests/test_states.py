@@ -173,6 +173,6 @@ def test_haar_random_mean_reduced_purity():
     n_samples = 10_000
     for seed in range(n_samples):
         psi = haar_random(2, seed)
-        e = psi.marginal((0,)).entries
+        e = partial_trace(psi.to_density_matrix(), (0,)).entries
         total += np.vdot(e, e).real
     assert abs(total / n_samples - 0.8) < 0.02
