@@ -53,9 +53,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, rank2_concurrences, spin_flip_concurrences, values_of_concurrence
-from .qstate import (Ket, _cut_concurrences, _marginal_factors, _register_size, checked_int, density_spectra,
-                     marginal_stack, physical_memory)
+from .measures import MeasureKind, _values_of_concurrence, rank2_concurrences, spin_flip_concurrences
+from .qstate import (Ket, _cut_concurrences, _marginal_factors, _register_size, checked_int, marginal_stack,
+                     physical_memory)
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -283,15 +283,15 @@ class ChainBatch:
     in closed form from the 4 x 2 slices M of the kets (each pair is
     M M^dagger) that marginal_stack's gather index takes, and no marginal
     is built.  From n = 4 on, the B*(N-1) pair marginals form one stack
-    for one spin_flip_concurrences call; from n = 5 on, density_spectra
+    for one spin_flip_concurrences call; from n = 5 on, one eigvalsh call
     takes their spectra, and the spin flip only the pairs whose spectral
     ceiling stays open (at n = 4 it would skip about 1 pair in 400, and
-    the spectra cost more than the skips save).  ``chain_index[0, j]``
-    holds the positions of state j's pairs in ``concurrence.ravel()`` in
-    the given order, and ``chain_index[1, j]`` in the ranked order, by
-    descending concurrence (a stable sort, so ties keep their given
-    position); one sort yields both, and a table gathers every chain with
-    one take by it.
+    the spectra cost more than the skips save); the row check covers the
+    marginals.  ``chain_index[0, j]`` holds the positions of state j's
+    pairs in ``concurrence.ravel()`` in the given order, and
+    ``chain_index[1, j]`` in the ranked order, by descending concurrence
+    (a stable sort, so ties keep their given position); one sort yields
+    both, and a table gathers every chain with one take by it.
     """
 
     focus: int
@@ -321,7 +321,7 @@ class ChainBatch:
             concurrence = rank2_concurrences(_marginal_factors(amplitudes, keeps))
         else:
             pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)
-            concurrence = spin_flip_concurrences(pairs, None if n_qubits == 4 else density_spectra(pairs))
+            concurrence = spin_flip_concurrences(pairs, None if n_qubits == 4 else np.linalg.eigvalsh(pairs)[:, ::-1])
             concurrence = concurrence.reshape(count, len(given))
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
@@ -337,16 +337,16 @@ class ChainBatch:
         unproven.  Split N-2 reads the ranked order, every other split the
         given one.  Each step runs once at the level it depends on.  What
         depends on the keys and the pair count alone (factors, groupings,
-        ladders) is planned once per key tuple (_table_plan).  Per measure,
-        the pair values come from one values_of_concurrence pass over all
-        B*(N-1) concurrences, and the cut values from one over the B cut
-        concurrences.  One take by ``chain_index`` gathers the
-        values and powers of the given and the ranked chains of all M
-        measures and B states, which are certified as one stack of 2*M*B
-        chains.  Per distinct alpha, the pair values of the keys that take
-        it are raised by one numpy pow; the cut values are raised by
-        Python's pow.  One stacked matmul applies the new and the prior
-        ladder of every key, a dot product per state.
+        ladders) is planned once per key tuple (_table_plan).  One array
+        pass maps the B*(N-1) pair and the B cut concurrences to every
+        measure, taking lambda- once.  One take by ``chain_index`` gathers
+        the given and the ranked chains of all M measures and B states, one
+        numpy pow against the plan's floor column gives their powers, and
+        they are certified as one stack of 2*M*B chains.  Per distinct
+        alpha, the pair values of the keys that take it are raised by one
+        numpy pow; the cut values by one pow against the plan's alpha
+        column.  One stacked matmul applies the new and the prior ladder of
+        every key, a dot product per state.
         """
         return self._table(tuple(keys), m, _table_plan)
 
@@ -361,15 +361,11 @@ class ChainBatch:
             m = checked_int(m, "m")
             if not 1 <= m <= top:
                 raise ValueError(f"m={m} outside [1, {top}] for {n_pairs} pairs")
-        n_measures = len(plan.measures)
-        concurrence = self.concurrence.ravel().tolist()
-        values = [values_of_concurrence(kind, concurrence) for kind in plan.measures]
-        powers = [row if (floor := kind.alpha_floor) == 1.0 else [v**floor for v in row]
-                  for kind, row in zip(plan.measures, values)]
-        # [values or powers, measure, given or ranked order, state, pair]
-        chains = np.array(values + powers).reshape(2, n_measures, -1).take(self.chain_index, axis=2)
-        del values, powers  # their Python floats outweigh the arrays
-        tails, holds, certified = _certified_splits(chains[1])
+        # [measure, concurrence]: the B*(N-1) pair concurrences, then the B cut ones
+        values = _values_of_concurrence(plan.measures, np.concatenate((self.concurrence.ravel(), self.cut)))
+        chain_values = values[:, :-count].take(self.chain_index, axis=1)  # [measure, given or ranked, state, pair]
+        chain_powers = chain_values ** plan.floors
+        tails, holds, certified = _certified_splits(chain_powers)
         if m is None:
             # split s reads the ranked order at s = N-2 and the given one below; candidates from the
             # top down, the first proven one is the split, and none leaves N-2 (ranked) unproven
@@ -377,10 +373,10 @@ class ChainBatch:
             m, asserted = top - proven.argmax(axis=2), proven.any(axis=2)
         else:
             asserted = certified[:, int(m == top), :, m - 1]
-            m = np.full((n_measures, count), m)
+            m = np.full((len(plan.measures), count), m)
         m, asserted = m.take(plan.which, axis=0), asserted.take(plan.which, axis=0)  # one row per key
         ranked = m == top  # which chain each report reads
-        pair_values = chains[0].take(plan.which, axis=0)
+        pair_values = chain_values.take(plan.which, axis=0)
         pair_values = np.where(ranked[:, :, None], pair_values[:, 1], pair_values[:, 0])
         ladder = plan.offsets + m  # row of each report's ladder among the plan's (key, split) rows
 
@@ -393,25 +389,24 @@ class ChainBatch:
         powered = np.empty((len(plan.alphas), count, n_pairs))
         for alpha, group in plan.alpha_rows:
             powered[group] = pair_values[group] ** alpha
-        cut = self.cut.tolist()
-        cuts = [values_of_concurrence(kind, cut) for kind in plan.measures]
-        lhs = np.array([[c**alpha for c in cuts[i]] for i, alpha in zip(plan.which.tolist(), plan.alphas)])
+        lhs = values[:, -count:].take(plan.which, axis=0) ** plan.alphas
 
         ladders = plan.ladders.reshape(2, -1, n_pairs).take(ladder, axis=1)  # [new or prior, key, state]
         new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, -1, count)
         baseline_sum = powered.sum(axis=2)
         return BatchTable(m, asserted, lhs, new_bound, baseline_weighted, baseline_sum, lhs - new_bound,
                           new_bound - np.maximum(baseline_weighted, baseline_sum), ladders[0],
-                          ChainStack(chains[0], chains[1], tails, holds, certified))
+                          ChainStack(chain_values, chain_powers, tails, holds, certified))
 
 
 class _TablePlan(NamedTuple):
     """What ChainBatch.table reads from its K (measure, alpha) keys and the pair count alone.
 
-    ``measures`` are the distinct measures in key order; key k takes
-    measure ``which[k]`` and exponent ``alphas[k]``.  ``alpha_rows``
-    holds, per distinct alpha, the keys that take it.  ``ladders[0, k]``
-    and ``ladders[1, k]`` are key k's step and prior factors raised to
+    ``measures`` are the distinct measures in key order, ``floors`` their
+    floor exponents as an (M, 1, 1, 1) column; key k takes measure
+    ``which[k]`` and exponent ``alphas[k, 0]``.  ``alpha_rows`` holds, per
+    distinct alpha, the keys that take it.  ``ladders[0, k]`` and
+    ``ladders[1, k]`` are key k's step and prior factors raised to
     _ladder_powers(N-1), so row s is its ladder at split s, with an inf
     where a weight overflows; ``overflows`` says whether any does, and
     WeightLadder alone then decides which ladder a table rejects.
@@ -421,8 +416,9 @@ class _TablePlan(NamedTuple):
     """
 
     measures: tuple[MeasureKind, ...]
+    floors: np.ndarray
     which: np.ndarray
-    alphas: tuple[float, ...]
+    alphas: np.ndarray
     alpha_rows: tuple[tuple[float, slice | np.ndarray], ...]
     ladders: np.ndarray
     overflows: bool
@@ -446,8 +442,10 @@ def _plan(keys: tuple[tuple[MeasureKind, float], ...], n_pairs: int) -> _TablePl
     with np.errstate(over="ignore"):  # an overflow is an inf, raised where a state takes that ladder
         ladders = np.array(bases).reshape(2, -1, 1, 1) ** _ladder_powers(n_pairs)
     ladders.flags.writeable = False
-    return _TablePlan(measures, which, alphas, tuple(zip(groups, rows)), ladders, bool(np.isinf(ladders).any()),
-                      n_pairs * np.arange(len(keys))[:, None], np.arange(1, n_pairs) == n_pairs - 1)
+    floors = np.array([kind.alpha_floor for kind in measures]).reshape(-1, 1, 1, 1)
+    return _TablePlan(measures, floors, which, np.array(alphas).reshape(-1, 1), tuple(zip(groups, rows)), ladders,
+                      bool(np.isinf(ladders).any()), n_pairs * np.arange(len(keys))[:, None],
+                      np.arange(1, n_pairs) == n_pairs - 1)
 
 
 # a campaign's batches and a --state call share the plan of their key tuple; a sweep's plan is its own

@@ -9,9 +9,9 @@ maps and whose (Tr sqrt(rho_A))^2 - 1 is C: ``pure_cut_value(kind, psi,
 side_a)`` maps that C; ``pair_value(kind, rho)`` maps a pair concurrence.
 
 The closed forms f(C^2) of EOF and g_q(C^2) of tsallis have one
-implementation: the list maps behind values_of_concurrence, one list
-comprehension over a whole batch in scalar math arithmetic.  eof_f and
-tsallis_g are those maps on one value.
+implementation, the array maps behind values_of_concurrence, which read
+lambda- = C^2 / (2 (1 + sqrt(1 - C^2))) with log1p and expm1: they keep
+their relative accuracy down to C = 0.  eof_f and tsallis_g map one value.
 
 The pair concurrence has two kernels, both Wootters' formula.
 spin_flip_concurrences takes a (k, 4, 4) stack of two-qubit states with
@@ -36,6 +36,8 @@ from .qstate import DensityMatrix, Ket, _cut_concurrences, _sorted_keep
 
 DOMAIN_ATOL = 1e-12
 EIG_CLIP_ATOL = 1e-10
+_LN2 = math.log(2.0)
+_SMALLEST = np.finfo(np.float64).smallest_subnormal  # every lambda- > 0 is at least this
 
 # exponent floors: smallest power for which the weighted bounds apply; each
 # is also the gamma of the ladder's per-step factor 2^(alpha/gamma) - 1
@@ -89,51 +91,55 @@ def tsallis_kind(q: float) -> MeasureKind:
     return MeasureKind("tsallis", float(q))
 
 
-def _unit_interval(x: float) -> float:
-    if not (-DOMAIN_ATOL <= x <= 1.0 + DOMAIN_ATOL):
-        raise ValueError(f"x={x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
+def _small_eigenvalues(xs: np.ndarray) -> np.ndarray:
+    """lambda- = x / (2 (1 + sqrt(1 - x))) of each x = C^2, the smaller eigenvalue (1 - sqrt(1 - x)) / 2 of
+    a qubit's rho_A written with no difference of nearly equal numbers; the first x outside [0, 1] raises."""
+    inside = (xs >= -DOMAIN_ATOL) & (xs <= 1.0 + DOMAIN_ATOL)  # a NaN is outside
+    if np.count_nonzero(inside) < xs.size:
+        raise ValueError(f"x={float(xs[inside.argmin()])!r} outside [0, 1]")
+    xs = np.minimum(np.maximum(xs, 0.0), 1.0)
+    return xs / (2.0 + 2.0 * np.sqrt(1.0 - xs))
 
 
-def _unit_values(xs: list[float]) -> list[float]:
-    """_unit_interval of each of ``xs``: the first one outside [0, 1] raises, the others are clamped."""
-    if min(xs, default=0.0) >= 0.0 and max(xs, default=0.0) <= 1.0 and not math.isnan(sum(xs)):
-        return xs  # none outside [0, 1], so clamping would change none
-    return [_unit_interval(x) for x in xs]
+def _eof_values(lam: np.ndarray) -> np.ndarray:
+    # f = H(lambda-) = -lambda- ln lambda- - lambda+ ln(1 - lambda-), over ln 2: two terms of one sign, with the
+    # log of lambda+ = 1 - lambda- by log1p; lambda- = 0 gives 0 * log(5e-324), a 0, and 0.0 - h is +0.0
+    h = lam * np.log(np.maximum(lam, _SMALLEST)) + (1.0 - lam) * np.log1p(-lam)
+    return (0.0 - h) / _LN2
 
 
-def _eof_values(xs: list[float]) -> list[float]:
-    # f(x) = H(p), p = (1 + sqrt(1 - x)) / 2 in [1/2, 1], summed as -p log2 p - (1-p) log2 (1-p); H(1) = 0.0
-    return [0.0 - p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p) if (p := (1.0 + math.sqrt(1.0 - x)) / 2.0) < 1.0
-            else 0.0 for x in _unit_values(xs)]
+def _tsallis_values(q: float, lam: np.ndarray) -> np.ndarray:
+    # g_q = [1 - lambda+^q - lambda-^q] / (q - 1), with 1 - lambda+^q = -expm1(q log1p(-lambda-)) read off lambda-
+    h = np.expm1(q * np.log1p(-lam)) + lam**q
+    return (0.0 - h) / (q - 1.0)
 
 
-def _tsallis_values(q: float, xs: list[float]) -> list[float]:
-    # g_q(x) with s = sqrt(1 - x): [1 - ((1+s)/2)^q - ((1-s)/2)^q] / (q - 1), by Python's pow
-    q_minus_1 = q - 1.0
-    return [(1.0 - ((1.0 + (s := math.sqrt(1.0 - x))) / 2.0) ** q - ((1.0 - s) / 2.0) ** q) / q_minus_1
-            for x in _unit_values(xs)]
+def _values_of_concurrence(kinds: Sequence[MeasureKind], cs: np.ndarray) -> np.ndarray:
+    """Row i holds values_of_concurrence(kinds[i], cs): lambda- is taken once for every measure that needs it."""
+    lam = _small_eigenvalues(cs * cs) if any(kind.name in ("eof", "tsallis") for kind in kinds) else None
+    return np.array([_eof_values(lam) if kind.name == "eof" else _tsallis_values(kind.q, lam)
+                     if kind.name == "tsallis" else cs for kind in kinds])
 
 
 def eof_f(x: float) -> float:
     """f(x) = H((1 + sqrt(1 - x)) / 2) on [0, 1].
 
     Feeding x = C^2 turns a two-qubit concurrence into the matching
-    entanglement of formation.  This is the batch map of
+    entanglement of formation.  This is the array map of
     values_of_concurrence on one value.
     """
-    return _eof_values([float(x)])[0]
+    return float(_eof_values(_small_eigenvalues(np.array([float(x)])))[0])
 
 
 def tsallis_g(q: float, x: float) -> float:
     """g_q(x) = [1 - ((1+s)/2)^q - ((1-s)/2)^q] / (q - 1) with s = sqrt(1 - x).
 
     Valid for q in [2, 3]; feeding x = C^2 turns a two-qubit concurrence
-    into the matching tsallis-q entanglement.  This is the batch map of
+    into the matching tsallis-q entanglement.  This is the array map of
     values_of_concurrence on one value.
     """
     q = tsallis_kind(q).q  # MeasureKind holds the one check of the supported range
-    return _tsallis_values(q, [float(x)])[0]
+    return float(_tsallis_values(q, _small_eigenvalues(np.array([float(x)])))[0])
 
 
 def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
@@ -261,25 +267,21 @@ def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:
     if len(side) not in (1, n - 1):
         raise ValueError(f"side A {tuple(side_a)} is neither one qubit nor all qubits but one")
     focus = side[0] if len(side) == 1 else next(q for q in range(n) if q not in side)
-    return values_of_concurrence(kind, _cut_concurrences(psi.amplitudes[None], focus).tolist())[0]
+    return float(values_of_concurrence(kind, _cut_concurrences(psi.amplitudes[None], focus))[0])
 
 
-def values_of_concurrence(kind: MeasureKind, cs: list[float]) -> list[float]:
-    """Two-qubit value of ``kind`` from each pair concurrence in ``cs``.
+def values_of_concurrence(kind: MeasureKind, cs: np.ndarray) -> np.ndarray:
+    """Two-qubit value of ``kind`` from each pair concurrence in the array ``cs``, as an array.
 
-    Concurrence and CREN take C itself, so ``cs`` is returned; EOF takes
-    f(C^2) and tsallis g_q(C^2), each as one list comprehension over all of
-    ``cs`` in math.sqrt, math.log2 and Python's pow (eof_f and tsallis_g
-    are the same maps on one value).  A C^2 outside [0, 1] raises for the
-    first such value.
+    Concurrence and CREN take C itself, so the values are ``cs``; EOF takes
+    f(C^2) and tsallis g_q(C^2), each read off lambda- = C^2 / (2 (1 +
+    sqrt(1 - C^2))) with log1p and expm1, so that both keep their relative
+    accuracy down to C = 0 (eof_f and tsallis_g are the same maps on one
+    value).  A C^2 outside [0, 1] raises for the first such value.
     """
-    if kind.name == "eof":
-        return _eof_values([c * c for c in cs])
-    if kind.name == "tsallis":
-        return _tsallis_values(float(kind.q), [c * c for c in cs])
-    return cs
+    return _values_of_concurrence((kind,), cs)[0]
 
 
 def pair_value(kind: MeasureKind, rho: DensityMatrix) -> float:
     """Value of ``kind`` on a two-qubit mixed state via its closed form."""
-    return values_of_concurrence(kind, [concurrence_two_qubit(rho)])[0]
+    return float(values_of_concurrence(kind, np.array([concurrence_two_qubit(rho)]))[0])

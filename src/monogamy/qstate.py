@@ -241,7 +241,7 @@ def density_spectra(stack: np.ndarray) -> np.ndarray:
     tr = np.add.reduce(stack.diagonal(0, 1, 2), axis=1)
     unit = np.abs(tr - 1.0) <= TRACE_ATOL
     if np.count_nonzero(unit) < unit.size:
-        raise ValueError(f"density matrix must have unit trace, got {tr[unit.argmin()]!r}")
+        raise ValueError(f"density matrix must have unit trace, got {float(tr[unit.argmin()].real)!r}")
     spectra = np.linalg.eigvalsh(stack)[:, ::-1]
     smallest = float(np.minimum.reduce(spectra[:, -1], initial=np.inf))
     if not smallest >= -PSD_ATOL:

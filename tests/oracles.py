@@ -179,16 +179,6 @@ def ghz_amplitudes(n: int) -> np.ndarray:
     return amp
 
 
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1 - x) log2 (1 - x) for x in [0, 1], with 0 log 0 = 0, summed in that order."""
-    h = 0.0
-    if x > 0.0:
-        h -= x * math.log2(x)
-    if x < 1.0:
-        h -= (1.0 - x) * math.log2(1.0 - x)
-    return h
-
-
 def wootters_concurrence(amplitudes: np.ndarray, n: int, a: int, b: int) -> float:
     """Concurrence of the (a, b) marginal of an n-qubit pure state, from the
     singular values of tau = M^T (sigma_y x sigma_y) M.

@@ -51,11 +51,16 @@ def _near_product_row(family: str, n: int, eps: float) -> np.ndarray:
 @pytest.mark.parametrize("n", [3, 6])
 def test_near_a_product_focus_the_cut_concurrence_keeps_its_measured_error(n):
     # a small half keeps C's relative accuracy (2.7e-16 measured at most, where sqrt(2 (1 - Tr rho_A^2))
-    # was off by 100 %); nearly parallel halves leave det rho_A the rounding of its two products, about
-    # 1e-16, so C is good to about 2 sqrt(1e-16) = 2e-8 absolute (1.0e-8 measured here, 2.0e-8 on other
-    # draws of u and v; the purity form was off by up to 3.3e-8)
+    # was off by 100 %), and every measure's map keeps it too (7.3e-16 at most, for EOF, which read 0.0
+    # below C = 1.65e-8 through (1 +- sqrt(1 - C^2)) / 2); nearly parallel halves leave det rho_A the
+    # rounding of its two products, about 1e-16, so C is good to about 2 sqrt(1e-16) = 2e-8 absolute
+    # (1.0e-8 measured here, 2.0e-8 on other draws of u and v; the purity form was off by up to 3.3e-8)
     for eps in 10.0 ** -np.arange(3, 11):
-        for family, bound, relative in (("small half", 1e-15, True), ("parallel halves", 3e-8, False)):
-            row = _near_product_row(family, n, eps)
-            got = pure_cut_value(CONCURRENCE, Ket(n, row), (0,))
-            assert _error(got, exact_cut_concurrence(row, 0), relative) <= bound, (family, eps)
+        row = _near_product_row("small half", n, eps)
+        c = exact_cut_concurrence(row, 0)
+        for kind in KINDS:
+            got = pure_cut_value(kind, Ket(n, row), (0,))
+            assert _error(got, exact_cut_value(kind.name, c, kind.q), relative=True) <= 1e-15, (kind, eps)
+        row = _near_product_row("parallel halves", n, eps)
+        got = pure_cut_value(CONCURRENCE, Ket(n, row), (0,))
+        assert _error(got, exact_cut_concurrence(row, 0)) <= 3e-8, eps

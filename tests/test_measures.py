@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,12 +24,13 @@ from monogamy import (
     tsallis_kind,
     w_state,
 )
-from monogamy.bounds import ChainBatch
+from monogamy.bounds import ChainBatch, monogamy_report
 from monogamy.measures import spin_flip_concurrences, spin_flip_mus, values_of_concurrence
 from monogamy.qstate import density_spectra, marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import (
-    binary_entropy,
+    EXACT_DIGITS,
+    exact_cut_value,
     ghz_amplitudes,
     min_avg_concurrence,
     partial_transpose_loops,
@@ -419,47 +421,37 @@ def test_pairs_the_ceiling_skips_are_unentangled_by_the_oracle(n, monkeypatch):
         assert wootters_concurrence(amplitudes[state], n, 0, b + 1) == 0.0
 
 
-def _scalar_pair_value(kind, c):
-    # the scalar chain the list maps replaced: value_of_concurrence -> eof_f / tsallis_g, one call per value
-    x = c * c
-    if not (-1e-12 <= x <= 1.0 + 1e-12):
-        raise ValueError(f"x={x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if kind.name == "eof":
-        return binary_entropy((1.0 + math.sqrt(1.0 - x)) / 2.0)
-    s = math.sqrt(1.0 - x)
-    hi = (1.0 + s) / 2.0
-    lo = (1.0 - s) / 2.0
-    return (1.0 - hi**kind.q - lo**kind.q) / (kind.q - 1.0)
-
-
 PAIR_MAP_KINDS = (EOF, tsallis_kind(2.0), tsallis_kind(2.5), tsallis_kind(3.0))
 
 
 @pytest.mark.parametrize("kind", PAIR_MAP_KINDS, ids=lambda k: f"{k.name}-{k.q}")
-def test_pair_maps_match_the_scalar_chain_bit_for_bit(kind):
+def test_pair_maps_lie_within_1e_15_relative_of_the_50_digit_reference(kind):
+    # over C in [1e-12, 1), where the maps through (1 +- sqrt(1 - C^2)) / 2 read EOF as 0.0 below C = 1.65e-8
+    # and kept no relative accuracy below about 1.5e-5; 4.1e-16 measured here at most (5.0e-16 on 5003 values)
     rng = np.random.default_rng(2024)
-    edges = [0.0, 1.0, 1e-8, 1.0 - 2.0**-53, 1.0 + 1e-13, -0.0, 5e-324]
-    cs = edges + rng.random(2000).tolist() + (rng.random(500) ** 12).tolist()
-    want = [_scalar_pair_value(kind, c).hex() for c in cs]
-    assert [v.hex() for v in values_of_concurrence(kind, cs)] == want
-    assert [values_of_concurrence(kind, [c])[0].hex() for c in edges] == want[: len(edges)]
+    cs = np.concatenate([10.0 ** -rng.uniform(0.0, 12.0, 600), rng.random(200), [1e-12, 1e-8, 0.5, 1.0 - 2.0**-53]])
+    got = values_of_concurrence(kind, cs)
+    worst = 0.0
+    with mpmath.workdps(EXACT_DIGITS):
+        for c, value in zip(cs.tolist(), got.tolist()):
+            want = exact_cut_value(kind.name, mpmath.mpf(c), kind.q)
+            worst = max(worst, float(abs(mpmath.mpf(value) - want) / want))
+    assert worst <= 1e-15
     # eof_f and tsallis_g are the same maps on one squared value
     one = eof_f if kind is EOF else (lambda x: tsallis_g(kind.q, x))
-    assert [one(c * c).hex() for c in cs[:300]] == want[:300]
-    assert values_of_concurrence(kind, []) == []
+    assert [one(c * c).hex() for c in cs[:300].tolist()] == [v.hex() for v in got[:300].tolist()]
+    assert values_of_concurrence(kind, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", PAIR_MAP_KINDS, ids=lambda k: f"{k.name}-{k.q}")
 @pytest.mark.parametrize("cs", [[0.5, 1.5, 2.0], [0.2, math.nan, 3.0], [0.5, math.nan], [math.inf],
                                 [0.1, 1.0 + 1e-6, math.nan]])
 def test_pair_maps_raise_the_scalar_message_for_the_first_value_out_of_domain(kind, cs):
-    with pytest.raises(ValueError) as scalar:
-        for c in cs:
-            _scalar_pair_value(kind, c)
+    # the message of the scalar maps: x = c * c of the first value outside [0, 1] by 1e-12, as Python prints it
+    x = next(c * c for c in cs if not -1e-12 <= c * c <= 1.0 + 1e-12)
     with pytest.raises(ValueError) as batch:
-        values_of_concurrence(kind, cs)
-    assert str(batch.value) == str(scalar.value)
+        values_of_concurrence(kind, np.array(cs))
+    assert str(batch.value) == f"x={x!r} outside [0, 1]"
 
 
 def test_one_value_maps_keep_their_domain_messages():
@@ -485,9 +477,18 @@ def test_a_batch_s_cut_concurrences_are_each_state_s_own(count):
                                                    for a in amplitudes]
 
 
-def test_eof_cut_value_of_a_product_side_is_positive_zero():
-    # |101>: the focus is a product factor, C = 0 and f(0) = H(1) = 0.0, with no minus sign a caller could read
-    for side in ((0,), (1, 2)):
-        value = pure_cut_value(EOF, Ket(3, np.eye(8)[5]), side)
-        assert value.hex() == (0.0).hex()
-        assert math.copysign(1.0, value) == 1.0
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_zero_concurrence_maps_to_positive_zero(n):
+    # a basis state: every cut and pair concurrence is 0, and every measure maps it to 0.0, with no minus sign
+    # a caller could read (a map that negates, or divides by 1 - q, prints -0 in a report)
+    psi = Ket(n, np.eye(2**n)[5])
+    zero = (0.0).hex()
+    for kind in (CONCURRENCE, EOF, CREN) + PAIR_MAP_KINDS:
+        for alpha in (kind.alpha_floor, 3.0):
+            report = monogamy_report(psi, 0, kind, alpha)
+            assert [v.hex() for v in report.pair_values + (report.lhs,)] == [zero] * n
+        for side in ((0,), tuple(range(1, n))):
+            assert pure_cut_value(kind, psi, side).hex() == zero
+        assert pair_value(kind, two_qubit(np.diag([1.0, 0.0, 0.0, 0.0]))).hex() == zero
+    assert eof_f(0.0).hex() == zero and eof_f(-0.0).hex() == zero
+    assert all(tsallis_g(kind.q, x).hex() == zero for kind in PAIR_MAP_KINDS[1:] for x in (0.0, -0.0, -1e-13))

@@ -326,10 +326,12 @@ def test_state_file_rejects_boolean_amplitudes(tmp_path):
     "bad,message",
     [
         (np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 1e-6), 1), "hermitian"),
-        (np.diag([0.5, 0.5, 0.5, 0.0]), "unit trace"),
+        (np.diag([0.5, 0.5, 0.5, 0.0]), r"unit trace, got 1\.5$"),
+        # the trace is printed as a plain float, not as the repr of a numpy complex
+        (np.diag([0.5, 0.5 - 2e-12, 0.0, 0.0]), r"unit trace, got 0\.999999999998$"),
         (np.diag([0.75, 0.5, 0.0, -0.25]), "negative eigenvalue"),
     ],
-    ids=["non-hermitian", "non-unit-trace", "non-psd"],
+    ids=["non-hermitian", "non-unit-trace", "trace-just-below-one", "non-psd"],
 )
 def test_density_stack_raises_the_density_matrix_messages(bad, message):
     # one bad matrix among valid ones fails the whole stack with the message DensityMatrix gives it
