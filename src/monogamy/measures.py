@@ -94,10 +94,11 @@ def tsallis_kind(q: float) -> MeasureKind:
 def _small_eigenvalues(xs: np.ndarray) -> np.ndarray:
     """lambda- = x / (2 (1 + sqrt(1 - x))) of each x = C^2, the smaller eigenvalue (1 - sqrt(1 - x)) / 2 of
     a qubit's rho_A written with no difference of nearly equal numbers; the first x outside [0, 1] raises."""
-    inside = (xs >= -DOMAIN_ATOL) & (xs <= 1.0 + DOMAIN_ATOL)  # a NaN is outside
-    if np.count_nonzero(inside) < xs.size:
-        raise ValueError(f"x={float(xs[inside.argmin()])!r} outside [0, 1]")
-    xs = np.minimum(np.maximum(xs, 0.0), 1.0)
+    if not (xs.min(initial=1.0) >= 0.0 and xs.max(initial=0.0) <= 1.0):  # a NaN fails; [0, 1] needs no clamp
+        inside = (xs >= -DOMAIN_ATOL) & (xs <= 1.0 + DOMAIN_ATOL)  # a NaN is outside
+        if np.count_nonzero(inside) < xs.size:
+            raise ValueError(f"x={float(xs[inside.argmin()])!r} outside [0, 1]")
+        xs = np.minimum(np.maximum(xs, 0.0), 1.0)
     return xs / (2.0 + 2.0 * np.sqrt(1.0 - xs))
 
 

@@ -67,6 +67,29 @@ def w_state(n: int) -> Ket:
     return Ket(n, amp)
 
 
+# SeedSequence.generate_state(4, np.uint64) hashes pool word i % 4 into 32-bit output word i (of 8): xor with
+# H[i], multiply by H[i + 1], xor with itself shifted right by 16, where H[i] = INIT_B * MULT_B**i mod 2**32
+_HASH = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)], dtype=np.uint32)
+_HASH_XOR, _HASH_MULT = _HASH[:-1], _HASH[1:]
+# PCG64 seeds from words (s0, s1, q0, q1) as pcg64_srandom_r: inc = 2 (q0 q1) + 1, and two LCG steps from 0
+# that add s0 s1 between them give the state ((inc + s0 s1) * M + inc) mod 2**128
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
+# PCG64 Generators free for reuse. A row sets the whole state of the bit generator, so a reused one carries
+# nothing over from its last call; a call takes one off the list and hands it back, and list.pop and
+# list.append are atomic, so concurrent calls never share one.
+_GENERATORS: list = []
+
+
+def _state_words(words: np.ndarray) -> np.ndarray:
+    """Hash a (B, 8) little-endian uint32 array in place, whose row j is the pool of a SeedSequence twice over,
+    and view it as (B, 4) little-endian uint64: row j becomes that sequence's generate_state(4, np.uint64)."""
+    words ^= _HASH_XOR
+    words *= _HASH_MULT
+    words ^= words >> 16
+    return words.view("<u8")
+
+
 def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
     """Fill row j of ``out``, a (B, 2^n) complex array, with the Haar random state of seed ``seed + j``.
 
@@ -77,19 +100,41 @@ def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
     first.  The row is then divided by its norm, taken with the arithmetic
     of numpy.linalg.norm.  Identical seeds therefore yield identical states
     on every platform numpy supports.
-    Each draw passes through a scratch of 2 * 2**n floats that is freed
-    before the next; the rows are checked for unit norm together.
+    No generator is built per row: each seed's SeedSequence pool is
+    hashed into its four seed words as SeedSequence.generate_state does,
+    for all rows at once, and one reused PCG64 is set to each row's state
+    in turn, the state PCG64 seeds from those words.  Every row is drawn
+    into one scratch of 2 * 2**n floats, freed on return; the rows are
+    checked for unit norm together.
     Returns ``out``.
     """
     seed = checked_int(seed, "seed")
     count, dim = out.shape
+    if not count:
+        return out
     pairs = out.view(np.float64).reshape(count, dim, 2)  # (real, imaginary) of each amplitude
     norms = np.empty(count)
     real, imag = out.real, out.imag
+    random = np.random  # numpy loads numpy.random on first use, so importing the package does not pay for it
+    pools = np.empty((count, 2, 4), dtype="<u4")  # the words generate_state hashes: each pool twice
     for j in range(count):
-        pairs[j] = np.random.default_rng(seed + j).standard_normal(2 * dim).reshape(2, dim).T
+        sequence = random.SeedSequence(seed + j)
+        pools[j] = sequence.pool
+    try:
+        generator = _GENERATORS.pop()
+    except IndexError:  # none free: build one, seeded from any sequence, since every row sets its own state
+        generator = random.Generator(random.PCG64(sequence))
+    bit_generator = generator.bit_generator
+    scratch = np.empty(2 * dim)
+    for j, (s0, s1, q0, q1) in enumerate(_state_words(pools.reshape(count, 8)).tolist()):
+        inc = ((q0 << 65) | (q1 << 1) | 1) & _MASK_128
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((((s0 << 64) | s1) + inc) * _PCG64_MULTIPLIER + inc) & _MASK_128, "inc": inc}}
+        generator.standard_normal(out=scratch)
+        pairs[j] = scratch.reshape(2, dim).T
         re, im = real[j], imag[j]
         norms[j] = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm(out[j]), its two strided dots and root
+    _GENERATORS.append(generator)
     if not norms.all():
         raise ValueError("degenerate zero draw")
     out /= norms[:, None]

@@ -606,9 +606,15 @@ def test_campaign_memory_on_a_wide_register():
 
 
 def test_verify_draws_into_the_batch_without_kets(monkeypatch, capsys):
-    # one generator per state, and no Ket (nor its norm check and copy) on the way to the analysis
+    # one seed sequence per state, no default_rng, and no Ket (nor its norm check and copy) on the way to
+    # the analysis
     calls = Counter()
-    default_rng, post_init = np.random.default_rng, monogamy.Ket.__post_init__
+    seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
+    post_init = monogamy.Ket.__post_init__
+
+    def counting_sequence(entropy):
+        calls["seed"] += 1
+        return seed_sequence(entropy)
 
     def counting_rng(seed):
         calls["rng"] += 1
@@ -618,11 +624,12 @@ def test_verify_draws_into_the_batch_without_kets(monkeypatch, capsys):
         calls["ket"] += 1
         post_init(self)
 
+    monkeypatch.setattr(np.random, "SeedSequence", counting_sequence)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(monogamy.Ket, "__post_init__", counting_ket)
     assert main(["--verify", "--samples", "7"]) == 0
     assert "result: ok" in capsys.readouterr().out
-    assert calls == {"rng": 7}
+    assert calls == {"seed": 7}
 
 
 def test_campaign_memory_does_not_grow_with_samples():

@@ -465,6 +465,16 @@ def test_one_value_maps_keep_their_domain_messages():
     assert eof_f(-1e-13) == eof_f(0.0) and tsallis_g(2.0, 1.0 + 1e-13) == tsallis_g(2.0, 1.0)
 
 
+@pytest.mark.parametrize("kind", PAIR_MAP_KINDS, ids=lambda k: f"{k.name}-{k.q}")
+def test_a_value_just_past_one_is_clamped_and_its_batch_mates_keep_their_bits(kind):
+    # a batch inside [0, 1] skips the clamp; one value past 1 by less than DOMAIN_ATOL clamps the batch
+    cs = np.array([0.3, 1.0 + 4e-14, 0.7, 0.0])
+    clamped = values_of_concurrence(kind, np.array([0.3, 1.0, 0.7, 0.0]))
+    assert [v.hex() for v in values_of_concurrence(kind, cs).tolist()] == [v.hex() for v in clamped.tolist()]
+    inside = values_of_concurrence(kind, cs[[0, 2, 3]])
+    assert [v.hex() for v in inside.tolist()] == [v.hex() for v in clamped[[0, 2, 3]].tolist()]
+
+
 @pytest.mark.parametrize("count", [1, 5, 292])
 def test_a_batch_s_cut_concurrences_are_each_state_s_own(count):
     # the cut concurrence of a state does not depend on its batch-mates: bit for bit what

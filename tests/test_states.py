@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from monogamy import (
     pure_cut_value,
     w_state,
 )
-from monogamy.states import haar_rows
+from monogamy import states
+from monogamy.campaign import batch_size
+from monogamy.states import _state_words, haar_rows
 from oracles import ghz_amplitudes
 
 np_rng = np.random.default_rng(31337)
@@ -146,20 +152,72 @@ def _hex(amplitudes):
 
 
 def test_haar_random_keeps_its_stream():
-    # one draw of 2 * 2^n normals split in halves gives the bits of two draws of 2^n, real first
+    # one draw of 2 * 2^n normals split in halves gives the bits of two draws of 2^n, real first; the batches
+    # from 2^32 - 2 and 2^64 - 2 cross into a seed of two and of three 32-bit entropy words
     for n in range(1, 11):
-        for seed in (0, 1, 7, 2**31 + 5, 2**32 + 3, 2**40 + 11):
+        for seed in (0, 1, 7, 2**31 + 5, 2**32 - 2, 2**32 + 3, 2**40 + 11, 2**64 - 2):
             assert _hex(haar_random(n, seed).amplitudes) == _hex(_two_draw_haar(n, seed)), (n, seed)
-            rows = haar_rows(np.empty((3, 2**n), dtype=np.complex128), seed)  # row j: seed + j
-            assert [_hex(row) for row in rows] == [_hex(_two_draw_haar(n, seed + j)) for j in range(3)], (n, seed)
+            rows = haar_rows(np.empty((5, 2**n), dtype=np.complex128), seed)  # row j: seed + j
+            assert [_hex(row) for row in rows] == [_hex(_two_draw_haar(n, seed + j)) for j in range(5)], (n, seed)
+
+
+def test_a_campaign_batch_and_ten_thousand_seeds_keep_the_stream():
+    # every bit of a full n = 3 campaign batch and of 10 000 three-qubit draws against default_rng, within a
+    # budget of 2 s (about 0.6 s here)
+    started = time.perf_counter()
+    for seed, size in ((11, batch_size(3)), (0, 10_000)):
+        rows = haar_rows(np.empty((size, 8), dtype=np.complex128), seed)
+        assert [_hex(row) for row in rows] == [_hex(_two_draw_haar(3, seed + j)) for j in range(size)], size
+    assert time.perf_counter() - started < 2.0
+
+
+def test_batched_words_are_the_seed_sequence_state():
+    seeds = [0, 1, 11, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64, 2**100]
+    words = np.empty((len(seeds), 2, 4), dtype="<u4")
+    words[:] = np.array([np.random.SeedSequence(seed).pool for seed in seeds])[:, None]  # each pool twice
+    expected = np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds])
+    assert np.array_equal(_state_words(words.reshape(len(seeds), 8)), expected)
+
+
+def test_concurrent_draws_keep_their_streams():
+    # each call holds its own reused generator, so draws in more threads than cores, switching every few
+    # microseconds, interleave without mixing; a generator shared between calls fails here
+    seeds = range(0, 40 * 292, 292)
+    expected = {seed: haar_rows(np.empty((292, 8), dtype=np.complex128), seed) for seed in seeds}
+    barrier = threading.Barrier(4, timeout=30)
+
+    def draw(offset):
+        barrier.wait()
+        return [np.array_equal(haar_rows(np.empty((292, 8), dtype=np.complex128), seed), expected[seed])
+                for seed in seeds[offset::4]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            same = list(pool.map(draw, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert same == [[True] * 10] * 4
+
+
+def test_empty_rows_are_returned_as_given(monkeypatch):
+    monkeypatch.setattr(states, "_GENERATORS", [])  # as in a fresh process
+    out = np.empty((0, 8), dtype=np.complex128)
+    assert haar_rows(out, 0) is out
 
 
 def test_zero_draw_is_degenerate(monkeypatch):
-    class Zeros:
-        def standard_normal(self, size):
-            return np.zeros(size)
+    class Zeros:  # the generator haar_rows draws every row from, drawing zeros
+        def __init__(self, bit_generator):
+            self.bit_generator = bit_generator
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+        def standard_normal(self, out):
+            out[:] = 0.0
+            return out
+
+    monkeypatch.setattr(states, "_GENERATORS", [])  # no free generator: the next call builds a Zeros
+    monkeypatch.setattr(np.random, "Generator", Zeros)
     with pytest.raises(ValueError, match="degenerate zero draw"):
         haar_random(3, 0)
     with pytest.raises(ValueError, match="degenerate zero draw"):
