@@ -378,20 +378,18 @@ class ChainBatch:
         ranked = m == top  # which chain each report reads
         pair_values = chain_values.take(plan.which, axis=0)
         pair_values = np.where(ranked[:, :, None], pair_values[:, 1], pair_values[:, 0])
-        ladder = plan.offsets + m  # row of each report's ladder among the plan's (key, split) rows
-
+        # each report's ladders, by its row among the plan's (key, split) rows: [new or prior, key, state]
+        ladders = plan.ladders.reshape(2, -1, n_pairs).take(plan.offsets + m, axis=1)
         if plan.overflows:
             # raise as a key-by-key build of the ladders at the splits its states take would: WeightLadder
             # names the first key in order whose ladder holds an inf, new ladder before prior
-            taken = np.isinf(plan.ladders.reshape(2, -1, n_pairs).take(ladder, axis=1)).any(axis=3)
+            taken = np.isinf(ladders).any(axis=3)
             for k, side, j in np.argwhere(taken.swapaxes(0, 1))[:1].tolist():  # the first [key, new or prior, state]
                 WeightLadder((step_factor, prior_factor)[side](*keys[k]), n_pairs, int(m[k, j])).weights()  # raises
         powered = np.empty((len(plan.alphas), count, n_pairs))
         for alpha, group in plan.alpha_rows:
             powered[group] = pair_values[group] ** alpha
         lhs = values[:, -count:].take(plan.which, axis=0) ** plan.alphas
-
-        ladders = plan.ladders.reshape(2, -1, n_pairs).take(ladder, axis=1)  # [new or prior, key, state]
         new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, -1, count)
         baseline_sum = powered.sum(axis=2)
         return BatchTable(m, asserted, lhs, new_bound, baseline_weighted, baseline_sum, lhs - new_bound,
@@ -512,7 +510,7 @@ def alpha_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo - ALPHA_ATOL:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    span = (hi - lo) / step + 1e-9
+    span = max(0.0, (hi - lo) / step + 1e-9)  # hi may lie up to ALPHA_ATOL below lo: the grid is then lo alone
     if _SWEEP_BYTES_PER_POINT * (span + 1) > physical_memory():  # also catches a step so small that span is inf
         raise ValueError(f"alpha grid of {span + 1:.3g} points needs more than physical memory")
     count = int(math.floor(span)) + 1

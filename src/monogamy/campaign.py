@@ -11,11 +11,11 @@ marginals form one stack for one spin-flip call, and from n = 5 on the
 stack's spectra spare it every pair they prove unentangled (nearly all
 of them from n = 6 on).  Its reports for all K rows come as one (K, B)
 table (ChainBatch.table) in which the chains of every measure are
-certified once.  Array operations fold the table into each row's
-count and minima in state order (first NaN, else first least), and _nan_min
-carries the minima from batch to batch, so the rows equal those of a
-campaign that analyses one state at a time, bit for bit, and memory does
-not grow with the number of samples.
+certified once.  Each batch's table is folded, with the minima so far
+leading, into each row's count and minima in state order (first NaN,
+else first least), and the verdict is read off the minima at the end,
+so the rows equal those of a campaign that analyses one state at a time,
+bit for bit, and memory does not grow with the number of samples.
 """
 from __future__ import annotations
 
@@ -112,18 +112,13 @@ class CampaignRow:
         return 0
 
 
-def _nan_min(a: float, b: float) -> float:
-    # min(a, b), but a NaN on either side wins: min() would keep whichever came first
-    return b if math.isnan(b) or b < a else a
-
-
-def _first_mins(values: np.ndarray) -> list[float]:
-    # what _nan_min folds each row to in state order: its first NaN, else its first least value
-    return values[np.arange(len(values)), values.argmin(axis=1)].tolist()
+def _first_mins(values: np.ndarray) -> np.ndarray:
+    # each row's first NaN, else its first least value: what a state-by-state fold in which a NaN sticks keeps
+    return values[np.arange(len(values)), values.argmin(axis=1)]
 
 
 def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
-    """Run the campaign in batches of batch_size(n) states; returns summary rows and a violation flag.
+    """Run the campaign in batches of batch_size(n) states; returns summary rows and whether any row is violated.
 
     Each batch draws its states into one (B, 2^n) array (haar_rows) and
     analyses them as one ChainBatch; the last batch may be shorter.  Only
@@ -133,10 +128,9 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
     for measure in dict.fromkeys(config.measures):
         alphas = (measure.alpha_floor if token == "floor" else float(token) for token in config.alphas)
         keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
-    asserted = np.zeros(len(keys), dtype=np.int64)
-    min_new = [math.inf] * len(keys)  # over the asserted states only; a NaN residual sticks
-    min_gap = [math.inf] * len(keys)
-    violation = False
+    n_keys = len(keys)
+    asserted = np.zeros(n_keys, dtype=np.int64)
+    least = np.full(2 * n_keys, math.inf)  # each row's least residual_new over its asserted states, then residual_gap
     n = config.n_qubits
     size = min(batch_size(n), config.samples)
     buffer = np.empty((size, 2**n), dtype=np.complex128)
@@ -145,14 +139,12 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
         table = ChainBatch.of(amplitudes, 0).table(keys)
         asserted += table.asserted.sum(axis=1)
         # an unasserted state enters as inf, which moves no minimum and passes the tolerance
-        new = np.where(table.asserted, table.residual_new, math.inf)
-        min_new = list(map(_nan_min, min_new, _first_mins(new)))
-        min_gap = list(map(_nan_min, min_gap, _first_mins(table.residual_gap)))
-        if not (new >= -config.tolerance).all():  # a NaN residual is a violation
-            violation = True
-        del table, new  # before the next batch is built
+        columns = np.concatenate((np.where(table.asserted, table.residual_new, math.inf), table.residual_gap))
+        del table  # before the fold, which would otherwise peak with it
+        least = _first_mins(np.column_stack((least, columns)))  # the running minima lead, so a tie keeps them
+    min_new, min_gap = least[:n_keys], least[n_keys:]
     rows = [
         CampaignRow(measure, alpha, config.samples, count, config.samples - count, new if count else math.nan, gap)
-        for (measure, alpha), count, new, gap in zip(keys, asserted.tolist(), min_new, min_gap)
+        for (measure, alpha), count, new, gap in zip(keys, asserted.tolist(), min_new.tolist(), min_gap.tolist())
     ]
-    return rows, violation
+    return rows, not (min_new >= -config.tolerance).all()  # a NaN residual is a violation

@@ -43,7 +43,7 @@ import numpy as np
 NORM_ATOL = 2.5e-13
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-# the row check of _cut_concurrences: a row within NORM_ATOL of unit norm (Ket's and haar_rows') has ||row||^2
+# the row check of _cut_concurrences: a row within NORM_ATOL of unit norm (Ket's bound) has ||row||^2
 # within 2 NORM_ATOL + NORM_ATOL^2, just over 5e-13, of 1; 1e-13 more covers rounding, and the 4e-13 left below
 # TRACE_ATOL covers a marginal's trace, the same sum in another order, so its marginals pass density_spectra
 SQUARED_NORM_ATOL = 6e-13
@@ -171,6 +171,9 @@ def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[t
     for keep in keeps:
         kept = _sorted_keep(keep, n_qubits)
         orders.append(kept + [q for q in range(n_qubits) if q not in kept])
+    sizes = sorted({len(keep) for keep in keeps})
+    if len(sizes) > 1:  # one stack has one marginal size
+        raise ValueError(f"keeps must all have one size, got sizes {sizes}")
     perms = tuple((0,) + tuple(1 + q for q in order) for order in orders)
     if not keeps or len(keeps) << n_qubits > _GATHER_ENTRIES:
         return perms, None

@@ -386,6 +386,8 @@ def test_alpha_grid():
     assert abs(g[0] - 2.0) < 1e-15
     assert abs(g[-1] - 5.0) < 1e-12
     assert len(alpha_grid(2.0, 2.0, 0.05)) == 1
+    for step in (0.05, 1e-4):  # an end accepted just below the start still holds the start
+        assert alpha_grid(2.0, 2.0 - 5e-13, step).tolist() == [2.0]
     with pytest.raises(ValueError):
         alpha_grid(2.0, 5.0, 0.0)
     with pytest.raises(ValueError):

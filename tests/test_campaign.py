@@ -6,6 +6,7 @@ must equal monogamy_report of the state alone (a table of one), and
 the campaign's counts and minima must equal a state-by-state fold of those
 reports, whether the last batch is full, short, or the only one.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from monogamy import (
     CONCURRENCE, CREN, EOF, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind, w_state,
 )
 from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _table_plan, step_factor
-from monogamy.campaign import CampaignConfig, _nan_min, batch_size, run_campaign
+from monogamy.campaign import CampaignConfig, batch_size, run_campaign
 from oracles import chain_certificate, w_class_amplitudes
 
 KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0), tsallis_kind(3.0))
@@ -151,6 +152,10 @@ def test_certified_splits_match_one_chain_at_a_time():
             assert [tails[j].tolist(), holds[j].tolist(), certified[j].tolist()] == list(expected), row
 
 
+def _nan_min(a, b):
+    return b if math.isnan(b) or b < a else a  # min(a, b), but a NaN on either side wins, as it would state by state
+
+
 def _fold(config):
     # the campaign's rows as a state-by-state fold of one-state reports
     states = [haar_random(config.n_qubits, config.seed + k) for k in range(config.samples)]
@@ -207,6 +212,18 @@ def test_nan_residual_folds_as_state_by_state(asserted, monkeypatch):
     assert got == _fold(config)
     assert violation == asserted
     assert len(rows) == 6 and [math.isnan(r.min_residual_new) for r in rows] == [asserted] * 6
+
+
+def test_the_verdict_reads_the_least_residual_across_batches():
+    # seed 213's least residual_new is its last state's, alone in the second batch: a violation is reported
+    # exactly when the tolerance lies below minus that minimum
+    size = batch_size(3)
+    config = CampaignConfig(n_qubits=3, samples=size + 1, seed=213, measures=KINDS, alphas=EXPONENTS, tolerance=0.0)
+    least = min(r.min_residual_new for r in run_campaign(config)[0])
+    first_batch = run_campaign(dataclasses.replace(config, samples=size))[0]
+    assert least < min(r.min_residual_new for r in first_batch)
+    for tolerance, violation in ((-least, False), (-math.nextafter(least, math.inf), True)):
+        assert run_campaign(dataclasses.replace(config, tolerance=tolerance))[1] == violation
 
 
 @pytest.mark.parametrize("field, value", [("n_qubits", 3.0), ("n_qubits", "3"), ("samples", 2.5), ("samples", True),

@@ -490,6 +490,16 @@ def test_a_bad_keep_raises_the_same_message_every_time(keep, message):
             monogamy.qstate.marginal_stack(kets, [(0, 1), keep])
 
 
+@pytest.mark.parametrize("n, keeps", [(3, [(0,), (0, 1)]), (3, [(0, 1), (0,)]), (12, [(0,)] * 9 + [(0, 1)])])
+def test_keeps_of_mixed_sizes_are_rejected(n, keeps):
+    # they used to return a stack of the first keep's size, whose other entries were not their marginals;
+    # at n = 12 the keeps are too many for a gather index, so the copy path is asked
+    kets = np.array([random_ket(np_rng, 2**n)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"keeps must all have one size, got sizes \[1, 2\]"):
+            monogamy.qstate.marginal_stack(kets, keeps)
+
+
 @pytest.mark.parametrize("n_qubits", [3.0, 2.5, "3", True])
 def test_ket_rejects_a_non_integral_qubit_count(n_qubits):
     # 3.0 used to be accepted, and its marginals then raised TypeError

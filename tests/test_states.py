@@ -207,6 +207,18 @@ def test_empty_rows_are_returned_as_given(monkeypatch):
     assert haar_rows(out, 0) is out
 
 
+def test_every_drawn_row_has_unit_norm():
+    # the draw divides each row by its norm and does not read it back: the rounding must stay far inside
+    # the row check's SQUARED_NORM_ATOL, at every register size and a full batch of seeds near 2^32 and 2^64
+    start = time.perf_counter()
+    for n in range(1, 13):
+        out = np.empty((batch_size(n), 2**n), dtype=np.complex128)
+        for seed in (0, 2**32 - 3, 2**64 - 5):
+            rows = haar_rows(out, seed).view(np.float64)
+            assert np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0).max() <= 1e-14, (n, seed)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_zero_draw_is_degenerate(monkeypatch):
     class Zeros:  # the generator haar_rows draws every row from, drawing zeros
         def __init__(self, bit_generator):
