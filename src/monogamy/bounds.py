@@ -370,7 +370,7 @@ class ChainBatch:
             # split s reads the ranked order at s = N-2 and the given one below; candidates from the
             # top down, the first proven one is the split, and none leaves N-2 (ranked) unproven
             proven = np.where(plan.ranked_split, certified[:, 1], certified[:, 0])[:, :, ::-1]
-            m, asserted = top - proven.argmax(axis=2), proven.any(axis=2)
+            m, asserted = top - proven.argmax(axis=2), np.logical_or.reduce(proven, axis=2)
         else:
             asserted = certified[:, int(m == top), :, m - 1]
             m = np.full((len(plan.measures), count), m)
@@ -391,7 +391,7 @@ class ChainBatch:
             powered[group] = pair_values[group] ** alpha
         lhs = values[:, -count:].take(plan.which, axis=0) ** plan.alphas
         new_bound, baseline_weighted = np.matmul(powered[:, :, None], ladders[..., None]).reshape(2, -1, count)
-        baseline_sum = powered.sum(axis=2)
+        baseline_sum = np.add.reduce(powered, axis=2)
         return BatchTable(m, asserted, lhs, new_bound, baseline_weighted, baseline_sum, lhs - new_bound,
                           new_bound - np.maximum(baseline_weighted, baseline_sum), ladders[0],
                           ChainStack(chain_values, chain_powers, tails, holds, certified))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +97,7 @@ class CampaignConfig:
                 step_factor(kind, a)  # rejects non-finite or below-floor alphas
 
 
-@dataclass(frozen=True)
-class CampaignRow:
+class CampaignRow(NamedTuple):
     measure: MeasureKind
     alpha: float
     tested: int
@@ -130,21 +130,23 @@ def run_campaign(config: CampaignConfig) -> tuple[list[CampaignRow], bool]:
         keys += [(measure, a) for a in dict.fromkeys(alphas)]  # 'floor' can coincide with an explicit entry
     n_keys = len(keys)
     asserted = np.zeros(n_keys, dtype=np.int64)
-    least = np.full(2 * n_keys, math.inf)  # each row's least residual_new over its asserted states, then residual_gap
+    least = np.empty(2 * n_keys)  # each row's least residual_new over its asserted states, then residual_gap
+    least.fill(math.inf)
     n = config.n_qubits
     size = min(batch_size(n), config.samples)
     buffer = np.empty((size, 2**n), dtype=np.complex128)
     for start in range(0, config.samples, size):
         amplitudes = haar_rows(buffer[: min(size, config.samples - start)], config.seed + start)
         table = ChainBatch.of(amplitudes, 0).table(keys)
-        asserted += table.asserted.sum(axis=1)
+        asserted += np.add.reduce(table.asserted, axis=1)
         # an unasserted state enters as inf, which moves no minimum and passes the tolerance
         columns = np.concatenate((np.where(table.asserted, table.residual_new, math.inf), table.residual_gap))
         del table  # before the fold, which would otherwise peak with it
-        least = _first_mins(np.column_stack((least, columns)))  # the running minima lead, so a tie keeps them
+        # the running minima lead, so a tie keeps them
+        least = _first_mins(np.concatenate((least[:, None], columns), axis=1))
     min_new, min_gap = least[:n_keys], least[n_keys:]
     rows = [
         CampaignRow(measure, alpha, config.samples, count, config.samples - count, new if count else math.nan, gap)
         for (measure, alpha), count, new, gap in zip(keys, asserted.tolist(), min_new.tolist(), min_gap.tolist())
     ]
-    return rows, not (min_new >= -config.tolerance).all()  # a NaN residual is a violation
+    return rows, not np.logical_and.reduce(min_new >= -config.tolerance, axis=None)  # a NaN residual is a violation

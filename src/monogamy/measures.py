@@ -94,31 +94,36 @@ def tsallis_kind(q: float) -> MeasureKind:
 def _small_eigenvalues(xs: np.ndarray) -> np.ndarray:
     """lambda- = x / (2 (1 + sqrt(1 - x))) of each x = C^2, the smaller eigenvalue (1 - sqrt(1 - x)) / 2 of
     a qubit's rho_A written with no difference of nearly equal numbers; the first x outside [0, 1] raises."""
-    if not (xs.min(initial=1.0) >= 0.0 and xs.max(initial=0.0) <= 1.0):  # a NaN fails; [0, 1] needs no clamp
+    if not (np.minimum.reduce(xs, axis=None, initial=1.0) >= 0.0
+            and np.maximum.reduce(xs, axis=None, initial=0.0) <= 1.0):  # a NaN fails; [0, 1] needs no clamp
         inside = (xs >= -DOMAIN_ATOL) & (xs <= 1.0 + DOMAIN_ATOL)  # a NaN is outside
-        if np.count_nonzero(inside) < xs.size:
+        if not np.logical_and.reduce(inside, axis=None):
             raise ValueError(f"x={float(xs[inside.argmin()])!r} outside [0, 1]")
         xs = np.minimum(np.maximum(xs, 0.0), 1.0)
     return xs / (2.0 + 2.0 * np.sqrt(1.0 - xs))
 
 
-def _eof_values(lam: np.ndarray) -> np.ndarray:
-    # f = H(lambda-) = -lambda- ln lambda- - lambda+ ln(1 - lambda-), over ln 2: two terms of one sign, with the
-    # log of lambda+ = 1 - lambda- by log1p; lambda- = 0 gives 0 * log(5e-324), a 0, and 0.0 - h is +0.0
-    h = lam * np.log(np.maximum(lam, _SMALLEST)) + (1.0 - lam) * np.log1p(-lam)
+def _eof_values(lam: np.ndarray, log_plus: np.ndarray) -> np.ndarray:
+    # f = H(lambda-) = -lambda- ln lambda- - lambda+ ln lambda+, over ln 2: two terms of one sign, with
+    # log_plus = ln lambda+ = log1p(-lambda-); lambda- = 0 gives 0 * log(5e-324), a 0, and 0.0 - h is +0.0
+    h = lam * np.log(np.maximum(lam, _SMALLEST)) + (1.0 - lam) * log_plus
     return (0.0 - h) / _LN2
 
 
-def _tsallis_values(q: float, lam: np.ndarray) -> np.ndarray:
-    # g_q = [1 - lambda+^q - lambda-^q] / (q - 1), with 1 - lambda+^q = -expm1(q log1p(-lambda-)) read off lambda-
-    h = np.expm1(q * np.log1p(-lam)) + lam**q
+def _tsallis_values(q: float, lam: np.ndarray, log_plus: np.ndarray) -> np.ndarray:
+    # g_q = [1 - lambda+^q - lambda-^q] / (q - 1), with 1 - lambda+^q = -expm1(q log_plus), log_plus = log1p(-lambda-)
+    h = np.expm1(q * log_plus) + lam**q
     return (0.0 - h) / (q - 1.0)
 
 
 def _values_of_concurrence(kinds: Sequence[MeasureKind], cs: np.ndarray) -> np.ndarray:
-    """Row i holds values_of_concurrence(kinds[i], cs): lambda- is taken once for every measure that needs it."""
-    lam = _small_eigenvalues(cs * cs) if any(kind.name in ("eof", "tsallis") for kind in kinds) else None
-    return np.array([_eof_values(lam) if kind.name == "eof" else _tsallis_values(kind.q, lam)
+    """Row i holds values_of_concurrence(kinds[i], cs): lambda- and log1p(-lambda-) are taken once for every
+    measure that needs them."""
+    lam = log_plus = None
+    if any(kind.name in ("eof", "tsallis") for kind in kinds):
+        lam = _small_eigenvalues(cs * cs)
+        log_plus = np.log1p(-lam)
+    return np.array([_eof_values(lam, log_plus) if kind.name == "eof" else _tsallis_values(kind.q, lam, log_plus)
                      if kind.name == "tsallis" else cs for kind in kinds])
 
 
@@ -129,7 +134,8 @@ def eof_f(x: float) -> float:
     entanglement of formation.  This is the array map of
     values_of_concurrence on one value.
     """
-    return float(_eof_values(_small_eigenvalues(np.array([float(x)])))[0])
+    lam = _small_eigenvalues(np.array([float(x)]))
+    return float(_eof_values(lam, np.log1p(-lam))[0])
 
 
 def tsallis_g(q: float, x: float) -> float:
@@ -140,7 +146,8 @@ def tsallis_g(q: float, x: float) -> float:
     values_of_concurrence on one value.
     """
     q = tsallis_kind(q).q  # MeasureKind holds the one check of the supported range
-    return float(_tsallis_values(q, _small_eigenvalues(np.array([float(x)])))[0])
+    lam = _small_eigenvalues(np.array([float(x)]))
+    return float(_tsallis_values(q, lam, np.log1p(-lam))[0])
 
 
 def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
@@ -238,8 +245,8 @@ def rank2_concurrences(factors: np.ndarray) -> np.ndarray:
     off = np.conjugate(a) * b
     off += np.conjugate(b) * c
     gap = np.hypot(squares[..., 0, 0] - squares[..., 1, 1], 2.0 * np.abs(off))
-    total = np.sqrt(squares.sum(axis=(-2, -1)) + 2.0 * np.abs(a * c - b * b))
-    return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0.0)
+    total = np.sqrt(np.add.reduce(squares, axis=(-2, -1)) + 2.0 * np.abs(a * c - b * b))
+    return np.divide(gap, total, out=np.zeros(gap.shape), where=total > 0.0)
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:

@@ -84,7 +84,7 @@ class Ket:
             raise ValueError(
                 f"amplitude vector has length {amp.size}, expected {2**self.n_qubits}"
             )
-        norm = float(np.linalg.norm(amp))
+        norm = _norm(amp)
         if not abs(norm - 1.0) <= NORM_ATOL:  # written so that a NaN norm fails
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
         amp = amp.copy()
@@ -100,6 +100,15 @@ class Ket:
         """Rank-one projector onto this ket, one factor per qubit."""
         entries = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix((2,) * self.n_qubits, entries)
+
+
+def _norm(amplitudes: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D complex128 array, bit for bit, without its Python-level wrapper: the same ravel
+    (a copy only of a strided array), two strided dots of the real and imaginary parts and root.  The views
+    die with the call."""
+    flat = amplitudes.ravel(order="K")
+    real, imag = flat.real, flat.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
 def _register_size(amplitudes: np.ndarray) -> int:
@@ -207,16 +216,16 @@ def _cut_concurrences(amplitudes: np.ndarray, focus: int) -> np.ndarray:
     count = len(amplitudes)
     if count == 0:
         raise ValueError("empty batch: need at least one ket")
-    if np.count_nonzero(np.isfinite(amplitudes)) < amplitudes.size:
+    if not np.logical_and.reduce(np.isfinite(amplitudes), axis=None):
         raise ValueError("kets must be finite")
     halves = amplitudes.reshape(count, 2**focus, 2, -1)  # [ket, qubits before the focus, focus, qubits after]
     if halves.shape[1] > halves.shape[3]:
         halves = halves.transpose(0, 3, 2, 1)  # vecdot runs along the longer axis, the sum takes the other
-    gram = np.vecdot(halves[:, :, :, None], halves[:, :, None]).sum(axis=1)  # [j, a, b] = <psi_a, psi_b> of ket j
+    gram = np.add.reduce(np.vecdot(halves[:, :, :, None], halves[:, :, None]), axis=1)  # [j, a, b] = <psi_a, psi_b>
     norm0, norm1, overlap = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
     squared = norm0 + norm1
     unit = np.abs(squared - 1.0) <= SQUARED_NORM_ATOL
-    if np.count_nonzero(unit) < count:
+    if not np.logical_and.reduce(unit, axis=None):
         raise ValueError(f"kets must have unit norm, got a squared norm of {float(squared[unit.argmin()])!r}")
     det = norm0 * norm1 - (overlap.real**2 + overlap.imag**2)
     return 2.0 * np.sqrt(np.maximum(det, 0.0))
@@ -397,7 +406,7 @@ def load_state(path) -> Ket:
     except OverflowError:  # only an int overflows: a JSON float that large parses as inf
         i = next(i for i, pair in enumerate(raw) if any(type(v) is int and abs(v) >= _INT_OVERFLOW for v in pair))
         raise StateFileError(f"{path}: amplitude {i} is beyond the float range") from None
-    norm = float(np.linalg.norm(amp))
+    norm = _norm(amp)
     if abs(norm - 1.0) > STATE_FILE_NORM_ATOL:
         raise StateFileError(
             f"{path}: amplitude norm {norm!r} deviates from 1 by more than "

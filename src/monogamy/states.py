@@ -135,7 +135,7 @@ def haar_rows(out: np.ndarray, seed: int) -> np.ndarray:
         re, im = real[j], imag[j]
         norms[j] = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm(out[j]), its two strided dots and root
     _GENERATORS.append(generator)
-    if not norms.all():
+    if not np.logical_and.reduce(norms, axis=None):
         raise ValueError("degenerate zero draw")
     out /= norms[:, None]
     return out

@@ -8,6 +8,8 @@ reports, whether the last batch is full, short, or the only one.
 """
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from monogamy import (
 )
 from monogamy.bounds import PRECONDITION_ATOL, ChainBatch, _certified_splits, _table_plan, step_factor
 from monogamy.campaign import CampaignConfig, batch_size, run_campaign
+from monogamy.qstate import load_state
 from oracles import chain_certificate, w_class_amplitudes
 
 KINDS = (CONCURRENCE, EOF, CREN, tsallis_kind(2.0), tsallis_kind(3.0))
@@ -284,3 +287,38 @@ def test_a_four_qubit_campaign_takes_no_spectrum(monkeypatch):
     size = batch_size(4)
     rows, violation = run_campaign(CampaignConfig(4, size + 1, 0, KINDS, ("floor",), 1e-9))
     assert spectra == [] and not violation and all(r.tested == size + 1 for r in rows)
+
+
+# numpy's modules whose functions only forward to a ufunc or a C call (ndarray.sum and the like, count_nonzero,
+# full, zeros_like, column_stack, linalg.norm); each costs a Python frame per call
+_WRAPPER_MODULES = (os.path.join("_core", "_methods.py"), os.path.join("_core", "numeric.py"), "lib" + os.sep,
+                    "linalg" + os.sep)
+
+
+def _numpy_frames(call) -> set[tuple[str, str]]:
+    # (file relative to numpy's package, function) of every Python frame numpy enters during call()
+    root = os.path.dirname(np.__file__) + os.sep
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            entered.add((frame.f_code.co_filename[len(root):], frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_the_per_call_paths_enter_no_numpy_wrapper(tmp_path):
+    # a campaign-3q unit's run_campaign and a report's load_state call the ufuncs and C methods that numpy's
+    # Python-level wrappers forward to; the first calls build what is cached per key tuple or keep, untimed
+    path = tmp_path / "state.json"
+    monogamy.save_state(haar_random(8, 0), path)
+    config = CampaignConfig(3, 5, 0, (CONCURRENCE, EOF, CREN, tsallis_kind(2.0)), ("floor", 2.0, 3.0), 1e-9)
+    for call in (lambda: run_campaign(config), lambda: load_state(path)):
+        call()
+        entered = _numpy_frames(call)
+        assert not {(f, name) for f, name in entered if f.startswith(_WRAPPER_MODULES)}, sorted(entered)

@@ -23,9 +23,9 @@ from monogamy import (
     w_state,
 )
 import monogamy.qstate
-from monogamy.qstate import density_spectra, marginal_stack
+from monogamy.qstate import NORM_ATOL, STATE_FILE_NORM_ATOL, _norm, density_spectra, marginal_stack
 from monogamy.states import SchmidtParams
-from oracles import partial_transpose_loops, ptrace_loops, random_ket, random_mixed, trace_norm
+from oracles import partial_transpose_loops, ptrace_loops, random_ket, random_mixed, trace_norm, w_class_amplitudes
 
 np_rng = np.random.default_rng(20240817)
 
@@ -76,6 +76,52 @@ def test_ket_norm_boundary():
         else:
             with pytest.raises(ValueError, match="unit norm"):
                 Ket(1, amp)
+
+
+def _norm_hex(amp):
+    return float(np.linalg.norm(amp)).hex()
+
+
+def _scaled_to_the_edge(base, atol):
+    # base scaled to norms a few ulps either side of 1 - atol and of 1 + atol
+    return [base * (1.0 + side * (atol + k * 2.0**-52)) for side in (-1.0, 1.0) for k in range(-6, 7)]
+
+
+def test_the_norm_is_np_linalg_norm_bit_for_bit(tmp_path):
+    # Ket and load_state take np.linalg.norm's arithmetic without its wrapper: the same float, so the same
+    # verdict at their bounds and the same renormalized amplitudes (Haar rows: tests/test_states.py)
+    for n in range(1, 13):
+        for seed in range(3):
+            amp = w_class_amplitudes(n, seed)
+            for v in (amp, 3.7 * amp, 1e-5 * amp):
+                assert _norm(v).hex() == _norm_hex(v), (n, seed)
+    verdicts = set()
+    for n, seed in ((1, 0), (3, 1), (8, 2)):
+        for v in _scaled_to_the_edge(haar_random(n, seed).amplitudes, NORM_ATOL):
+            norm = float(np.linalg.norm(v))
+            assert _norm(v).hex() == norm.hex()
+            strided = np.stack([v, -v], axis=1)[:, 0]  # a view whose norm np.linalg.norm takes of a copy
+            if abs(norm - 1.0) <= NORM_ATOL:
+                assert Ket(n, v).amplitudes.tobytes() == Ket(n, strided).amplitudes.tobytes() == v.tobytes()
+                verdicts.add(True)
+            else:
+                for given in (v, strided):
+                    with pytest.raises(ValueError, match=re.escape(f"unit norm, got {norm!r}")):
+                        Ket(n, given)
+                verdicts.add(False)
+    path = tmp_path / "state.json"
+    for n, seed in ((1, 3), (4, 4), (8, 5)):
+        for v in _scaled_to_the_edge(haar_random(n, seed).amplitudes, STATE_FILE_NORM_ATOL):
+            norm = float(np.linalg.norm(v))
+            path.write_text(json.dumps({"n_qubits": n, "amplitudes": v.view(np.float64).reshape(-1, 2).tolist()}))
+            if abs(norm - 1.0) <= STATE_FILE_NORM_ATOL:
+                assert load_state(path).amplitudes.tobytes() == (v / norm).tobytes()
+                verdicts.add("file accepted")
+            else:
+                with pytest.raises(StateFileError, match=re.escape(f"amplitude norm {norm!r} deviates")):
+                    load_state(path)
+                verdicts.add("file rejected")
+    assert verdicts == {True, False, "file accepted", "file rejected"}
 
 
 def test_nan_input_is_rejected():

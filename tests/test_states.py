@@ -23,6 +23,7 @@ from monogamy import (
 )
 from monogamy import states
 from monogamy.campaign import batch_size
+from monogamy.qstate import _norm
 from monogamy.states import _state_words, haar_rows
 from oracles import ghz_amplitudes
 
@@ -209,13 +210,16 @@ def test_empty_rows_are_returned_as_given(monkeypatch):
 
 def test_every_drawn_row_has_unit_norm():
     # the draw divides each row by its norm and does not read it back: the rounding must stay far inside
-    # the row check's SQUARED_NORM_ATOL, at every register size and a full batch of seeds near 2^32 and 2^64
+    # the row check's SQUARED_NORM_ATOL, at every register size and a full batch of seeds near 2^32 and 2^64;
+    # the norm Ket and load_state take of such a row is np.linalg.norm's, bit for bit
     start = time.perf_counter()
     for n in range(1, 13):
         out = np.empty((batch_size(n), 2**n), dtype=np.complex128)
         for seed in (0, 2**32 - 3, 2**64 - 5):
-            rows = haar_rows(out, seed).view(np.float64)
-            assert np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0).max() <= 1e-14, (n, seed)
+            rows = haar_rows(out, seed)
+            assert [_norm(row).hex() for row in rows] == [float(np.linalg.norm(row)).hex() for row in rows], (n, seed)
+            squares = rows.view(np.float64)
+            assert np.abs(np.einsum("ij,ij->i", squares, squares) - 1.0).max() <= 1e-14, (n, seed)
     assert time.perf_counter() - start < 1.0
 
 
