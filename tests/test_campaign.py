@@ -304,17 +304,18 @@ def _numpy_frames(call) -> set[tuple[str, str]]:
         if event == "call" and frame.f_code.co_filename.startswith(root):
             entered.add((frame.f_code.co_filename[len(root):], frame.f_code.co_name))
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         call()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return entered
 
 
 def test_the_per_call_paths_enter_no_numpy_wrapper(tmp_path):
     # a campaign-3q unit's run_campaign and a report's load_state call the ufuncs and C methods that numpy's
-    # Python-level wrappers forward to; the first calls build what is cached per key tuple or keep, untimed
+    # Python-level wrappers forward to; a first call, not profiled, builds what is cached per key tuple or keep
     path = tmp_path / "state.json"
     monogamy.save_state(haar_random(8, 0), path)
     config = CampaignConfig(3, 5, 0, (CONCURRENCE, EOF, CREN, tsallis_kind(2.0)), ("floor", 2.0, 3.0), 1e-9)
