@@ -78,10 +78,6 @@ def test_ket_norm_boundary():
                 Ket(1, amp)
 
 
-def _norm_hex(amp):
-    return float(np.linalg.norm(amp)).hex()
-
-
 def _scaled_to_the_edge(base, atol):
     # base scaled to norms a few ulps either side of 1 - atol and of 1 + atol
     return [base * (1.0 + side * (atol + k * 2.0**-52)) for side in (-1.0, 1.0) for k in range(-6, 7)]
@@ -94,7 +90,7 @@ def test_the_norm_is_np_linalg_norm_bit_for_bit(tmp_path):
         for seed in range(3):
             amp = w_class_amplitudes(n, seed)
             for v in (amp, 3.7 * amp, 1e-5 * amp):
-                assert _norm(v).hex() == _norm_hex(v), (n, seed)
+                assert _norm(v).hex() == float(np.linalg.norm(v)).hex(), (n, seed)
     verdicts = set()
     for n, seed in ((1, 0), (3, 1), (8, 2)):
         for v in _scaled_to_the_edge(haar_random(n, seed).amplitudes, NORM_ATOL):

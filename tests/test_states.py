@@ -218,8 +218,8 @@ def test_every_drawn_row_has_unit_norm():
         for seed in (0, 2**32 - 3, 2**64 - 5):
             rows = haar_rows(out, seed)
             assert [_norm(row).hex() for row in rows] == [float(np.linalg.norm(row)).hex() for row in rows], (n, seed)
-            squares = rows.view(np.float64)
-            assert np.abs(np.einsum("ij,ij->i", squares, squares) - 1.0).max() <= 1e-14, (n, seed)
+            parts = rows.view(np.float64)
+            assert np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max() <= 1e-14, (n, seed)
     assert time.perf_counter() - start < 1.0
 
 
