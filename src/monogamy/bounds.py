@@ -304,7 +304,7 @@ class ChainBatch:
     def of(cls, amplitudes: np.ndarray, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
         """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array, n its row width's; an empty
         batch, a non-finite row or one whose ||row||^2 strays from 1 by over 6e-13 raises ValueError."""
-        n_qubits = _register_size(amplitudes)
+        n_qubits = _register_size(amplitudes, "(B, 2^n)")
         focus = checked_int(focus, "focus")
         order = None if order is None else tuple(checked_int(i, "order entry") for i in order)
         if not (0 <= focus < n_qubits):

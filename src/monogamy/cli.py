@@ -129,6 +129,13 @@ def _parse_m(text: str | None):
         raise ValueError(f"--m expects an integer or 'auto', got {text!r}")
 
 
+def _parse_alphas(text: str) -> tuple:
+    try:
+        return tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, text.split(",")))
+    except ValueError:
+        raise ValueError(f"--alphas expects 'floor' or numbers, comma-separated, got {text!r}")
+
+
 def _write_lines(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path is None:
@@ -252,14 +259,12 @@ def cmd_verify(args) -> int:
     _reject_unread_options(args, "verify")
     names = ("concurrence,eof,cren,tsallis" if args.measure is None else args.measure).split(",")
     kinds = tuple(_parse_measure(nm, args.q) for nm in names)
-    alphas = _option(args, "alphas").split(",")
-    tokens = tuple(tok if tok == "floor" else float(tok) for tok in map(str.strip, alphas))
     config = CampaignConfig(
         n_qubits=_option(args, "n_qubits"),
         samples=_option(args, "samples"),
         seed=_option(args, "seed"),
         measures=kinds,
-        alphas=tokens,
+        alphas=_parse_alphas(_option(args, "alphas")),
         tolerance=_tolerance(args),
     )
     rows, violation = run_campaign(config)

@@ -179,8 +179,8 @@ def spin_flip_concurrences(rho: np.ndarray, spectra: np.ndarray | None = None) -
     """Spin-flip concurrence max(0, mu1 - mu2 - mu3 - mu4) of each matrix in a (..., 4, 4) stack.
 
     ``spectra``, if given, holds the descending spectrum lam1..lam4 of each
-    matrix of a (k, 4, 4) stack or of one matrix, as density_spectra
-    returns it.  A two-qubit state has
+    matrix of a (k, 4, 4) stack or of one matrix, as DensityMatrix keeps
+    it in ``eigenvalues``.  A two-qubit state has
     mu1 - mu2 - mu3 - mu4 <= lam1 - lam3 - 2 sqrt(lam2 lam4), the spectral
     ceiling (Verstraete, Audenaert and De Moor, PRA 64, 012316 (2001)).  A
     matrix whose ceiling lies below -EIG_CLIP_ATOL and whose lam4 exceeds
@@ -256,8 +256,8 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
     rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y); this is
     spin_flip_concurrences on one matrix and its spectrum.
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
+    if rho.n_qubits != 2:
+        raise ValueError(f"two-qubit closed form needs 2 qubits, got {rho.n_qubits}")
     return float(spin_flip_concurrences(rho.entries, rho.eigenvalues))
 
 

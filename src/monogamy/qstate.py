@@ -11,9 +11,11 @@ All operators are dense complex128 numpy arrays.  Partial traces are
 computed by reshaping: a ket's marginal reshapes the amplitudes to one
 axis per qubit, moves the kept axes to the front and takes M M^dagger of
 the resulting 2^k x 2^(n-k) matrix, so no 2^n x 2^n projector is built;
-a density matrix is reshaped to one row and one column axis per factor
-and its traced factors are contracted with einsum.  The two-qubit
-marginals of a focus qubit come as one (k, 4, 4) stack.  A qubit's cut
+a density matrix is reshaped to one row and one column axis per qubit
+and its traced qubits are contracted with einsum.  The two-qubit
+marginals of a focus qubit come as one (k, 4, 4) stack.  A register's size
+is read from its array: 2^n amplitudes, rows 2^n wide or a 2^n x 2^n matrix
+(_register_size).  A qubit's cut
 needs no marginal: _cut_concurrences reads C(A | rest) from the Gram
 matrix of the ket's halves at the focus, and checks the kets once.
 
@@ -39,13 +41,13 @@ from typing import Sequence
 import numpy as np
 
 # a ket within NORM_ATOL of unit norm has ||psi||^2 within 5e-13 of 1, and so leaves half of
-# TRACE_ATOL to the rounding of a marginal's trace: every marginal of a Ket passes density_spectra
+# TRACE_ATOL to the rounding of a marginal's trace: every marginal of a Ket passes DensityMatrix's checks
 NORM_ATOL = 2.5e-13
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 # the row check of _cut_concurrences: a row within NORM_ATOL of unit norm (Ket's bound) has ||row||^2
 # within 2 NORM_ATOL + NORM_ATOL^2, just over 5e-13, of 1; 1e-13 more covers rounding, and the 4e-13 left below
-# TRACE_ATOL covers a marginal's trace, the same sum in another order, so its marginals pass density_spectra
+# TRACE_ATOL covers a marginal's trace, the same sum in another order, so its marginals pass DensityMatrix's checks
 SQUARED_NORM_ATOL = 6e-13
 PSD_ATOL = 1e-10
 STATE_FILE_NORM_ATOL = 1e-6
@@ -65,41 +67,36 @@ def checked_int(value, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Pure state of an ``n_qubits`` register with unit-norm amplitudes, compared by value.
+    """Pure state of ``n_qubits`` qubits with unit-norm amplitudes, compared by value.
 
+    n is read from the amplitudes, a 1-D array of 2^n with n >= 1.
     The norm must lie within NORM_ATOL (2.5e-13) of 1, tighter than the
-    TRACE_ATOL (1e-12) that density_spectra asks of a marginal's trace, so
+    TRACE_ATOL (1e-12) that DensityMatrix asks of a marginal's trace, so
     that the analysis of every ket accepted here passes its own checks.
     """
 
-    n_qubits: int
     amplitudes: np.ndarray
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", checked_int(self.n_qubits, "n_qubits"))  # an int, as JSON takes it
-        if self.n_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amp.size != 2**self.n_qubits:
-            raise ValueError(
-                f"amplitude vector has length {amp.size}, expected {2**self.n_qubits}"
-            )
+        amp = np.asarray(self.amplitudes, dtype=np.complex128)
+        n_qubits = _register_size(amp, "(2^n,)")
         norm = _norm(amp)
         if not abs(norm - 1.0) <= NORM_ATOL:  # written so that a NaN norm fails
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
         amp = amp.copy()
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "n_qubits", n_qubits)
 
     def __eq__(self, other):
         if not isinstance(other, Ket):
             return NotImplemented
-        return self.n_qubits == other.n_qubits and np.array_equal(self.amplitudes, other.amplitudes)
+        return np.array_equal(self.amplitudes, other.amplitudes)
 
     def to_density_matrix(self) -> "DensityMatrix":
-        """Rank-one projector onto this ket, one factor per qubit."""
-        entries = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix((2,) * self.n_qubits, entries)
+        """Rank-one projector onto this ket."""
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def _norm(amplitudes: np.ndarray) -> float:
@@ -111,11 +108,14 @@ def _norm(amplitudes: np.ndarray) -> float:
     return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
-def _register_size(amplitudes: np.ndarray) -> int:
-    """The n of a (B, 2^n) array of kets, read from its row width; any other shape raises ValueError."""
-    width = amplitudes.shape[1] if amplitudes.ndim == 2 else 0
-    if width < 2 or width & (width - 1):
-        raise ValueError(f"kets must be a (B, 2^n) array with n >= 1, got shape {amplitudes.shape}")
+def _register_size(array: np.ndarray, form: str) -> int:
+    """The n of a register, read from the width 2^n of the last axis of ``array``, whose shape ``form`` names:
+    "(2^n,)" for a ket, "(B, 2^n)" for B kets in rows, "(2^n, 2^n)" for a density matrix.  Any other shape,
+    or n = 0, raises ValueError naming the shape."""
+    width = array.shape[-1] if array.ndim else 0
+    leading = {"(2^n,)": (), "(B, 2^n)": array.shape[:1], "(2^n, 2^n)": (width,)}[form]
+    if array.shape != leading + (width,) or width < 2 or width & (width - 1):
+        raise ValueError(f"expected a {form} array with n >= 1, got shape {array.shape}")
     return width.bit_length() - 1
 
 
@@ -134,7 +134,7 @@ def marginal_stack(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np
     of three or more, and at most 2 * _GATHER_KETS kets' worth otherwise.
     The stack is not validated; the row check of _cut_concurrences covers it.
     """
-    n_qubits = _register_size(amplitudes)
+    n_qubits = _register_size(amplitudes, "(B, 2^n)")
     keeps = tuple(map(tuple, keeps))
     for q in chain.from_iterable(keeps):  # before the plan lookup: 1.0 would find the plan of 1
         checked_int(q, "keep entry")
@@ -196,7 +196,7 @@ def _marginal_factors(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) ->
     """The (B, K, d, 2^(n-k)) kept-first matrices M of marginal_stack(amplitudes, keeps), each marginal
     M M^dagger, by one take of the same cached gather index.  Unchecked kets, and int keep entries (1.0
     would find the plan of 1), of a register narrow enough to have the index; the plan rejects a bad keep."""
-    return amplitudes.take(_marginal_plan(_register_size(amplitudes), tuple(map(tuple, keeps)))[1], axis=1)
+    return amplitudes.take(_marginal_plan(_register_size(amplitudes, "(B, 2^n)"), tuple(map(tuple, keeps)))[1], axis=1)
 
 
 def _cut_concurrences(amplitudes: np.ndarray, focus: int) -> np.ndarray:
@@ -204,7 +204,7 @@ def _cut_concurrences(amplitudes: np.ndarray, focus: int) -> np.ndarray:
 
     First the rows are checked, once: at least one, every amplitude finite
     (before any arithmetic, which would warn on inf - inf), and ||row||^2
-    within SQUARED_NORM_ATOL of 1.  That is all density_spectra checked of
+    within SQUARED_NORM_ATOL of 1.  That is all DensityMatrix would check of
     their marginals: M M^dagger is hermitian and positive by construction.
     With psi0, psi1 the halves of a ket on which the focus reads 0 and 1,
     C = 2 sqrt(det rho_A) = 2 sqrt(max(0, ||psi0||^2 ||psi1||^2 - |<psi0, psi1>|^2)),
@@ -231,74 +231,51 @@ def _cut_concurrences(amplitudes: np.ndarray, focus: int) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(det, 0.0))
 
 
-def density_spectra(stack: np.ndarray) -> np.ndarray:
-    """Validate a (k, d, d) stack of density matrices; return their spectra, each descending.
-
-    Every matrix must be finite, hermitian (entrywise, 1e-12), of unit
-    trace (1e-12) and positive (smallest eigenvalue >= -1e-10).  The
-    checks run in that order over the whole stack, and the first that
-    fails raises.  Finiteness comes first, so a NaN or infinite entry is
-    rejected before any arithmetic on it (inf - inf would warn).  Each
-    check is one reduction over the whole stack (count_nonzero for a
-    boolean test, a ufunc's reduce for a bound), and a trace is the sum of
-    its diagonal.
-    """
-    if np.count_nonzero(np.isfinite(stack)) < stack.size:
-        raise ValueError("density matrix must be finite")
-    # |conj(rho_ij) - rho_ji| is |rho_ij - conj(rho_ji)|; taken in place, it holds one copy of the stack
-    deviation = np.conjugate(stack)
-    deviation -= stack.swapaxes(1, 2)
-    if not np.maximum.reduce(np.abs(deviation), axis=None, initial=0.0) <= HERMITICITY_ATOL:
-        raise ValueError("density matrix must be hermitian")
-    tr = np.add.reduce(stack.diagonal(0, 1, 2), axis=1)
-    unit = np.abs(tr - 1.0) <= TRACE_ATOL
-    if np.count_nonzero(unit) < unit.size:
-        raise ValueError(f"density matrix must have unit trace, got {float(tr[unit.argmin()].real)!r}")
-    spectra = np.linalg.eigvalsh(stack)[:, ::-1]
-    smallest = float(np.minimum.reduce(spectra[:, -1], initial=np.inf))
-    if not smallest >= -PSD_ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
-    return spectra
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Density operator on a register with factor dimensions ``dims``.
+    """Density operator on ``n_qubits`` qubits, a (2^n, 2^n) matrix with n >= 1, compared by value.
 
-    Construction validates the matrix as a stack of one with
-    density_spectra: hermiticity (entrywise, 1e-12), unit trace (1e-12)
-    and positivity (smallest eigenvalue >= -1e-10).  The spectrum that
-    the positivity check computes is kept as ``eigenvalues``, read-only
-    and descending.  Two density matrices are equal when their
-    dims and entries are.
+    Construction checks that the matrix is finite, hermitian (entrywise,
+    1e-12), of unit trace (1e-12) and positive (smallest eigenvalue >=
+    -1e-10), in that order, and the first check that fails raises.
+    Finiteness comes first, so a NaN or infinite entry is rejected before
+    any arithmetic on it (inf - inf would warn).  The spectrum that the
+    positivity check computes is kept as ``eigenvalues``, read-only and
+    descending.
     """
 
-    dims: tuple[int, ...]
     entries: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    n_qubits: int = field(init=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(checked_int(d, "factor dimension") for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"invalid factor dimensions {dims}")
         entries = np.asarray(self.entries, dtype=np.complex128)
-        order = int(np.prod(dims))
-        if entries.shape != (order, order):
-            raise ValueError(
-                f"entries have shape {entries.shape}, expected {(order, order)}"
-            )
-        eigenvalues = density_spectra(entries[None])[0]
+        n_qubits = _register_size(entries, "(2^n, 2^n)")
+        if not np.logical_and.reduce(np.isfinite(entries), axis=None):
+            raise ValueError("density matrix must be finite")
+        # |conj(rho_ij) - rho_ji| is |rho_ij - conj(rho_ji)|; taken in place, it holds one copy of the matrix
+        deviation = np.conjugate(entries)
+        deviation -= entries.T
+        if not np.maximum.reduce(np.abs(deviation), axis=None) <= HERMITICITY_ATOL:
+            raise ValueError("density matrix must be hermitian")
+        del deviation
+        trace = np.add.reduce(entries.diagonal())
+        if not abs(trace - 1.0) <= TRACE_ATOL:
+            raise ValueError(f"density matrix must have unit trace, got {float(trace.real)!r}")
+        eigenvalues = np.linalg.eigvalsh(entries)[::-1]
+        if not eigenvalues[-1] >= -PSD_ATOL:
+            raise ValueError(f"density matrix has negative eigenvalue {float(eigenvalues[-1])!r}")
         entries = np.ascontiguousarray(entries)
         entries.flags.writeable = False
         eigenvalues.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
             return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.entries, other.entries)
+        return np.array_equal(self.entries, other.entries)
 
 
 def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
@@ -313,23 +290,21 @@ def _sorted_keep(keep: Sequence[int], n_factors: int) -> list[int]:
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every factor not listed in ``keep``.
+    """Trace out every qubit not listed in ``keep``.
 
-    Kept factors stay in their original register order regardless of the
+    Kept qubits stay in their original register order regardless of the
     order they are listed in.  The matrix is reshaped to one row and one
-    column axis per factor, and each traced factor's row axis is
-    contracted with its column axis.
+    column axis per qubit, and each traced qubit's row axis is contracted
+    with its column axis.
     """
-    k = len(rho.dims)
+    k = rho.n_qubits
     kept = _sorted_keep(keep, k)
     rows = list(range(k))
-    # a traced factor shares its row label, so einsum sums its diagonal
+    # a traced qubit shares its row label, so einsum sums its diagonal
     cols = [k + i if i in kept else i for i in range(k)]
     out = kept + [k + i for i in kept]
-    t = rho.entries.reshape(rho.dims + rho.dims)
-    dk = int(np.prod([rho.dims[i] for i in kept]))
-    reduced = np.einsum(t, rows + cols, out).reshape(dk, dk)
-    return DensityMatrix(tuple(rho.dims[i] for i in kept), reduced)
+    reduced = np.einsum(rho.entries.reshape((2,) * 2 * k), rows + cols, out)
+    return DensityMatrix(reduced.reshape(2 ** len(kept), -1))
 
 
 def physical_memory() -> int:
@@ -414,7 +389,7 @@ def load_state(path) -> Ket:
         )
     if norm == 0.0 or not math.isfinite(norm):
         raise StateFileError(f"{path}: amplitude norm {norm!r} is not usable")
-    return Ket(n, amp / norm)
+    return Ket(amp / norm)
 
 
 def save_state(ket: Ket, path) -> None:

@@ -54,7 +54,7 @@ def gsd3(params: SchmidtParams) -> Ket:
     amp[0b101] = l2
     amp[0b110] = l3
     amp[0b111] = l4
-    return Ket(3, amp)
+    return Ket(amp)
 
 
 def w_state(n: int) -> Ket:
@@ -64,7 +64,7 @@ def w_state(n: int) -> Ket:
     amp = np.zeros(2**n, dtype=np.complex128)
     for k in range(n):
         amp[1 << (n - 1 - k)] = 1.0 / math.sqrt(n)
-    return Ket(n, amp)
+    return Ket(amp)
 
 
 # SeedSequence.generate_state(4, np.uint64) hashes pool word i % 4 into 32-bit output word i (of 8): xor with
@@ -148,4 +148,4 @@ def haar_random(n: int, seed: int) -> Ket:
     """
     if checked_int(n, "n") < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    return Ket(n, haar_rows(np.empty((1, 2**n), dtype=np.complex128), seed)[0])
+    return Ket(haar_rows(np.empty((1, 2**n), dtype=np.complex128), seed)[0])

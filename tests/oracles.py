@@ -244,6 +244,40 @@ def exact_cut_concurrence(amplitudes: np.ndarray, focus: int):
         return 2 * mpmath.sqrt(max((1 + gap) / 2 * (1 - gap) / 2, 0))
 
 
+def exact_pair_concurrence(amplitudes: np.ndarray, a: int, b: int):
+    """C of the (a, b) marginal of a ket, as a 50-digit mpmath number.
+
+    The float amplitudes are taken exactly and the ket is normalized in
+    mpmath.  Row r of M holds the amplitudes whose bits at qubits a and b
+    (qubit 0 is the top bit) spell r, and rho = M M^dagger is summed entry
+    by entry.  Wootters' mu_i are the roots of the eigenvalues of rho rho~,
+    rho~ = S conj(rho) S with S = sigma_y (x) sigma_y, from mpmath.eig: in
+    exact arithmetic they are real and nonnegative, so the rounding left in
+    their imaginary parts is dropped and a negative real part clipped to 0.
+    C = max(0, mu1 - mu2 - mu3 - mu4), the mu_i descending.
+    """
+    amplitudes = np.asarray(amplitudes).ravel().tolist()
+    n = len(amplitudes).bit_length() - 1
+    bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
+    rest = [i for i in range(len(amplitudes)) if not i & (bit_a | bit_b)]
+    signs = (-1, 1, 1, -1)  # S is antidiagonal: S[r, 3 - r] = signs[r]
+    with mpmath.workdps(EXACT_DIGITS):
+        z = [mpmath.mpc(v.real, v.imag) for v in amplitudes]
+        norm = mpmath.fsum(v.real**2 + v.imag**2 for v in z)
+        m = [[z[i | (bit_a if r & 2 else 0) | (bit_b if r & 1 else 0)] for i in rest] for r in range(4)]
+        rho = mpmath.matrix(4, 4)
+        for r in range(4):
+            for c in range(4):
+                rho[r, c] = mpmath.fsum(x * mpmath.conj(y) for x, y in zip(m[r], m[c])) / norm
+        flipped = mpmath.matrix(4, 4)
+        for r in range(4):
+            for c in range(4):
+                flipped[r, c] = signs[r] * signs[c] * mpmath.conj(rho[3 - r, 3 - c])
+        eigenvalues, _ = mpmath.eig(rho * flipped)
+        mus = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in eigenvalues), reverse=True)
+        return max(mus[0] - mus[1] - mus[2] - mus[3], 0)
+
+
 def exact_cut_value(measure: str, c, q=None):
     """A pure state's cut value of ``measure`` from its cut concurrence ``c`` (an mpmath number), at 50 digits.
 

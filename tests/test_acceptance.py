@@ -196,7 +196,7 @@ def test_criterion_09_closed_form_matches_decomposition_search():
     ok = True
     for k in range(50):
         rho = random_mixed(rng, 4, rank=(2, 3, 4)[k % 3])
-        closed = concurrence_two_qubit(DensityMatrix((2, 2), rho))
+        closed = concurrence_two_qubit(DensityMatrix(rho))
         sampled = min_avg_concurrence(rho, rng, n_samples=10_000, n_terms=4)
         ok &= closed <= sampled + 1e-6
         gap = abs(closed - sampled)
@@ -212,7 +212,7 @@ def test_criterion_10_structural_identities():
 
     rng = np.random.default_rng(77)
     for k in range(20):
-        dm = DensityMatrix((2, 2), random_mixed(rng, 4, rank=(2, 3, 4)[k % 3]))
+        dm = DensityMatrix(random_mixed(rng, 4, rank=(2, 3, 4)[k % 3]))
         ok &= pair_value(CREN, dm) == concurrence_two_qubit(dm)
 
     worst = 0.0

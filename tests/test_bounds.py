@@ -29,7 +29,7 @@ from monogamy.bounds import ChainBatch, _ladder_powers
 from monogamy.campaign import CampaignConfig, run_campaign
 from monogamy.qstate import marginal_stack
 from monogamy.states import SchmidtParams, gsd3
-from oracles import ghz_amplitudes, ladder_powers, w_class_amplitudes
+from oracles import ghz_amplitudes, ladder_powers, w_class_amplitudes, wootters_concurrence
 
 np_rng = np.random.default_rng(4242)
 
@@ -43,9 +43,9 @@ def scenario1_state():
 
 
 def bell_times_product():
-    bell = Ket(2, np.array([1.0, 0.0, 0.0, 1.0]) / RT2)
-    zeros = Ket(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    return Ket(4, np.kron(bell.amplitudes, zeros.amplitudes))
+    bell = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / RT2)
+    zeros = Ket(np.array([1.0, 0.0, 0.0, 0.0]))
+    return Ket(np.kron(bell.amplitudes, zeros.amplitudes))
 
 
 def test_step_factor_values():
@@ -238,7 +238,7 @@ def test_precondition_w4_frozen_verdicts():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_asserted_is_the_certified_entry_of_the_reports_split(n):
     # a report's verdict is its table row's; it must agree with the comparisons it carries
-    states = [haar_random(n, 600 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
+    states = [haar_random(n, 600 + k) for k in range(4)] + [Ket(w_class_amplitudes(n, k)) for k in range(4)]
     for psi in states:
         for kind in ALL_KINDS:
             for m in (None, *range(1, n - 1)):
@@ -248,7 +248,7 @@ def test_asserted_is_the_certified_entry_of_the_reports_split(n):
 
 def test_precondition_ghz4_holds_with_zero_bound():
     # no GHZ4 pair is entangled: every power and sum is 0, every comparison ties
-    r = monogamy_report(Ket(4, ghz_amplitudes(4)), 0, CONCURRENCE, 2.0)
+    r = monogamy_report(Ket(ghz_amplitudes(4)), 0, CONCURRENCE, 2.0)
     assert [v.value for v in r.preconditions.verdicts] == ["Holds", "Holds"]
     assert r.asserted
     assert r.m == 2
@@ -258,11 +258,30 @@ def test_precondition_ghz4_holds_with_zero_bound():
 def test_certificate_depends_on_the_measure():
     # on this W-class state the first pair outweighs the other two in
     # E^sqrt(2) but not in C^2, so the verdicts differ per measure
-    psi = Ket(4, w_class_amplitudes(4, 51))
+    psi = Ket(w_class_amplitudes(4, 51))
     for kind, verdicts in ((CONCURRENCE, ["Fails", "Holds"]), (EOF, ["Holds", "Holds"])):
         for alpha in (kind.alpha_floor, 3.0):  # and not per exponent
             pre = monogamy_report(psi, 0, kind, alpha, m=1).preconditions
             assert [v.value for v in pre.verdicts] == verdicts
+
+
+def test_an_unasserted_row_can_fail_the_bound():
+    # the ordering hypothesis is necessary: on this W-class state the first comparison fails, no split is
+    # proven, and the fully ascending ladder the report falls back to overshoots the cut value at alpha = 3
+    amplitudes = w_class_amplitudes(4, 129)
+    psi = Ket(amplitudes)
+    r = monogamy_report(psi, 0, CONCURRENCE, 3.0)
+    assert not r.asserted and r.m == 2 and r.order == (3, 1, 2)
+    assert r.preconditions.verdicts == (Verdict.FAILS, Verdict.HOLDS)
+    assert abs(r.lhs - 0.86658) < 1e-5 and abs(r.new_bound - 1.00497) < 1e-5
+    assert r.residual_new < -0.1 and abs(r.residual_new + 0.1384) < 1e-4
+    assert [round(c, 4) for c in r.pair_values] == [0.5632, 0.5484, 0.5394]
+    for b, c in zip(r.order, r.pair_values):
+        # the spin flip of a rank-2 pair reads C low by up to about 3e-8
+        assert abs(c - wootters_concurrence(amplitudes, 4, 0, b)) < 3e-8
+    assert abs(monogamy_report(psi, 0, EOF, 3.0).residual_new + 0.2043) < 1e-4
+    # at the floor CKW is an equality on W-class states: the same ladder meets the cut value, up to that loss
+    assert abs(monogamy_report(psi, 0, CONCURRENCE, 2.0).residual_new) < 1e-7
 
 
 def test_monogamy_report_scenario1_frozen():
@@ -335,7 +354,7 @@ def test_report_validation():
         monogamy_report(psi, 0, CONCURRENCE, 2.0, order=(0, 2))
     with pytest.raises(ValueError):
         monogamy_report(psi, 0, CONCURRENCE, 2.0, m=2)  # only one comparison
-    bell = Ket(2, np.array([1.0, 0.0, 0.0, 1.0]) / RT2)
+    bell = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / RT2)
     with pytest.raises(ValueError):
         monogamy_report(bell, 0, CONCURRENCE, 2.0)
 
@@ -411,7 +430,7 @@ def test_a_sweep_is_its_grids_reports_from_one_stack(monkeypatch):
     grid = [2.0, 2.5, 3.0, 4.0]
     expected = [monogamy_report(psi, 0, EOF, a, order=(4, 2, 3, 1)) for a in grid]
     # this state proves split 1 and not 2 or 3 under EOF, so each explicit split has its own verdict
-    w_class = Ket(5, w_class_amplitudes(5, 252))
+    w_class = Ket(w_class_amplitudes(5, 252))
     at_split = {s: [monogamy_report(w_class, 0, EOF, a, m=s) for a in grid] for s in (1, 2, 3)}
     assert [at_split[s][0].asserted for s in (1, 2, 3)] == [True, False, False]
 
@@ -429,7 +448,7 @@ def test_analysis_fixes_the_auto_split_for_every_row():
     # the split depends on the measure's verdicts alone, so every auto report
     # of one measure takes the split of its floor report, whatever the exponent
     for n in range(3, 7):
-        for psi in (w_state(n), Ket(n, ghz_amplitudes(n)), haar_random(n, 700 + n)):
+        for psi in (w_state(n), Ket(ghz_amplitudes(n)), haar_random(n, 700 + n)):
             for kind in ALL_KINDS:
                 split = monogamy_report(psi, 0, kind, kind.alpha_floor).m
                 for alpha in (kind.alpha_floor, 3.0):
@@ -437,7 +456,7 @@ def test_analysis_fixes_the_auto_split_for_every_row():
                     assert auto.m == split
                     assert auto == monogamy_report(psi, 0, kind, alpha, m=split)
     with pytest.raises(ValueError, match="at least three qubits"):
-        monogamy_report(Ket(2, ghz_amplitudes(2)), 0, CONCURRENCE, 2.0)
+        monogamy_report(Ket(ghz_amplitudes(2)), 0, CONCURRENCE, 2.0)
 
 
 @pytest.mark.parametrize("index, value", [("order", (1.5, 2, 3, 4)), ("order", (1.0, 2, 3, 4)), ("order", ("1", 2, 3, 4)),
@@ -458,10 +477,8 @@ def test_numpy_integers_pass_every_index_check():
     psi = w_state(5)
     want = monogamy_report(psi, 1, EOF, 2.0, order=(0, 2, 3, 4), m=2)
     assert monogamy_report(psi, i(1), EOF, 2.0, order=tuple(map(i, (0, 2, 3, 4))), m=i(2)) == want
-    assert Ket(i(5), psi.amplitudes) == psi
     assert np.array_equal(marginal_stack(psi.amplitudes[None], [(i(0), i(1))]), marginal_stack(psi.amplitudes[None], [(0, 1)]))
     assert pure_cut_value(EOF, psi, (i(1),)) == pure_cut_value(EOF, psi, (1,))
-    assert monogamy.DensityMatrix((i(2), i(2)), np.eye(4) / 4).dims == (2, 2)
     config = CampaignConfig(i(3), i(2), i(0), (EOF,), ("floor",), 1e-9)
     assert run_campaign(config) == run_campaign(CampaignConfig(3, 2, 0, (EOF,), ("floor",), 1e-9))
 
@@ -469,7 +486,7 @@ def test_numpy_integers_pass_every_index_check():
 def test_one_qubit_report_is_a_value_error():
     # a register with no pair at all reaches the same check as a two-qubit one
     with pytest.raises(ValueError, match="need at least three qubits, got 1"):
-        monogamy_report(Ket(1, [1, 0]), 0, CONCURRENCE, 2.0)
+        monogamy_report(Ket([1, 0]), 0, CONCURRENCE, 2.0)
 
 
 def test_a_sweep_leaves_no_plan_behind():

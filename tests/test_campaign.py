@@ -39,7 +39,7 @@ FIELDS = ("lhs", "new_bound", "baseline_weighted", "baseline_sum", "residual_new
 @pytest.mark.parametrize("n", range(3, 9))
 def test_batched_rows_equal_one_state_reports(n):
     # one table holds every (measure, alpha) key and one batch of Haar and W-class states
-    states = [haar_random(n, 400 + k) for k in range(8)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(8)]
+    states = [haar_random(n, 400 + k) for k in range(8)] + [Ket(w_class_amplitudes(n, k)) for k in range(8)]
     table = ChainBatch.of(np.array([psi.amplitudes for psi in states]), 0).table(KEYS)
     assert all(getattr(table, f).shape == (len(KEYS), len(states)) for f in ("m", "asserted") + FIELDS)
     for k, (kind, alpha) in enumerate(KEYS):
@@ -57,7 +57,7 @@ def test_batched_rows_equal_one_state_reports(n):
 def test_explicit_split_rows_equal_one_state_reports(n):
     # every state takes the split m: the ranked chain at m = N-2, the given one below it, and
     # asserted is the reference certifier's verdict on that chain
-    states = [haar_random(n, 500 + k) for k in range(4)] + [Ket(n, w_class_amplitudes(n, k)) for k in range(4)]
+    states = [haar_random(n, 500 + k) for k in range(4)] + [Ket(w_class_amplitudes(n, k)) for k in range(4)]
     batch = ChainBatch.of(np.array([psi.amplitudes for psi in states]), 0)
     given = tuple(range(1, n))
     # by descending concurrence of the state alone, ties in the given order
@@ -111,7 +111,7 @@ def test_a_ladder_overflowing_at_an_unused_split_raises_nothing():
         assert table.m.tolist() == splits
         for k, (kind, alpha) in enumerate(keys):
             for j, amplitudes in enumerate(states):
-                r = monogamy_report(Ket(5, amplitudes), 0, kind, alpha)
+                r = monogamy_report(Ket(amplitudes), 0, kind, alpha)
                 assert _report_entries(table, k, j) == [r.m, r.asserted] + [getattr(r, f).hex() for f in FIELDS]
 
 
@@ -122,7 +122,7 @@ def test_a_ladder_overflowing_at_a_used_split_raises_as_a_report_does():
         with pytest.raises(ValueError, match="ladder weights overflow") as expected:
             WeightLadder(step_factor(kind, alpha), 4, 3).weights()  # SPLIT_3 takes split 3
         with pytest.raises(ValueError) as alone:
-            monogamy_report(Ket(5, SPLIT_3), 0, kind, alpha)
+            monogamy_report(Ket(SPLIT_3), 0, kind, alpha)
         with pytest.raises(ValueError) as got:
             ChainBatch.of(np.array([SPLIT_1, SPLIT_3]), 0).table(keys)
         assert str(got.value) == str(alone.value) == str(expected.value)

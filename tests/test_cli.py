@@ -197,6 +197,15 @@ def test_an_empty_measure_is_an_unknown_measure(mode, state_file, capsys):
     assert captured.err.startswith("error: unknown measure ''")
 
 
+@pytest.mark.parametrize("alphas", ["floor,,2", "Floor", "2;3", "floor,two"])
+def test_a_bad_alphas_token_names_the_option(alphas, capsys):
+    # float()'s own error used to be printed bare, naming no option
+    assert main(["--verify", "--alphas", alphas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --alphas expects 'floor' or numbers, comma-separated, got {alphas!r}\n"
+
+
 def test_malformed_state_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n_qubits": 2,\n "amplitudes": [[1, 0],]}\n')
@@ -509,7 +518,7 @@ def test_a_state_file_taking_an_overflowing_ladder_exits_2(tmp_path, capsys):
     # a W-class state whose auto split is 1 reports, one whose split is 3 is rejected
     for seed, split, code in ((78, 1, 0), (0, 3, 2)):
         path = tmp_path / f"w5-{seed}.json"
-        save_state(Ket(5, w_class_amplitudes(5, seed)), path)
+        save_state(Ket(w_class_amplitudes(5, seed)), path)
         assert main(["--state", str(path), "--alpha", "800"]) == code
         out, err = capsys.readouterr()
         if code == 0:

@@ -30,7 +30,7 @@ def test_cut_values_lie_within_1e_15_of_the_50_digit_reference():
     for n in range(3, 9):
         kets = [haar_random(n, seed).amplitudes for seed in range(15)] + [w_class_amplitudes(n, k) for k in range(n - 1)]
         for amplitudes in kets:
-            psi = Ket(n, amplitudes)
+            psi = Ket(amplitudes)
             for focus in (0, 1):
                 c = exact_cut_concurrence(amplitudes, focus)
                 for kind in KINDS:
@@ -59,8 +59,8 @@ def test_near_a_product_focus_the_cut_concurrence_keeps_its_measured_error(n):
         row = _near_product_row("small half", n, eps)
         c = exact_cut_concurrence(row, 0)
         for kind in KINDS:
-            got = pure_cut_value(kind, Ket(n, row), (0,))
+            got = pure_cut_value(kind, Ket(row), (0,))
             assert _error(got, exact_cut_value(kind.name, c, kind.q), relative=True) <= 1e-15, (kind, eps)
         row = _near_product_row("parallel halves", n, eps)
-        got = pure_cut_value(CONCURRENCE, Ket(n, row), (0,))
+        got = pure_cut_value(CONCURRENCE, Ket(row), (0,))
         assert _error(got, exact_cut_concurrence(row, 0)) <= 3e-8, eps

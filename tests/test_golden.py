@@ -94,7 +94,7 @@ def test_wide_haar_state_matches_golden(measure, tmp_path, capsys):
 def test_explicit_split_matches_golden(measure, m, tmp_path, capsys):
     # under eof split 1 is asserted and splits 2 and 3 are not; under concurrence none is;
     # split 3 (m = N-2) takes the ranked order, splits 1 and 2 the given one
-    psi = Ket(5, w_class_amplitudes(5, 252))
+    psi = Ket(w_class_amplitudes(5, 252))
     _check_state(psi, "w5", measure, tmp_path, capsys, ["--m", m], f"state-w5-{measure}-m{m}")
 
 

@@ -26,7 +26,7 @@ from monogamy import (
 )
 from monogamy.bounds import ChainBatch, monogamy_report
 from monogamy.measures import spin_flip_concurrences, spin_flip_mus, values_of_concurrence
-from monogamy.qstate import density_spectra, marginal_stack
+from monogamy.qstate import marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import (
     EXACT_DIGITS,
@@ -43,17 +43,13 @@ from oracles import (
 
 np_rng = np.random.default_rng(77)
 
-BELL = Ket(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+BELL = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
 CUT3 = (0,)
-
-
-def two_qubit(entries):
-    return DensityMatrix((2, 2), entries)
 
 
 def werner(p):
     psi_minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
-    return two_qubit(p * np.outer(psi_minus, psi_minus) + (1 - p) * np.eye(4) / 4)
+    return DensityMatrix(p * np.outer(psi_minus, psi_minus) + (1 - p) * np.eye(4) / 4)
 
 
 def test_measure_kind_validation():
@@ -98,15 +94,15 @@ def test_tsallis_g_closed_forms():
 
 def test_concurrence_pure_known_states():
     assert abs(concurrence_pure(BELL, (0,)) - 1.0) < 1e-14
-    product = Ket(2, np.array([1.0, 0.0, 0.0, 0.0]))
+    product = Ket(np.array([1.0, 0.0, 0.0, 0.0]))
     assert concurrence_pure(product, (0,)) == 0.0
-    assert abs(concurrence_pure(Ket(3, ghz_amplitudes(3)), CUT3) - 1.0) < 1e-14
+    assert abs(concurrence_pure(Ket(ghz_amplitudes(3)), CUT3) - 1.0) < 1e-14
     # frozen: W3 focus cut gives sqrt(8/9)
     assert abs(concurrence_pure(w_state(3), CUT3) - 0.9428090415820634) < 1e-14
 
 
 def test_concurrence_pure_side_symmetry():
-    psi = Ket(3, random_ket(np_rng, 8))
+    psi = Ket(random_ket(np_rng, 8))
     a = concurrence_pure(psi, (0,))
     b = concurrence_pure(psi, (1, 2))
     assert abs(a - b) < 1e-13
@@ -114,24 +110,24 @@ def test_concurrence_pure_side_symmetry():
 
 def test_concurrence_two_qubit_closed_form_cases():
     assert abs(concurrence_two_qubit(BELL.to_density_matrix()) - 1.0) < 1e-14
-    sep = two_qubit(np.diag([0.5, 0.0, 0.0, 0.5]))
+    sep = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]))
     assert concurrence_two_qubit(sep) == 0.0
     # Werner states: concurrence is max(0, (3p-1)/2)
     for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
         expected = max(0.0, (3.0 * p - 1.0) / 2.0)
         assert abs(concurrence_two_qubit(werner(p)) - expected) < 1e-12
     with pytest.raises(ValueError):
-        concurrence_two_qubit(DensityMatrix((2, 2, 2), np.eye(8) / 8))
+        concurrence_two_qubit(DensityMatrix(np.eye(8) / 8))
 
 
 def test_concurrence_two_qubit_swap_invariance():
     # the spin-flip route diagonalizes a non-hermitian product, where
     # clustered eigenvalues are only accurate to ~sqrt(machine eps)
     for _ in range(10):
-        rho = two_qubit(random_mixed(np_rng, 4, 3))
+        rho = DensityMatrix(random_mixed(np_rng, 4, 3))
         swapped = rho.entries.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         a = concurrence_two_qubit(rho)
-        b = concurrence_two_qubit(two_qubit(swapped))
+        b = concurrence_two_qubit(DensityMatrix(swapped))
         assert abs(a - b) < 1e-7
 
 
@@ -157,7 +153,7 @@ def test_schmidt_state_marginals():
 
 def test_cren_is_concurrence_on_two_qubits():
     for _ in range(25):
-        rho = two_qubit(random_mixed(np_rng, 4, int(np_rng.integers(1, 5))))
+        rho = DensityMatrix(random_mixed(np_rng, 4, int(np_rng.integers(1, 5))))
         assert pair_value(CREN, rho) == concurrence_two_qubit(rho)  # bit for bit
 
 
@@ -168,35 +164,35 @@ def test_eof_pure_and_mixed():
     # frozen: eof of the W3 pair marginal, paper quotes 0.550048
     assert abs(pair_value(EOF, rho_ab) - 0.5500477595827576) < 1e-12
     with pytest.raises(ValueError):
-        pair_value(EOF, DensityMatrix((2, 2, 2), np.eye(8) / 8))
+        pair_value(EOF, DensityMatrix(np.eye(8) / 8))
 
 
 def test_eof_pure_two_qubit_consistency():
     # on two-qubit pure states the entropy route and eof_f(C^2) agree
     for _ in range(30):
-        psi = Ket(2, random_ket(np_rng, 4))
+        psi = Ket(random_ket(np_rng, 4))
         c = concurrence_pure(psi, (0,))
         assert abs(pure_cut_value(EOF, psi, (0,)) - eof_f(c * c)) < 1e-12
 
 
 def test_tsallis_pure_and_mixed():
-    psi = Ket(3, random_ket(np_rng, 8))
+    psi = Ket(random_ket(np_rng, 8))
     rho_a = partial_trace(psi.to_density_matrix(), (0,))
     lin = 1.0 - float(np.vdot(rho_a.entries, rho_a.entries).real)
     assert abs(pure_cut_value(tsallis_kind(2.0), psi, CUT3) - lin) < 1e-12
-    rho = two_qubit(random_mixed(np_rng, 4, 2))
+    rho = DensityMatrix(random_mixed(np_rng, 4, 2))
     c = concurrence_two_qubit(rho)
     for q in (2.0, 2.5, 3.0):
         assert abs(pair_value(tsallis_kind(q), rho) - tsallis_g(q, c * c)) < 1e-14
     with pytest.raises(ValueError):
         pure_cut_value(tsallis_kind(3.5), psi, CUT3)
     with pytest.raises(ValueError):
-        pair_value(tsallis_kind(2.0), DensityMatrix((2, 2, 2), np.eye(8) / 8))
+        pair_value(tsallis_kind(2.0), DensityMatrix(np.eye(8) / 8))
 
 
 def test_tsallis_pure_two_qubit_matches_g_of_squared_concurrence():
     for q in (2.0, 2.3, 2.8, 3.0):
-        psi = Ket(2, random_ket(np_rng, 4))
+        psi = Ket(random_ket(np_rng, 4))
         c = concurrence_pure(psi, (0,))
         assert abs(pure_cut_value(tsallis_kind(q), psi, (0,)) - tsallis_g(q, c * c)) < 1e-12
 
@@ -226,7 +222,7 @@ def test_negativity_separable_mixture_is_zero():
 def test_pure_cut_value_cren_matches_partial_transpose_route():
     # the trace norm of the partially transposed projector, less one, from the loop oracle
     for n, focus in ((3, 0), (3, 2), (4, 1)):
-        psi = Ket(n, random_ket(np_rng, 2**n))
+        psi = Ket(random_ket(np_rng, 2**n))
         projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
         via_pt = trace_norm(partial_transpose_loops(projector, (2,) * n, focus)) - 1.0
         assert abs(pure_cut_value(CREN, psi, (focus,)) - via_pt) < 1e-10
@@ -234,7 +230,7 @@ def test_pure_cut_value_cren_matches_partial_transpose_route():
 
 def test_pure_cut_value_dispatch():
     # each measure's closed form on the spectrum of rho_A, traced from the projector
-    psi = Ket(3, random_ket(np_rng, 8))
+    psi = Ket(random_ket(np_rng, 8))
     rho_a = partial_trace(psi.to_density_matrix(), (0,))
     lam = np.linalg.eigvalsh(rho_a.entries)
     expected = {
@@ -265,7 +261,7 @@ def test_pure_cut_value_names_the_fault_of_a_bad_side(monkeypatch):
 
 
 def test_pair_value_dispatch():
-    rho = two_qubit(random_mixed(np_rng, 4, 4))
+    rho = DensityMatrix(random_mixed(np_rng, 4, 4))
     c = concurrence_two_qubit(rho)
     assert pair_value(CONCURRENCE, rho) == c
     assert pair_value(CREN, rho) == c
@@ -321,13 +317,12 @@ def test_pair_stack_matches_one_pair_at_a_time():
             focus = n // 2
             partners = [b for b in range(n) if b != focus][::-1]
             stack = marginal_stack(psi.amplitudes[None], [(focus, b) for b in partners]).reshape(-1, 4, 4)
-            density_spectra(stack)
             conc = spin_flip_concurrences(stack)
             batch = ChainBatch.of(psi.amplitudes[None], focus)  # its given order: the partners ascending
             alone = dict(zip(batch.given, batch.concurrence[0].tolist()))
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
             for i, b in enumerate(partners):
-                rho = two_qubit(marginal_stack(psi.amplitudes[None], [(focus, b)])[0, 0])
+                rho = DensityMatrix(marginal_stack(psi.amplitudes[None], [(focus, b)])[0, 0])
                 assert stack[i].tobytes() == rho.entries.tobytes()
                 one = concurrence_two_qubit(rho)
                 assert conc[i].hex() == one.hex()
@@ -354,7 +349,7 @@ def _haar_pairs(n, count, seed):
     # the (0, b) pair marginals of ``count`` Haar states, in state order, and their spectra
     amplitudes = haar_rows(np.empty((count, 2**n), dtype=complex), seed)
     pairs = marginal_stack(amplitudes, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
-    return amplitudes, pairs, density_spectra(pairs)
+    return amplitudes, pairs, np.linalg.eigvalsh(pairs)[:, ::-1]
 
 
 def _ceiling_cases():
@@ -395,11 +390,11 @@ def _spin_flipped(monkeypatch):
 @pytest.mark.parametrize("stack, skipped", list(_ceiling_cases()))
 def test_spectral_ceiling_changes_no_concurrence(stack, skipped, monkeypatch):
     flipped = _spin_flipped(monkeypatch)
-    fast = spin_flip_concurrences(stack, density_spectra(stack))
+    fast = spin_flip_concurrences(stack, np.linalg.eigvalsh(stack)[:, ::-1])
     skips = [m.tobytes() not in flipped for m in stack]
     # one matrix at a time, with the spectrum its DensityMatrix keeps, skips the same ones
     flipped.clear()
-    one = [concurrence_two_qubit(two_qubit(m)) for m in stack]
+    one = [concurrence_two_qubit(DensityMatrix(m)) for m in stack]
     assert [m.tobytes() not in flipped for m in stack] == skips
     flipped.clear()
     full = spin_flip_concurrences(stack)
@@ -483,7 +478,7 @@ def test_a_batch_s_cut_concurrences_are_each_state_s_own(count):
         amplitudes = haar_rows(np.empty((count, 2**n), dtype=np.complex128), 70 * n + count)
         got = ChainBatch.of(amplitudes, focus).cut
         assert got.shape == (count,)
-        assert [v.hex() for v in got.tolist()] == [pure_cut_value(CONCURRENCE, Ket(n, a), (focus,)).hex()
+        assert [v.hex() for v in got.tolist()] == [pure_cut_value(CONCURRENCE, Ket(a), (focus,)).hex()
                                                    for a in amplitudes]
 
 
@@ -491,7 +486,7 @@ def test_a_batch_s_cut_concurrences_are_each_state_s_own(count):
 def test_a_zero_concurrence_maps_to_positive_zero(n):
     # a basis state: every cut and pair concurrence is 0, and every measure maps it to 0.0, with no minus sign
     # a caller could read (a map that negates, or divides by 1 - q, prints -0 in a report)
-    psi = Ket(n, np.eye(2**n)[5])
+    psi = Ket(np.eye(2**n)[5])
     zero = (0.0).hex()
     for kind in (CONCURRENCE, EOF, CREN) + PAIR_MAP_KINDS:
         for alpha in (kind.alpha_floor, 3.0):
@@ -499,6 +494,6 @@ def test_a_zero_concurrence_maps_to_positive_zero(n):
             assert [v.hex() for v in report.pair_values + (report.lhs,)] == [zero] * n
         for side in ((0,), tuple(range(1, n))):
             assert pure_cut_value(kind, psi, side).hex() == zero
-        assert pair_value(kind, two_qubit(np.diag([1.0, 0.0, 0.0, 0.0]))).hex() == zero
+        assert pair_value(kind, DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))).hex() == zero
     assert eof_f(0.0).hex() == zero and eof_f(-0.0).hex() == zero
     assert all(tsallis_g(kind.q, x).hex() == zero for kind in PAIR_MAP_KINDS[1:] for x in (0.0, -0.0, -1e-13))

@@ -11,14 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monogamy import (
-    CONCURRENCE, CREN, EOF, Ket, Verdict, haar_random, load_state, monogamy_report, save_state, tsallis_kind,
+    CONCURRENCE, CREN, EOF, DensityMatrix, Ket, Verdict, haar_random, load_state, monogamy_report, save_state, tsallis_kind,
 )
 from monogamy.bounds import PRECONDITION_ATOL, ChainBatch
-from monogamy.qstate import NORM_ATOL, SQUARED_NORM_ATOL, density_spectra, marginal_stack
+from monogamy.qstate import NORM_ATOL, SQUARED_NORM_ATOL, marginal_stack
 from oracles import chain_certificate, w_class_amplitudes
 
 states = st.builds(
-    lambda n, seed, w_class: Ket(n, w_class_amplitudes(n, seed)) if w_class else haar_random(n, seed),
+    lambda n, seed, w_class: Ket(w_class_amplitudes(n, seed)) if w_class else haar_random(n, seed),
     n=st.integers(3, 8),
     seed=st.integers(0, 2**32 - 1),
     w_class=st.booleans(),
@@ -91,7 +91,7 @@ def test_state_file_round_trip(n, parts):
     z = np.array(parts[: 2 * 2**n]).view(np.complex128)
     norm = np.linalg.norm(z)
     assume(norm > 1e-3)
-    psi = Ket(n, z / norm)
+    psi = Ket(z / norm)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
         save_state(psi, path)
@@ -129,10 +129,10 @@ def _base_row(rng, n, shape, focus, eps):
 )
 def test_the_row_check_accepts_every_ket_and_only_rows_whose_marginals_pass(n, seed, shape, edge, side, ulps,
                                                                            log_eps):
-    # ChainBatch.of checks its rows once, where they enter, in place of density_spectra on every marginal:
+    # ChainBatch.of checks its rows once, where they enter, in place of DensityMatrix on every marginal:
     # a row scaled to the edge of the row check's bound or of Ket's NORM_ATOL, give or take a few ulps,
     # passes it whenever Ket accepts it, and once it passes, its every focus and pair marginal passes
-    # density_spectra, rounding included
+    # DensityMatrix's checks, rounding included
     rng = np.random.default_rng(seed)
     focus = int(rng.integers(n))
     row = _base_row(rng, n, shape, focus, 10.0**-log_eps)
@@ -142,7 +142,7 @@ def test_the_row_check_accepts_every_ket_and_only_rows_whose_marginals_pass(n, s
         row *= (1.0 + side * NORM_ATOL) / np.linalg.norm(row)
     row *= 1.0 + ulps * 2.0**-53
     try:
-        Ket(n, row)
+        Ket(row)
         ket_accepts = True
     except ValueError:
         ket_accepts = False
@@ -153,7 +153,8 @@ def test_the_row_check_accepts_every_ket_and_only_rows_whose_marginals_pass(n, s
         return
     keeps = [[(q,) for q in range(n)], list(itertools.combinations(range(n), 2))]
     for keep in keeps:
-        density_spectra(marginal_stack(row[None], keep)[0])
+        for marginal in marginal_stack(row[None], keep)[0]:
+            DensityMatrix(marginal)
 
 
 @pytest.mark.parametrize("bad, message", [(math.nan, "kets must be finite"), (math.inf, "kets must be finite"),

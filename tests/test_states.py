@@ -101,7 +101,7 @@ def test_w_state_marginals(n):
 
 def test_ghz_state_marginals():
     for n in (3, 4):
-        psi = Ket(n, ghz_amplitudes(n))
+        psi = Ket(ghz_amplitudes(n))
         proj = psi.to_density_matrix()
         cut = (0,)
         assert abs(concurrence_pure(psi, cut) - 1.0) < 1e-14
