@@ -283,11 +283,10 @@ class ChainBatch:
     in closed form from the 4 x 2 slices M of the kets (each pair is
     M M^dagger) that marginal_stack's gather index takes, and no marginal
     is built.  From n = 4 on, the B*(N-1) pair marginals form one stack
-    for one spin_flip_concurrences call; from n = 5 on, one eigvalsh call
-    takes their spectra, and the spin flip only the pairs whose spectral
-    ceiling stays open (at n = 4 it would skip about 1 pair in 400, and
-    the spectra cost more than the skips save); the row check covers the
-    marginals.  ``chain_index[0, j]`` holds the positions of state j's
+    for one spin_flip_concurrences call, whose purity screen spares the
+    spin flip every pair in the separable ball (about 1 in 600 at n = 4,
+    1 in 5 at n = 5 and nearly all from n = 7 on); the row check covers
+    the marginals.  ``chain_index[0, j]`` holds the positions of state j's
     pairs in ``concurrence.ravel()`` in the given order, and
     ``chain_index[1, j]`` in the ranked order, by descending concurrence
     (a stable sort, so ties keep their given position); one sort yields
@@ -320,9 +319,8 @@ class ChainBatch:
             # one traced qubit: each pair is M M^dagger with M the 4 x 2 slice of its ket that the gather takes
             concurrence = rank2_concurrences(_marginal_factors(amplitudes, keeps))
         else:
-            pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)
-            concurrence = spin_flip_concurrences(pairs, None if n_qubits == 4 else np.linalg.eigvalsh(pairs)[:, ::-1])
-            concurrence = concurrence.reshape(count, len(given))
+            pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)  # (0, 4, 4) where no pair is kept
+            concurrence = spin_flip_concurrences(pairs).reshape(count, len(given))
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")
         chain_index += len(given) * np.arange(count)[:, None]

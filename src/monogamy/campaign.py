@@ -7,10 +7,10 @@ drawn straight into one (B, 2^n) array and analysed as one ChainBatch,
 which checks the rows once and reads their cut concurrences in one call.
 At n = 3 one closed-form call reads every pair concurrence from the
 kets, with no marginal and no spin flip; from n = 4 on the pair
-marginals form one stack for one spin-flip call, and from n = 5 on the
-stack's spectra spare it every pair they prove unentangled (nearly all
-of them from n = 6 on).  Its reports for all K rows come as one (K, B)
-table (ChainBatch.table) in which the chains of every measure are
+marginals form one stack for one spin-flip call, which spares every pair
+whose purity puts it in the separable ball (nearly all of them from n = 7
+on), with no eigendecomposition.  Its reports for all K rows come as one
+(K, B) table (ChainBatch.table) in which the chains of every measure are
 certified once.  Each batch's table is folded, with the minima so far
 leading, into each row's count and minima in state order (first NaN,
 else first least), and the verdict is read off the minima at the end,

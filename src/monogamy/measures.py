@@ -14,15 +14,15 @@ lambda- = C^2 / (2 (1 + sqrt(1 - C^2))) with log1p and expm1: they keep
 their relative accuracy down to C = 0.  eof_f and tsallis_g map one value.
 
 The pair concurrence has two kernels, both Wootters' formula.
-spin_flip_concurrences takes a (k, 4, 4) stack of two-qubit states with
-their spectra and returns their k concurrences.  The spectra bound each
-concurrence from above; a matrix whose bound proves C = 0 skips the spin
-flip, and the others share one eigvals call.  concurrence_two_qubit is that
-kernel on one matrix.  rank2_concurrences takes the 4 x 2 factors M of
-rank-2 states rho = M M^dagger, as a 3-qubit ket holds them for each of its
-pairs, and reads C in closed form from M, with no eigenvalue call; it is
-exact to rounding where the spin flip loses up to about 3e-8 to the two
-zero eigenvalues of a rank-2 rho rho~.
+spin_flip_concurrences takes a (k, 4, 4) stack of two-qubit states and
+returns their k concurrences.  A matrix whose purity Tr rho^2 is at most
+SEPARABLE_PURITY lies in the separable ball around I/4 and gets C = 0
+without a spin flip; the others share one eigvals call.
+concurrence_two_qubit is that kernel on one matrix.  rank2_concurrences
+takes the 4 x 2 factors M of rank-2 states rho = M M^dagger, as a 3-qubit
+ket holds them for each of its pairs, and reads C in closed form from M,
+with no eigenvalue call; it is exact to rounding where the spin flip loses
+up to about 3e-8 to the two zero eigenvalues of a rank-2 rho rho~.
 """
 from __future__ import annotations
 
@@ -35,7 +35,9 @@ import numpy as np
 from .qstate import DensityMatrix, Ket, _cut_concurrences, _sorted_keep
 
 DOMAIN_ATOL = 1e-12
-EIG_CLIP_ATOL = 1e-10
+# a two-qubit state with Tr rho^2 <= 1/3 is separable; at 0.33 it is also unentangled by a margin (see
+# spin_flip_concurrences)
+SEPARABLE_PURITY = 0.33
 _LN2 = math.log(2.0)
 _SMALLEST = np.finfo(np.float64).smallest_subnormal  # every lambda- > 0 is at least this
 
@@ -158,66 +160,69 @@ def concurrence_pure(psi: Ket, side_a: Sequence[int]) -> float:
 def spin_flip_mus(rho: np.ndarray) -> np.ndarray:
     """Descending square roots of the spin-flip product spectrum, per 4x4 matrix.
 
-    ``rho`` is one matrix or a (..., 4, 4) stack, all spectra taken by one
-    eigvals call.  The flipped matrix is S rho* S with S = sigma_y (x)
-    sigma_y, written entrywise as s_i s_j conj(rho)[3-i, 3-j].  Eigenvalues
-    of rho @ flipped are real and nonnegative up to rounding; tiny negative
-    parts (within 1e-10 of zero for valid density input) are clipped
-    before the root.
+    ``rho`` is one matrix or a (..., 4, 4) stack, the eigenvalues of every
+    product taken by one eigvals call.  The flipped matrix is S rho* S
+    with S = sigma_y (x) sigma_y, written entrywise as
+    s_i s_j conj(rho)[3-i, 3-j].  Eigenvalues of rho @ flipped are real and
+    nonnegative up to rounding; tiny negative parts (within 1e-10 of zero
+    for valid density input) are clipped before the root.
     """
     flipped = np.conjugate(rho[..., ::-1, ::-1])
     flipped *= _FLIP_SIGNS
     product = rho @ flipped
-    del flipped  # a stack fewer while the spectra are taken
+    del flipped  # a stack fewer while eigvals runs
     ev = np.linalg.eigvals(product)
     mus = np.sqrt(np.maximum(ev.real, 0.0))
     mus.sort()
     return mus[..., ::-1]
 
 
-def spin_flip_concurrences(rho: np.ndarray, spectra: np.ndarray | None = None) -> np.ndarray:
+def spin_flip_concurrences(rho: np.ndarray) -> np.ndarray:
     """Spin-flip concurrence max(0, mu1 - mu2 - mu3 - mu4) of each matrix in a (..., 4, 4) stack.
 
-    ``spectra``, if given, holds the descending spectrum lam1..lam4 of each
-    matrix of a (k, 4, 4) stack or of one matrix, as DensityMatrix keeps
-    it in ``eigenvalues``.  A two-qubit state has
-    mu1 - mu2 - mu3 - mu4 <= lam1 - lam3 - 2 sqrt(lam2 lam4), the spectral
-    ceiling (Verstraete, Audenaert and De Moor, PRA 64, 012316 (2001)).  A
-    matrix whose ceiling lies below -EIG_CLIP_ATOL and whose lam4 exceeds
-    EIG_CLIP_ATOL gets C = 0.0 without a spin flip; the others go through
-    spin_flip_mus as one stack.
+    A matrix whose purity P = Tr rho^2, one vecdot of its 16 entries with
+    themselves, is at most SEPARABLE_PURITY gets C = 0.0 without a spin
+    flip; the others, a NaN purity among them, go through spin_flip_mus as
+    one stack.
 
-    Why the skip changes no bit.  lam4 > EIG_CLIP_ATOL keeps the root well
-    conditioned: rounding the spectrum by about 1e-16 moves the ceiling by
-    about 1e-11 at most.  A skipped matrix therefore has an exact ceiling,
-    and so an exact mu1 - mu2 - mu3 - mu4, below -8e-11, and its exact C is
-    0.  The spin flip computes mu1 - mu2 - mu3 - mu4 of such a full-rank
-    matrix far more finely than that, so it too ends below zero and returns
-    0.0; the tests hold the two routes to float.hex equality on Werner
-    states at the ceiling's edge, random mixed states of every rank and
-    Haar and W-class states.  Where lam4 is within rounding of zero, the
-    root would amplify that rounding to about 1e-8, so such a matrix
-    always takes the spin flip (a rank-3 ceiling lam1 - lam3 is never
-    negative anyway).  Without ``spectra`` every matrix takes the spin
-    flip.
+    Why the screen changes no bit.  Every two-qubit state with
+    Tr rho^2 <= 1/3 is separable (Zyczkowski, Horodecki, Sanpera and
+    Lewenstein, PRA 58, 883 (1998); the largest such ball, Gurvits and
+    Barnum, PRA 66, 062311 (2002)).  With lam1 >= ... >= lam4 the
+    spectrum, mu1 - mu2 - mu3 - mu4 <= c(lam) = lam1 - lam3 -
+    2 sqrt(lam2 lam4), and some state of that spectrum attains it
+    (Verstraete, Audenaert and De Moor, PRA 64, 012316 (2001)); so c <= 0
+    on the sphere P = 1/3, inscribed in the simplex of eigenvalue vectors.
+    Within one ordering c is convex (a linear form less a geometric mean).
+    At the fraction t of the way from 1/4 (1, 1, 1, 1), where c = -1/2, to
+    that sphere, P = 1/4 + t^2 / 12, so P <= 1/3 gives
+    c <= -(1 - t) / 2 = -(1 - sqrt(12 P - 3)) / 2, tight at the Werner
+    spectrum (a, b, b, b).  For a fixed P, lam4 is least where lam1 = lam2
+    = lam3, so lam4 >= 1/4 - sqrt(3 (P - 1/4)) / 2.  At P = 0.33 these
+    read -0.0101 and 0.00505, and rounding the purity by about 1e-16 moves
+    neither.  A screened matrix is therefore unentangled with
+    mu1 - mu2 - mu3 - mu4 below -0.01, and of full rank, where the spin
+    flip is accurate far below that margin: it too returns 0.0.  The tests
+    hold the two routes to float.hex equality on Werner states whose
+    purity straddles the threshold, random mixed states of every rank and
+    Haar and W-class states, and check both bounds on sampled eigenvalue
+    vectors.
 
     On a matrix of rank 2 or less, two eigenvalues of rho rho~ are zero up
     to rounding (about 1e-17), and their roots put about 3e-9 each into
-    mu3 and mu4, so C comes out low by up to about 3e-8.
-    rank2_concurrences reads such a matrix's C from its factor instead,
-    exact to rounding; ChainBatch takes that route at n = 3, where every
-    pair marginal has rank 2.
+    mu3 and mu4, so C comes out low by up to about 3e-8.  Such a matrix has
+    purity at least 1/2 and is never screened; rank2_concurrences reads
+    its C from its factor instead, exact to rounding, and ChainBatch takes
+    that route at n = 3, where every pair marginal has rank 2.
     """
-    if spectra is not None:
-        lam1, lam2, lam3, lam4 = spectra.T
-        ceiling = lam1 - lam3 - 2.0 * np.sqrt(lam2 * np.maximum(lam4, 0.0))
-        live = (ceiling >= -EIG_CLIP_ATOL) | (lam4 <= EIG_CLIP_ATOL)
-        open_count = np.count_nonzero(live)
-        if open_count < live.size:
-            out = np.zeros(live.shape)
-            if open_count:
-                out[live] = spin_flip_concurrences(rho[live])
-            return out
+    flat = rho.reshape(rho.shape[:-2] + (16,))
+    live = ~(np.vecdot(flat, flat).real <= SEPARABLE_PURITY)  # sum |rho_ij|^2 is Tr rho^2; a NaN stays live
+    open_count = np.add.reduce(live, axis=None)
+    if open_count < live.size:
+        out = np.zeros(live.shape)
+        if open_count:
+            out[live] = spin_flip_concurrences(rho[live])
+        return out
     mus = spin_flip_mus(rho)
     c = mus[..., 0] - mus[..., 1] - mus[..., 2] - mus[..., 3]
     return np.where(c > 0.0, c, 0.0)  # as max(0.0, c): a NaN or a -0.0 reads 0.0
@@ -254,11 +259,11 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
 
     The mu_i are the descending square roots of the eigenvalues of
     rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y); this is
-    spin_flip_concurrences on one matrix and its spectrum.
+    spin_flip_concurrences on one matrix.
     """
     if rho.n_qubits != 2:
         raise ValueError(f"two-qubit closed form needs 2 qubits, got {rho.n_qubits}")
-    return float(spin_flip_concurrences(rho.entries, rho.eigenvalues))
+    return float(spin_flip_concurrences(rho.entries))
 
 
 def pure_cut_value(kind: MeasureKind, psi: Ket, side_a: Sequence[int]) -> float:

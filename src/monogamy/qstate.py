@@ -239,17 +239,16 @@ class DensityMatrix:
     1e-12), of unit trace (1e-12) and positive (smallest eigenvalue >=
     -1e-10), in that order, and the first check that fails raises.
     Finiteness comes first, so a NaN or infinite entry is rejected before
-    any arithmetic on it (inf - inf would warn).  The spectrum that the
-    positivity check computes is kept as ``eigenvalues``, read-only and
-    descending.
+    any arithmetic on it (inf - inf would warn).  ``entries`` is a
+    read-only C-ordered copy of the given matrix, so the caller's array
+    stays writeable and a later write to it leaves the matrix unchanged.
     """
 
     entries: np.ndarray
     n_qubits: int = field(init=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
+        entries = np.array(self.entries, dtype=np.complex128, order="C")
         n_qubits = _register_size(entries, "(2^n, 2^n)")
         if not np.logical_and.reduce(np.isfinite(entries), axis=None):
             raise ValueError("density matrix must be finite")
@@ -262,15 +261,12 @@ class DensityMatrix:
         trace = np.add.reduce(entries.diagonal())
         if not abs(trace - 1.0) <= TRACE_ATOL:
             raise ValueError(f"density matrix must have unit trace, got {float(trace.real)!r}")
-        eigenvalues = np.linalg.eigvalsh(entries)[::-1]
-        if not eigenvalues[-1] >= -PSD_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {float(eigenvalues[-1])!r}")
-        entries = np.ascontiguousarray(entries)
+        least = np.linalg.eigvalsh(entries)[0]
+        if not least >= -PSD_ATOL:
+            raise ValueError(f"density matrix has negative eigenvalue {float(least)!r}")
         entries.flags.writeable = False
-        eigenvalues.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):

@@ -437,7 +437,7 @@ def test_a_sweep_is_its_grids_reports_from_one_stack(monkeypatch):
     calls = []
     original = monogamy.bounds.spin_flip_concurrences
     monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences",
-                        lambda s, spectra: calls.append(s.shape) or original(s, spectra))
+                        lambda s: calls.append(s.shape) or original(s))
     assert alpha_sweep(psi, 0, EOF, grid, order=(4, 2, 3, 1)) == expected
     for s, reports in at_split.items():
         assert alpha_sweep(w_class, 0, EOF, grid, m=s) == reports, s

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import monogamy
+import monogamy.cli
 from monogamy import (
     CONCURRENCE, CREN, EOF, Ket, WeightLadder, haar_random, monogamy_report, tsallis_kind, w_state,
 )
@@ -254,7 +255,7 @@ def _counted_eigvals(monkeypatch):
 
 
 def test_a_wide_haar_report_takes_no_spin_flip(monkeypatch):
-    # every pair of an 8-qubit Haar state is unentangled, and the spectra that validate the pairs prove it
+    # every pair of an 8-qubit Haar state is unentangled, and its purity, within the separable ball, proves it
     calls = _counted_eigvals(monkeypatch)
     for seed in range(5):
         for kind in KINDS:
@@ -278,15 +279,21 @@ def test_a_three_qubit_campaign_takes_no_spin_flip(monkeypatch):
     assert factors == [(size, 2, 4, 2), (1, 2, 4, 2)]
 
 
-def test_a_four_qubit_campaign_takes_no_spectrum(monkeypatch):
-    # at n = 4 the pair stack goes to the spin flip unvalidated: the rows were checked, and the ceiling
-    # that would read its spectra is off there
+def test_no_campaign_or_report_takes_a_spectrum(monkeypatch):
+    # the rows are checked, the cut's C comes from the ket, and the spin flip screens its pairs by their purity,
+    # so no campaign and no report takes an eigvalsh; W-class pairs, never screened, take the spin flip
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))
-    size = batch_size(4)
-    rows, violation = run_campaign(CampaignConfig(4, size + 1, 0, KINDS, ("floor",), 1e-9))
-    assert spectra == [] and not violation and all(r.tested == size + 1 for r in rows)
+    for n in range(3, 9):
+        size = batch_size(n)
+        rows, violation = run_campaign(CampaignConfig(n, size + 1, 0, KINDS, ("floor",), 1e-9))
+        assert not violation and all(r.tested == size + 1 for r in rows)
+    for n in range(4, 11):
+        for psi in (haar_random(n, n), Ket(w_class_amplitudes(n, n))):
+            for kind in KINDS:
+                monogamy_report(psi, 0, kind, 3.0)
+    assert spectra == []
 
 
 # numpy's modules whose functions only forward to a ufunc or a C call (ndarray.sum and the like, count_nonzero,
@@ -313,13 +320,15 @@ def _numpy_frames(call) -> set[tuple[str, str]]:
     return entered
 
 
-def test_the_per_call_paths_enter_no_numpy_wrapper(tmp_path):
-    # a campaign-3q unit's run_campaign and a report's load_state call the ufuncs and C methods that numpy's
-    # Python-level wrappers forward to; a first call, not profiled, builds what is cached per key tuple or keep
+def test_the_per_call_paths_enter_no_numpy_wrapper(tmp_path, capsys):
+    # a campaign-3q unit's run_campaign, a report's load_state and a whole 8-qubit --state run through main use
+    # the ufuncs and C methods that numpy's Python-level wrappers forward to (capsys takes main's output); a
+    # first call, not profiled, builds what is cached per key tuple or keep
     path = tmp_path / "state.json"
     monogamy.save_state(haar_random(8, 0), path)
     config = CampaignConfig(3, 5, 0, (CONCURRENCE, EOF, CREN, tsallis_kind(2.0)), ("floor", 2.0, 3.0), 1e-9)
-    for call in (lambda: run_campaign(config), lambda: load_state(path)):
+    argv = ["--state", str(path), "--measure", "eof", "--out", str(tmp_path / "row.csv")]
+    for call in (lambda: run_campaign(config), lambda: load_state(path), lambda: monogamy.cli.main(argv)):
         call()
         entered = _numpy_frames(call)
         assert not {(f, name) for f, name in entered if f.startswith(_WRAPPER_MODULES)}, sorted(entered)

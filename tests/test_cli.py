@@ -447,13 +447,13 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     stacks = []
     original = monogamy.bounds.spin_flip_concurrences
 
-    def counted(stack, spectra):
+    def counted(stack):
         stacks.append(stack.shape)
-        return original(stack, spectra)
+        return original(stack)
 
     monkeypatch.setattr(monogamy.bounds, "spin_flip_concurrences", counted)
-    # ... and no spectrum is taken: the rows are checked once, the cut's C is read from the ket, and at
-    # n = 4 the spin flip reads no spectra
+    # ... and no spectrum is taken: the rows are checked once, the cut's C is read from the ket, and the
+    # spin flip screens its pairs by their purity
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m.shape) or eigvalsh(m))

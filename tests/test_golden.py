@@ -3,9 +3,9 @@ must match a recorded file byte for byte.
 
 The --example curves are the benchmark's own goldens, read here and never
 written; the --verify and --state outputs live in tests/golden/, one
---verify case spanning several campaign batches.  The n = 6 campaign and
-the 8-qubit Haar state hold pair marginals whose concurrence is 0; the
-W-class state's are all nonzero.
+--verify case spanning several campaign batches.  The n = 5 and n = 6
+campaigns and the 5- and 8-qubit Haar states hold pair marginals whose
+concurrence is 0; the W-class state's are all nonzero.
 """
 import os
 
@@ -50,10 +50,13 @@ def test_example_matches_golden(argv, golden, capsys):
         (["--n-qubits", "4", "--samples", "40"], "verify-n4"),
         # batches of 170, 170 and 60 states: the counts and minima carry across batches
         (["--n-qubits", "4", "--samples", "400", "--q", "3"], "verify-n4-batches"),
+        # batches of 102 and 98 states, at the register size where the purity screen keeps the most pairs
+        # that the spectral ceiling it replaced would have skipped
+        (["--n-qubits", "5", "--samples", "200"], "verify-n5"),
         # batches of 60, 60, 60 and 20 states; one of their 1000 pairs is entangled
         (["--n-qubits", "6", "--samples", "200"], "verify-n6"),
     ],
-    ids=["3", "4", "4-batches", "6"],
+    ids=["3", "4", "4-batches", "5", "6"],
 )
 def test_verify_matches_golden(flags, golden, tmp_path, capsys):
     out = tmp_path / "campaign.csv"
@@ -87,6 +90,13 @@ def test_state_matches_golden(measure, tmp_path, capsys):
 def test_wide_haar_state_matches_golden(measure, tmp_path, capsys):
     # every pair of this 8-qubit state is unentangled, so each pair value is 0
     _check_state(haar_random(8, 3), "haar8", measure, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("measure", ["concurrence", "eof", "cren", "tsallis"])
+def test_five_qubit_haar_state_matches_golden(measure, tmp_path, capsys):
+    # one pair is entangled; of the other three, one has purity 0.322 and lies in the separable ball,
+    # and one has purity 0.334, just outside it, where the spectral ceiling would have skipped it
+    _check_state(haar_random(5, 4), "haar5", measure, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("m", ["1", "2", "3"])

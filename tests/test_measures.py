@@ -25,7 +25,7 @@ from monogamy import (
     w_state,
 )
 from monogamy.bounds import ChainBatch, monogamy_report
-from monogamy.measures import spin_flip_concurrences, spin_flip_mus, values_of_concurrence
+from monogamy.measures import SEPARABLE_PURITY, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
 from monogamy.qstate import marginal_stack
 from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import (
@@ -346,29 +346,31 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
 
 
 def _haar_pairs(n, count, seed):
-    # the (0, b) pair marginals of ``count`` Haar states, in state order, and their spectra
+    # the (0, b) pair marginals of ``count`` Haar states, in state order
     amplitudes = haar_rows(np.empty((count, 2**n), dtype=complex), seed)
-    pairs = marginal_stack(amplitudes, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
-    return amplitudes, pairs, np.linalg.eigvalsh(pairs)[:, ::-1]
+    return amplitudes, marginal_stack(amplitudes, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
 
 
-def _ceiling_cases():
-    # a stack of pair states and how many of them the spectral ceiling skips (None: not pinned)
-    ps = 1.0 / 3.0 + np.arange(-20, 21) * 1e-11  # ceiling (3p - 1)/2 from -3e-10 to 3e-10
+def _screen_cases():
+    # a stack of pair states and how many of them the purity screen skips (None: not pinned)
+    # Werner states p |psi-><psi-| + (1 - p) I/4 have purity (1 + 3 p^2)/4 and are entangled for p > 1/3:
+    # half a step either side of purity 0.33 (p = 0.3266), and from p = 0 to p = 1
+    edge = math.sqrt(0.32 / 3.0) + (np.arange(-20, 20) + 0.5) * 1e-9
+    ps = np.concatenate((edge, np.linspace(0.0, 1.0, 41)))
     werner_stack = np.array([werner(p).entries for p in ps])
-    yield pytest.param(werner_stack, int(((3.0 * ps - 1.0) / 2.0 < -1e-10).sum()), id="werner")
+    yield pytest.param(werner_stack, int(((1.0 + 3.0 * ps**2) / 4.0 <= SEPARABLE_PURITY).sum()), id="werner")
     rng = np.random.default_rng(2001)
     for rank in range(1, 5):
-        # below full rank lam4 is within rounding of zero, so nothing is skipped
+        # below full rank the purity is at least 1/3, so nothing is skipped
         stack = np.array([random_mixed(rng, 4, rank) for _ in range(300)])
         yield pytest.param(stack, 0 if rank < 4 else None, id=f"mixed-rank-{rank}")
-    # (1 - |phi><phi|)/3 has ceiling lam1 - lam3 = 0, but a rounded lam4 of +1e-17 would put its
-    # computed ceiling near -3e-9 if the root were read there
+    # (1 - |phi><phi|)/3 has purity exactly 1/3: separable, but outside the screen
     flat = np.array([(np.eye(4) - np.outer(phi, phi.conj())) / 3.0 for phi in (random_ket(rng, 4) for _ in range(100))])
     yield pytest.param(flat, 0, id="rank-3-flat")
     for n in range(4, 9):
         yield pytest.param(_haar_pairs(n, 60, 40 * n)[1], 60 * (n - 1) if n >= 7 else None, id=f"haar-{n}")
     for n in range(3, 9):
+        # W-class pairs have rank 2 and purity at least 1/2
         wclass = np.array([w_class_amplitudes(n, k) for k in range(40)])
         stack = marginal_stack(wclass, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
         yield pytest.param(stack, 0, id=f"wclass-{n}")
@@ -387,33 +389,73 @@ def _spin_flipped(monkeypatch):
     return flipped
 
 
-@pytest.mark.parametrize("stack, skipped", list(_ceiling_cases()))
-def test_spectral_ceiling_changes_no_concurrence(stack, skipped, monkeypatch):
+@pytest.mark.parametrize("stack, skipped", list(_screen_cases()))
+def test_purity_screen_changes_no_concurrence(stack, skipped, monkeypatch):
+    # the kernel, on the stack or one matrix at a time, against max(0, mu1 - mu2 - mu3 - mu4) of every matrix
+    mus = spin_flip_mus(stack)
+    c = mus[:, 0] - mus[:, 1] - mus[:, 2] - mus[:, 3]
+    full = np.where(c > 0.0, c, 0.0)
     flipped = _spin_flipped(monkeypatch)
-    fast = spin_flip_concurrences(stack, np.linalg.eigvalsh(stack)[:, ::-1])
+    fast = spin_flip_concurrences(stack)
     skips = [m.tobytes() not in flipped for m in stack]
-    # one matrix at a time, with the spectrum its DensityMatrix keeps, skips the same ones
     flipped.clear()
     one = [concurrence_two_qubit(DensityMatrix(m)) for m in stack]
     assert [m.tobytes() not in flipped for m in stack] == skips
-    flipped.clear()
-    full = spin_flip_concurrences(stack)
-    assert all(m.tobytes() in flipped for m in stack)  # without spectra, every matrix is flipped
     assert [c.hex() for c in fast.tolist()] == [c.hex() for c in full.tolist()] == [c.hex() for c in one]
+    purity = np.array([np.vdot(m, m).real for m in stack])
+    assert skips == (purity <= SEPARABLE_PURITY).tolist()
     if skipped is not None:
         assert sum(skips) == skipped
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_pairs_the_ceiling_skips_are_unentangled_by_the_oracle(n, monkeypatch):
-    amplitudes, pairs, spectra = _haar_pairs(n, 100, 5000 + n)
+def test_pairs_the_screen_skips_are_unentangled_by_the_oracle(n, monkeypatch):
+    amplitudes, pairs = _haar_pairs(n, 100, 5000 + n)
     flipped = _spin_flipped(monkeypatch)
-    spin_flip_concurrences(pairs, spectra)
+    spin_flip_concurrences(pairs)
     skipped = [k for k, m in enumerate(pairs) if m.tobytes() not in flipped]
-    assert skipped or n == 4  # at n = 4 about 1 pair in 400 is skipped
+    assert skipped or n == 4  # at n = 4 about 1 pair in 600 is skipped
     for k in skipped:
         state, b = divmod(k, n - 1)
         assert wootters_concurrence(amplitudes[state], n, 0, b + 1) == 0.0
+
+
+def test_a_nan_matrix_is_not_screened():
+    # a NaN purity is not <= SEPARABLE_PURITY, so the matrix reaches eigvals, which refuses it, beside a screened one
+    for stack in (np.array([np.eye(4) / 4, np.full((4, 4), np.nan)], dtype=complex), np.full((4, 4), np.nan)):
+        with pytest.raises(np.linalg.LinAlgError):
+            spin_flip_concurrences(stack)
+
+
+def test_the_separable_ball_bounds_the_spectral_ceiling():
+    # over sorted spectra lam1 >= ... >= lam4 with purity P <= 1/3, the ceiling c = lam1 - lam3 - 2 sqrt(lam2 lam4)
+    # stays below -(1 - sqrt(12 P - 3))/2, tight at the Werner spectrum (a, b, b, b), and lam4 above
+    # 1/4 - sqrt(3 (P - 1/4))/2, tight at (b, b, b, a) with a < b; at P = 0.33 these are below -0.01 and above
+    # 0.005.  The ball P <= 1/3 is the sphere inscribed in the simplex of spectra, of radius 1/sqrt(12) about
+    # 1/4 (1, 1, 1, 1): draws fill it and its surface.
+    rng = np.random.default_rng(33)
+    directions = rng.standard_normal((400_000, 4))
+    directions -= directions.mean(axis=1, keepdims=True)
+    directions /= np.sqrt(np.vecdot(directions, directions))[:, None]
+    radii = rng.random(400_000) ** (1.0 / 3.0)
+    radii[::4] = 1.0  # on the sphere P = 1/3
+    spectra = 0.25 + directions * (radii / math.sqrt(12.0))[:, None]
+    spectra = -np.sort(-spectra, axis=1)
+    ps = np.linspace(0.0, 1.0 / 3.0, 101)
+    werner_spectra = np.array([[(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3 for p in ps])
+    flat_top_spectra = np.array([[(1.0 - a) / 3.0] * 3 + [a] for a in ps * 0.75])
+    spectra = np.concatenate((spectra, werner_spectra, flat_top_spectra))
+    lam1, lam2, lam3, lam4 = spectra.T
+    purity = np.vecdot(spectra, spectra)
+    assert lam4.min() >= -1e-15 and purity.max() <= 1.0 / 3.0 + 1e-14
+    ceiling = lam1 - lam3 - 2.0 * np.sqrt(lam2 * np.maximum(lam4, 0.0))
+    root = np.sqrt(np.maximum(12.0 * purity - 3.0, 0.0))
+    ceiling_gap = ceiling - -(1.0 - root) / 2.0
+    lam4_gap = lam4 - (0.25 - root / 4.0)
+    assert ceiling_gap.max() <= 1e-12 and lam4_gap.min() >= -1e-12
+    assert np.abs(ceiling_gap[-202:-101]).max() <= 1e-13 and np.abs(lam4_gap[-101:]).max() <= 1e-13
+    at_threshold = math.sqrt(12.0 * SEPARABLE_PURITY - 3.0)
+    assert -(1.0 - at_threshold) / 2.0 < -0.01 and 0.25 - at_threshold / 4.0 > 0.005
 
 
 PAIR_MAP_KINDS = (EOF, tsallis_kind(2.0), tsallis_kind(2.5), tsallis_kind(3.0))

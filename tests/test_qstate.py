@@ -282,17 +282,18 @@ def test_partial_transpose_involution_and_trace():
         assert np.array_equal(partial_transpose_loops(pt, (2, 2, 2), sub), rho.entries)
 
 
-def test_density_matrix_eigenvalues_descending_and_trace():
-    # the spectrum the positivity check computes is kept, not recomputed
+def test_density_matrix_keeps_a_read_only_copy():
+    # the caller's array stays writeable, and writing to it later leaves the matrix as it was
     psi = Ket(random_ket(np_rng, 16))
     proj = psi.to_density_matrix()
-    for rho in (random_dm(np_rng, 3), proj, partial_trace(proj, (0,)), partial_trace(proj, (1, 3))):
-        vals = rho.eigenvalues
-        assert vals.shape == (rho.entries.shape[0],)
-        assert np.all(np.diff(vals) <= 0)
-        assert abs(vals.sum() - np.trace(rho.entries).real) < 1e-12
-        assert np.array_equal(vals, np.linalg.eigvalsh(rho.entries)[::-1])
-        assert not vals.flags.writeable
+    mixed = random_mixed(np_rng, 8, 8)
+    for a in (mixed, proj.entries.copy(), partial_trace(proj, (1, 3)).entries.copy(), np.eye(4) / 4,
+              np.asfortranarray(mixed[:4, :4] / np.trace(mixed[:4, :4]).real)):
+        before = a.copy()
+        rho = DensityMatrix(a)
+        assert a.flags.writeable and not rho.entries.flags.writeable and rho.entries.flags.c_contiguous
+        a[0, 0] += 1.0
+        assert np.array_equal(rho.entries, before)
 
 
 def test_trace_norm_hermitian_equals_abs_eigenvalue_sum():
