@@ -54,8 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measures import MeasureKind, _values_of_concurrence, rank2_concurrences, spin_flip_concurrences
-from .qstate import (Ket, _cut_concurrences, _marginal_factors, _register_size, checked_int, marginal_stack,
-                     physical_memory)
+from .qstate import Ket, _cut_concurrences, _pair_marginals, _pair_plan, _register_size, checked_int, physical_memory
 
 ALPHA_ATOL = 1e-12
 PRECONDITION_ATOL = 1e-12
@@ -281,13 +280,13 @@ class ChainBatch:
     ``concurrence[j, i]`` is the concurrence of state j's pair
     (focus, given[i]).  At n = 3 one rank2_concurrences call reads every C
     in closed form from the 4 x 2 slices M of the kets (each pair is
-    M M^dagger) that marginal_stack's gather index takes, and no marginal
-    is built.  From n = 4 on, the B*(N-1) pair marginals form one stack
-    for one spin_flip_concurrences call, whose purity screen spares the
-    spin flip every pair in the separable ball (about 1 in 600 at n = 4,
-    1 in 5 at n = 5 and nearly all from n = 7 on); the row check covers
-    the marginals.  ``chain_index[0, j]`` holds the positions of state j's
-    pairs in ``concurrence.ravel()`` in the given order, and
+    M M^dagger) that _pair_plan's gather index takes, and no marginal is
+    built.  From n = 4 on, the B*(N-1) marginals of _pair_marginals form
+    one stack for one spin_flip_concurrences call, whose purity screen
+    spares the spin flip every pair in the separable ball (about 1 in 600
+    at n = 4, 1 in 5 at n = 5 and nearly all from n = 7 on); the row check
+    covers the marginals.  ``chain_index[0, j]`` holds the positions of
+    state j's pairs in ``concurrence.ravel()`` in the given order, and
     ``chain_index[1, j]`` in the ranked order, by descending concurrence
     (a stable sort, so ties keep their given position); one sort yields
     both, and a table gathers every chain with one take by it.
@@ -302,7 +301,8 @@ class ChainBatch:
     @classmethod
     def of(cls, amplitudes: np.ndarray, focus: int, order: Sequence[int] | None = None) -> "ChainBatch":
         """Analyse the kets in the rows of ``amplitudes``, a (B, 2^n) array, n its row width's; an empty
-        batch, a non-finite row or one whose ||row||^2 strays from 1 by over 6e-13 raises ValueError."""
+        batch, a non-finite row or one whose ||row||^2 strays from 1 by over 6e-13 raises ValueError.
+        The focus and order are checked here, once, and the pair stage takes its pairs from them unchecked."""
         n_qubits = _register_size(amplitudes, "(B, 2^n)")
         focus = checked_int(focus, "focus")
         order = None if order is None else tuple(checked_int(i, "order entry") for i in order)
@@ -314,12 +314,12 @@ class ChainBatch:
             raise ValueError(f"order {given} is not a permutation of the non-focus qubits {rest}")
         cut = _cut_concurrences(amplitudes, focus)  # checks the rows
         count = len(amplitudes)
-        keeps = [(focus, b) for b in given]
+        plan = _pair_plan(n_qubits, focus, given)
         if n_qubits == 3:
             # one traced qubit: each pair is M M^dagger with M the 4 x 2 slice of its ket that the gather takes
-            concurrence = rank2_concurrences(_marginal_factors(amplitudes, keeps))
+            concurrence = rank2_concurrences(amplitudes.take(plan[1], axis=1))
         else:
-            pairs = marginal_stack(amplitudes, keeps).reshape(-1, 4, 4)  # (0, 4, 4) where no pair is kept
+            pairs = _pair_marginals(amplitudes, plan).reshape(-1, 4, 4)  # (0, 4, 4) where there is no partner
             concurrence = spin_flip_concurrences(pairs).reshape(count, len(given))
         # sorting 0 * C keeps the given order, sorting -C ranks it; the offsets make the positions flat
         chain_index = (_CHAIN_KEYS * concurrence).argsort(axis=2, kind="stable")

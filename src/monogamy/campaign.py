@@ -37,9 +37,9 @@ _BATCH_BYTES = 256 * 1024
 def batch_size(n_qubits: int) -> int:
     """States per batch: as many as fit _BATCH_BYTES, at least one.
 
-    A state's working set is counted as its ket, a kept-first copy of it
+    A state's working set is counted as its ket, a pair-first copy of it
     and that copy's conjugate (48 * 2^n bytes) and its N-1 pair marginals
-    (256 bytes each), marginal_stack's from n = 4 on; at n = 3, with no
+    (256 bytes each), the pair stage's from n = 4 on; at n = 3, with no
     marginal, ChainBatch.of of a full batch peaks at 0.30 MB (0.46 MB with).
     """
     return max(1, _BATCH_BYTES // (3 * 16 * 2**n_qubits + (n_qubits - 1) * 256))

@@ -217,15 +217,12 @@ def spin_flip_concurrences(rho: np.ndarray) -> np.ndarray:
     """
     flat = rho.reshape(rho.shape[:-2] + (16,))
     live = ~(np.vecdot(flat, flat).real <= SEPARABLE_PURITY)  # sum |rho_ij|^2 is Tr rho^2; a NaN stays live
-    open_count = np.add.reduce(live, axis=None)
-    if open_count < live.size:
-        out = np.zeros(live.shape)
-        if open_count:
-            out[live] = spin_flip_concurrences(rho[live])
-        return out
-    mus = spin_flip_mus(rho)
-    c = mus[..., 0] - mus[..., 1] - mus[..., 2] - mus[..., 3]
-    return np.where(c > 0.0, c, 0.0)  # as max(0.0, c): a NaN or a -0.0 reads 0.0
+    out = np.zeros(live.shape)
+    if np.logical_or.reduce(live, axis=None):
+        mus = spin_flip_mus(rho[live])
+        c = mus[..., 0] - mus[..., 1] - mus[..., 2] - mus[..., 3]
+        out[live] = np.where(c > 0.0, c, 0.0)  # as max(0.0, c): a NaN or a -0.0 reads 0.0
+    return out
 
 
 def rank2_concurrences(factors: np.ndarray) -> np.ndarray:

@@ -8,24 +8,22 @@ at index 4.  Register factors keep their original order through partial
 operations; tracing qubit 1 out of (0, 1, 2) leaves the register (0, 2).
 
 All operators are dense complex128 numpy arrays.  Partial traces are
-computed by reshaping: a ket's marginal reshapes the amplitudes to one
-axis per qubit, moves the kept axes to the front and takes M M^dagger of
-the resulting 2^k x 2^(n-k) matrix, so no 2^n x 2^n projector is built;
+computed by reshaping: a ket's pair marginal reshapes the amplitudes to one
+axis per qubit, moves the pair's axes to the front and takes M M^dagger of
+the resulting 4 x 2^(n-2) matrix, so no 2^n x 2^n projector is built;
 a density matrix is reshaped to one row and one column axis per qubit
-and its traced qubits are contracted with einsum.  The two-qubit
-marginals of a focus qubit come as one (k, 4, 4) stack.  A register's size
+and its traced qubits are contracted with einsum.  A register's size
 is read from its array: 2^n amplitudes, rows 2^n wide or a 2^n x 2^n matrix
 (_register_size).  A qubit's cut
 needs no marginal: _cut_concurrences reads C(A | rest) from the Gram
 matrix of the ket's halves at the focus, and checks the kets once.
 
-What a marginal needs from the register alone, each keep's validated
-kept-first axis permutation and, while the keeps hold at most 2^15
-amplitudes (the pair keeps of up to 11 qubits), the gather index that
-applies all of them with one take, is planned once per (register size,
-keeps) and cached (_marginal_plan), so repeated reports on registers of
-one shape only gather, conjugate and multiply.  _marginal_factors takes
-the same gather for the kept-first matrices M themselves.
+The pair stage builds the only marginals of a ket: those of the pairs
+(focus, b) of a focus qubit with its partners, which every bound reads.
+Each pair's pair-first axis permutation and, while the pairs hold at most
+2^15 amplitudes (up to 11 qubits), the gather index that applies all of
+them with one take are planned once per (n, focus, partners) and cached
+(_pair_plan), so _pair_marginals only gathers, conjugates and multiplies.
 """
 from __future__ import annotations
 
@@ -119,84 +117,59 @@ def _register_size(array: np.ndarray, form: str) -> int:
     return width.bit_length() - 1
 
 
-def marginal_stack(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (B, len(keeps), d, d) marginals of each of the B kets in ``amplitudes``, a (B, 2^n) array, B >= 1.
+# a gather index holds one intp per amplitude and pair; a register whose pairs need more (from 12
+# qubits on) copies each M instead, where the copy's call costs little beside its arithmetic
+_GATHER_ENTRIES = 2**15
+# kets' worth of M (and as many of its conjugate) that one take of _pair_marginals may gather: a
+# report's six stay below the heap of decoding its state file, about ten kets of Python floats
+_GATHER_KETS = 3
 
-    Every entry of ``keeps`` names k of the n qubits the row width gives
-    (d = 2^k, the same k for all); entry [j, i] is the reduced state of
-    ket j on ``keeps[i]``, kept qubits in register order.  It is M M^dagger
-    with M the kept-first transpose of the ket as a d x 2^(n-k) matrix.
-    Where _marginal_plan holds a gather index, one take copies the M of
-    _GATHER_KETS // B keeps, at least one, and one matmul multiplies them
-    by their conjugates.  On a register too wide for an index, each M is
-    copied from the transposed kets into the same two (B, d, 2^(n-k))
-    buffers.  Besides the kets, the peak is two copies of them for a batch
-    of three or more, and at most 2 * _GATHER_KETS kets' worth otherwise.
-    The stack is not validated; the row check of _cut_concurrences covers it.
+
+@lru_cache(maxsize=64)
+def _pair_plan(n_qubits: int, focus: int, partners: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
+    """Per partner b, the permutation of the axes of a (B, 2, ..., 2) ket array that puts the pair
+    (focus, b) first and then the traced qubits, each in register order; and, where the pairs hold at
+    most _GATHER_ENTRIES amplitudes, the read-only (K, 4, 2^n / 4) gather index whose entry [i, r, c]
+    is the position in a ket of pair i's M[r, c].  The caller has checked the focus and the partners."""
+    orders = [sorted((focus, b)) + [q for q in range(n_qubits) if q != focus and q != b] for b in partners]
+    perms = tuple((0,) + tuple(1 + q for q in order) for order in orders)
+    if len(partners) << n_qubits > _GATHER_ENTRIES:
+        return perms, None
+    positions = np.arange(2**n_qubits).reshape((2,) * n_qubits)
+    index = np.array([positions.transpose(order) for order in orders], dtype=np.intp)
+    index = index.reshape(len(partners), 4, 2**n_qubits // 4)  # (0, 4, 0) for no partner at n = 1
+    index.flags.writeable = False
+    return perms, index
+
+
+def _pair_marginals(amplitudes: np.ndarray, plan) -> np.ndarray:
+    """The (B, K, 4, 4) marginals of the K pairs of ``plan``, a _pair_plan of n, in each of the B kets in
+    ``amplitudes``, a (B, 2^n) array, pair qubits in register order; the kets are not checked.
+
+    Each is M M^dagger with M the pair-first transpose of a ket as a 4 x 2^(n-2) matrix.  Where the plan
+    holds a gather index, one take copies the M of _GATHER_KETS // B pairs, at least one, and one matmul
+    multiplies them by their conjugates; otherwise each M is copied from the transposed kets into the same
+    two (B, 4, 2^(n-2)) buffers.  Besides the kets, the peak is two copies of them for a batch of three or
+    more, and at most 2 * _GATHER_KETS kets' worth otherwise.
     """
-    n_qubits = _register_size(amplitudes, "(B, 2^n)")
-    keeps = tuple(map(tuple, keeps))
-    for q in chain.from_iterable(keeps):  # before the plan lookup: 1.0 would find the plan of 1
-        checked_int(q, "keep entry")
-    perms, index = _marginal_plan(n_qubits, keeps)  # also rejects an empty, duplicate or out-of-range keep
-    d = 2 ** len(keeps[0]) if keeps else 1
-    count = amplitudes.shape[0]
-    if count == 0:
-        raise ValueError("empty batch: need at least one ket")
-    stack = np.empty((count, len(keeps), d, d), dtype=np.complex128)
+    perms, index = plan
+    count = len(amplitudes)
+    stack = np.empty((count, len(perms), 4, 4), dtype=np.complex128)
     if index is not None:
-        step = max(1, _GATHER_KETS // count)  # keeps per take: one keep's M is as large as the B kets
-        for start in range(0, len(keeps), step):
-            m = amplitudes.take(index[start:start + step], axis=1)  # (B, keeps, d, 2^(n-k))
+        step = max(1, _GATHER_KETS // count)  # pairs per take: one pair's M is as large as the B kets
+        for start in range(0, len(perms), step):
+            m = amplitudes.take(index[start:start + step], axis=1)  # (B, pairs, 4, 2^(n-2))
             np.matmul(m, np.conjugate(m).swapaxes(2, 3), out=stack[:, start:start + step])
         return stack
-    m = np.empty((count, d, amplitudes.shape[1] // d), dtype=np.complex128)
+    m = np.empty((count, 4, amplitudes.shape[1] // 4), dtype=np.complex128)
     m_conj = np.empty_like(m)
-    kets = amplitudes.reshape((count,) + (2,) * n_qubits)
+    kets = amplitudes.reshape((count,) + (2,) * (amplitudes.shape[1].bit_length() - 1))
     m_axes = m.reshape(kets.shape)
     for i, perm in enumerate(perms):
         np.copyto(m_axes, kets.transpose(perm))
         np.conjugate(m, out=m_conj)
         np.matmul(m, m_conj.swapaxes(1, 2), out=stack[:, i])
     return stack
-
-
-# a gather index holds one intp per amplitude and keep; a register whose keeps need more (pair keeps
-# from 12 qubits on) copies each M instead, where the copy's call costs little beside its arithmetic
-_GATHER_ENTRIES = 2**15
-# kets' worth of M (and as many of its conjugate) that one take of marginal_stack may gather: a
-# report's six stay below the heap of decoding its state file, about ten kets of Python floats
-_GATHER_KETS = 3
-
-
-@lru_cache(maxsize=64)
-def _marginal_plan(n_qubits: int, keeps: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
-    """Per keep, the permutation of the axes of a (B, 2, ..., 2) ket array that puts the
-    kept qubits first and then the traced ones, each in register order; and, where the keeps
-    hold at most _GATHER_ENTRIES amplitudes, the read-only (K, d, 2^n / d) gather index whose
-    entry [i, r, c] is the position in a ket of keep i's M[r, c]."""
-    # a ValueError (a bad keep) is not cached and raises again on the next call
-    orders = []
-    for keep in keeps:
-        kept = _sorted_keep(keep, n_qubits)
-        orders.append(kept + [q for q in range(n_qubits) if q not in kept])
-    sizes = sorted({len(keep) for keep in keeps})
-    if len(sizes) > 1:  # one stack has one marginal size
-        raise ValueError(f"keeps must all have one size, got sizes {sizes}")
-    perms = tuple((0,) + tuple(1 + q for q in order) for order in orders)
-    if not keeps or len(keeps) << n_qubits > _GATHER_ENTRIES:
-        return perms, None
-    positions = np.arange(2**n_qubits).reshape((2,) * n_qubits)
-    index = np.array([positions.transpose(order) for order in orders]).reshape(len(keeps), 2 ** len(keeps[0]), -1)
-    index.flags.writeable = False
-    return perms, index
-
-
-def _marginal_factors(amplitudes: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (B, K, d, 2^(n-k)) kept-first matrices M of marginal_stack(amplitudes, keeps), each marginal
-    M M^dagger, by one take of the same cached gather index.  Unchecked kets, and int keep entries (1.0
-    would find the plan of 1), of a register narrow enough to have the index; the plan rejects a bad keep."""
-    return amplitudes.take(_marginal_plan(_register_size(amplitudes, "(B, 2^n)"), tuple(map(tuple, keeps)))[1], axis=1)
 
 
 def _cut_concurrences(amplitudes: np.ndarray, focus: int) -> np.ndarray:

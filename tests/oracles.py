@@ -45,6 +45,16 @@ def ptrace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def marginal_by_transpose(kets: np.ndarray, n: int, keep) -> np.ndarray:
+    """The (B, d, d) marginals on ``keep`` of the B kets in the rows of ``kets``, one keep at a time and
+    with no plan: each ket's kept-first transpose as a d x 2^(n-k) matrix M, then M M^dagger."""
+    kept = sorted(keep)
+    traced = [q for q in range(n) if q not in kept]
+    m = np.ascontiguousarray(kets.reshape((-1,) + (2,) * n).transpose([0] + [1 + q for q in kept + traced]))
+    m = m.reshape(len(kets), 2 ** len(kept), -1)
+    return np.matmul(m, m.conj().swapaxes(1, 2))
+
+
 def partial_transpose_loops(mat: np.ndarray, dims, subsystem: int) -> np.ndarray:
     """Transpose one factor by explicit multi-index loops: entry (i, j) moves to the
     pair whose ``subsystem`` digits are swapped (slow, obvious)."""

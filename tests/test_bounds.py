@@ -27,8 +27,7 @@ from monogamy import (
 )
 from monogamy.bounds import ChainBatch, _ladder_powers
 from monogamy.campaign import CampaignConfig, run_campaign
-from monogamy.qstate import marginal_stack
-from monogamy.states import SchmidtParams, gsd3
+from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import ghz_amplitudes, ladder_powers, w_class_amplitudes, wootters_concurrence
 
 np_rng = np.random.default_rng(4242)
@@ -171,7 +170,7 @@ def test_ladder_powers_match_the_list_construction():
 
 
 def test_an_empty_batch_is_rejected():
-    # zero rows used to divide by zero in marginal_stack
+    # zero rows used to divide by zero where the pair marginals were taken
     with pytest.raises(ValueError, match="empty batch"):
         ChainBatch.of(np.empty((0, 8), dtype=complex), 0)
 
@@ -180,18 +179,17 @@ def test_an_empty_batch_is_rejected():
 def test_kets_not_in_rows_of_a_power_of_two_width_are_rejected_by_their_shape(shape):
     # the register size is read from the row width, and any other shape is named
     amplitudes = np.zeros(shape, dtype=np.complex128)
-    for call in (lambda: marginal_stack(amplitudes, [(0,)]), lambda: ChainBatch.of(amplitudes, 0)):
-        with pytest.raises(ValueError, match=re.escape(f"(B, 2^n) array with n >= 1, got shape {shape}")):
-            call()
+    with pytest.raises(ValueError, match=re.escape(f"(B, 2^n) array with n >= 1, got shape {shape}")):
+        ChainBatch.of(amplitudes, 0)
 
 
 def test_the_row_width_is_the_register_size():
     # a qubit count passed beside the rows once read the 8-wide row of |000> as a two-qubit ket
     kets = np.eye(8, dtype=np.complex128)[:1]
-    assert ChainBatch.of(kets, 0).given == (1, 2)
-    assert marginal_stack(kets, [(0, 2)]).shape == (1, 1, 4, 4)
-    with pytest.raises(ValueError, match=r"keep=\(0, 3\) out of range for 3 factors"):
-        marginal_stack(kets, [(0, 3)])
+    batch = ChainBatch.of(kets, 0)
+    assert batch.given == (1, 2) and batch.concurrence.shape == (1, 2)
+    with pytest.raises(ValueError, match="focus 3 out of range for 3 qubits"):
+        ChainBatch.of(kets, 3)
 
 
 def test_weights_never_below_one():
@@ -477,10 +475,21 @@ def test_numpy_integers_pass_every_index_check():
     psi = w_state(5)
     want = monogamy_report(psi, 1, EOF, 2.0, order=(0, 2, 3, 4), m=2)
     assert monogamy_report(psi, i(1), EOF, 2.0, order=tuple(map(i, (0, 2, 3, 4))), m=i(2)) == want
-    assert np.array_equal(marginal_stack(psi.amplitudes[None], [(i(0), i(1))]), marginal_stack(psi.amplitudes[None], [(0, 1)]))
+    batch = ChainBatch.of(psi.amplitudes[None], i(1), np.array([4, 0, 2, 3]))
+    assert type(batch.focus) is int and batch.given == (4, 0, 2, 3) and {type(q) for q in batch.given} == {int}
+    assert batch.concurrence.tobytes() == ChainBatch.of(psi.amplitudes[None], 1, (4, 0, 2, 3)).concurrence.tobytes()
     assert pure_cut_value(EOF, psi, (i(1),)) == pure_cut_value(EOF, psi, (1,))
     config = CampaignConfig(i(3), i(2), i(0), (EOF,), ("floor",), 1e-9)
     assert run_campaign(config) == run_campaign(CampaignConfig(3, 2, 0, (EOF,), ("floor",), 1e-9))
+
+
+def test_one_and_two_qubit_rows_give_zero_and_one_pair_concurrences():
+    # a one-qubit register has no pair; a two-qubit ket's one pair is the ket itself, whose C is its cut's
+    for n in (1, 2):
+        rows = haar_rows(np.empty((3, 2**n), dtype=complex), 40 + n)
+        batch = ChainBatch.of(rows, n - 1)
+        assert batch.concurrence.shape == (3, n - 1) and batch.chain_index.shape == (2, 3, n - 1)
+    assert np.abs(batch.concurrence[:, 0] - batch.cut).max() < 1e-7
 
 
 def test_one_qubit_report_is_a_value_error():

@@ -470,8 +470,8 @@ def test_campaign_analyses_each_pair_once(monkeypatch):
     assert chains == [(len(ALL_KINDS), 2, size, 3), (len(ALL_KINDS), 2, 1, 3)]  # [measure, order, state, pair]
     # at n = 3 the closed form reads each pair's C from the ket, and no marginal is built
     built = []
-    marginal_stack = monogamy.bounds.marginal_stack
-    monkeypatch.setattr(monogamy.bounds, "marginal_stack", lambda *args: built.append(args) or marginal_stack(*args))
+    pair_marginals = monogamy.bounds._pair_marginals
+    monkeypatch.setattr(monogamy.bounds, "_pair_marginals", lambda *args: built.append(args) or pair_marginals(*args))
     _, (rows, violation) = _campaign(3, monogamy.campaign.batch_size(3) + 1)
     assert len(rows) == 10 and not violation
     assert built == [] and spectra == []
@@ -556,19 +556,19 @@ def test_reused_parser_carries_nothing_over(state_file, tmp_path, capsys):
 
 
 def test_state_calls_plan_once_per_register_shape(state_file, tmp_path, capsys):
-    marginal_plan = monogamy.qstate._marginal_plan
-    marginal_plan.cache_clear()
+    pair_plan = monogamy.qstate._pair_plan
+    pair_plan.cache_clear()
     for measure in ("concurrence", "eof", "cren", "tsallis", "eof"):
         assert main(["--state", state_file, "--measure", measure]) == 0
-    # one marginal plan, of the pair keeps, which each n = 3 report reads for the 4 x 2 factors of its
-    # closed-form concurrences; the cut reads no marginal
-    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (1, 4)
+    # one pair plan, which each n = 3 report reads for the 4 x 2 factors of its closed-form
+    # concurrences; the cut reads no marginal
+    assert (pair_plan.cache_info().misses, pair_plan.cache_info().hits) == (1, 4)
     wide = tmp_path / "wide.json"
     save_state(haar_random(5, 3), wide)
     for argv in (["--focus", "1"], ["--focus", "1"], ["--focus", "1", "--order", "4,3,2,0"], []):
         assert main(["--state", str(wide), *argv]) == 0
-    # three more plans: the pair keeps of (5, focus 1), of (5, focus 1) in another order and of (5, focus 0)
-    assert (marginal_plan.cache_info().misses, marginal_plan.cache_info().hits) == (4, 5)
+    # three more plans: the pairs of (5, focus 1), of (5, focus 1) in another order and of (5, focus 0)
+    assert (pair_plan.cache_info().misses, pair_plan.cache_info().hits) == (4, 5)
     capsys.readouterr()
 
 

@@ -26,7 +26,7 @@ from monogamy import (
 )
 from monogamy.bounds import ChainBatch, monogamy_report
 from monogamy.measures import SEPARABLE_PURITY, spin_flip_concurrences, spin_flip_mus, values_of_concurrence
-from monogamy.qstate import marginal_stack
+from monogamy.qstate import _pair_marginals, _pair_plan
 from monogamy.states import SchmidtParams, gsd3, haar_rows
 from oracles import (
     EXACT_DIGITS,
@@ -316,13 +316,13 @@ def test_pair_stack_matches_one_pair_at_a_time():
         for psi in (haar_random(n, 900 + n), w_state(n)):
             focus = n // 2
             partners = [b for b in range(n) if b != focus][::-1]
-            stack = marginal_stack(psi.amplitudes[None], [(focus, b) for b in partners]).reshape(-1, 4, 4)
+            stack = _pair_marginals(psi.amplitudes[None], _pair_plan(n, focus, tuple(partners)))[0]
             conc = spin_flip_concurrences(stack)
             batch = ChainBatch.of(psi.amplitudes[None], focus)  # its given order: the partners ascending
             alone = dict(zip(batch.given, batch.concurrence[0].tolist()))
             assert stack.shape == (n - 1, 4, 4) and conc.shape == (n - 1,)
             for i, b in enumerate(partners):
-                rho = DensityMatrix(marginal_stack(psi.amplitudes[None], [(focus, b)])[0, 0])
+                rho = DensityMatrix(_pair_marginals(psi.amplitudes[None], _pair_plan(n, focus, (b,)))[0, 0])
                 assert stack[i].tobytes() == rho.entries.tobytes()
                 one = concurrence_two_qubit(rho)
                 assert conc[i].hex() == one.hex()
@@ -348,7 +348,7 @@ def test_spin_flip_concurrences_match_the_wootters_oracle(n):
 def _haar_pairs(n, count, seed):
     # the (0, b) pair marginals of ``count`` Haar states, in state order
     amplitudes = haar_rows(np.empty((count, 2**n), dtype=complex), seed)
-    return amplitudes, marginal_stack(amplitudes, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
+    return amplitudes, _pair_marginals(amplitudes, _pair_plan(n, 0, tuple(range(1, n)))).reshape(-1, 4, 4)
 
 
 def _screen_cases():
@@ -372,7 +372,7 @@ def _screen_cases():
     for n in range(3, 9):
         # W-class pairs have rank 2 and purity at least 1/2
         wclass = np.array([w_class_amplitudes(n, k) for k in range(40)])
-        stack = marginal_stack(wclass, [(0, b) for b in range(1, n)]).reshape(-1, 4, 4)
+        stack = _pair_marginals(wclass, _pair_plan(n, 0, tuple(range(1, n)))).reshape(-1, 4, 4)
         yield pytest.param(stack, 0, id=f"wclass-{n}")
 
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import re
@@ -23,9 +22,11 @@ from monogamy import (
     w_state,
 )
 import monogamy.qstate
-from monogamy.qstate import NORM_ATOL, STATE_FILE_NORM_ATOL, _norm, marginal_stack
+from monogamy.bounds import ChainBatch
+from monogamy.qstate import NORM_ATOL, STATE_FILE_NORM_ATOL, _norm, _pair_marginals, _pair_plan
 from monogamy.states import SchmidtParams
-from oracles import partial_transpose_loops, ptrace_loops, random_ket, random_mixed, trace_norm, w_class_amplitudes
+from oracles import (marginal_by_transpose, partial_transpose_loops, ptrace_loops, random_ket, random_mixed, trace_norm,
+                     w_class_amplitudes)
 
 np_rng = np.random.default_rng(20240817)
 
@@ -56,8 +57,10 @@ def test_every_ket_accepted_passes_its_own_analysis(n, seed):
         accepted += 1
         for kind in (CONCURRENCE, EOF, CREN, tsallis_kind(2.5)):
             monogamy_report(psi, 0, kind, kind.alpha_floor)
-        for marginal in marginal_stack(psi.amplitudes[None], [(q,) for q in range(n)])[0]:
-            DensityMatrix(marginal)
+        for focus in range(n):
+            partners = tuple(q for q in range(n) if q != focus)
+            for marginal in _pair_marginals(psi.amplitudes[None], _pair_plan(n, focus, partners))[0]:
+                DensityMatrix(marginal)
     assert accepted > 0 and rejected > 0
 
 
@@ -218,22 +221,22 @@ def test_partial_trace_matches_loop_oracle(keep):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_marginal_stack_of_one_ket_matches_loop_oracle(n):
+def test_pair_marginals_of_one_ket_match_the_loop_oracle(n):
+    # every (focus, b) pair; a one-qubit register has none, and its stack is empty
     psi = Ket(random_ket(np_rng, 2**n))
     proj = psi.to_density_matrix().entries
-    for k in range(1, n + 1):
-        for keep in itertools.combinations(range(n), k):
-            got = marginal_stack(psi.amplitudes[None], [keep])[0, 0]
-            assert got.shape == (2**k, 2**k)
-            assert np.abs(got - ptrace_loops(proj, (2,) * n, keep)).max() < 1e-13
+    for focus in range(n):
+        partners = tuple(b for b in range(n) if b != focus)
+        got = _pair_marginals(psi.amplitudes[None], _pair_plan(n, focus, partners))[0]
+        assert got.shape == (n - 1, 4, 4)
+        for i, b in enumerate(partners):
+            assert np.abs(got[i] - ptrace_loops(proj, (2,) * n, (focus, b))).max() < 1e-13
 
 
-def test_marginal_stack_keeps_register_order_and_rejects_bad_keep():
+def test_pair_marginals_keep_register_order():
+    # the pair (3, 0) is the pair (0, 3): its qubits stay in register order, whichever is the focus
     kets = random_ket(np_rng, 16)[None]
-    assert np.array_equal(marginal_stack(kets, [(3, 0, 2)]), marginal_stack(kets, [(0, 2, 3)]))
-    for bad in [(), (1, 1), (4,), (-1,)]:
-        with pytest.raises(ValueError):
-            marginal_stack(kets, [bad])
+    assert np.array_equal(_pair_marginals(kets, _pair_plan(4, 3, (0,))), _pair_marginals(kets, _pair_plan(4, 0, (3,))))
 
 
 def test_partial_trace_keeps_register_order():
@@ -452,107 +455,63 @@ def _hexes(a):
     return [x.hex() for x in np.asarray(a).view(np.float64).ravel().tolist()]
 
 
-def _marginal_by_transpose(kets, n, keep):
-    # one keep at a time, no plan: the kets' kept-first transpose as (B, d, 2^(n-k)) times its conjugate transpose
-    kept = sorted(keep)
-    traced = [q for q in range(n) if q not in kept]
-    m = np.ascontiguousarray(kets.reshape((-1,) + (2,) * n).transpose([0] + [1 + q for q in kept + traced]))
-    m = m.reshape(len(kets), 2 ** len(kept), -1)
-    return np.matmul(m, m.conj().swapaxes(1, 2))
-
-
-@pytest.mark.parametrize("n", range(3, 13))
-def test_marginal_stack_matches_a_per_keep_transpose_oracle(n):
-    # B = 292 is a 3-qubit campaign batch; larger registers take it up to n = 8 only, to keep the test small
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pair_marginals_match_a_per_pair_transpose_oracle(n):
+    # the first focus, a middle one and the last, partners in the given and the reversed order; up to 11
+    # qubits the plan gathers, from 12 on it copies; B = 292 is a 3-qubit campaign batch, taken up to n = 8
     for count in (1, 5, 292) if n <= 8 else (1, 5):
         kets = np.array([random_ket(np_rng, 2**n) for _ in range(count)])
-        for keeps in ([(n - 1,), (0,), (n // 2,)],
-                      [(0, b) for b in range(1, n)],
-                      [(n - 1, 0), (2, 1), (1, n - 1)],  # unsorted
-                      [(2, 0, 1), (n - 1, 1, 0)]):
-            got = monogamy.qstate.marginal_stack(kets, keeps)
-            assert got.shape == (count, len(keeps)) + (2 ** len(keeps[0]),) * 2
-            for i, keep in enumerate(keeps):
-                assert _hexes(got[:, i]) == _hexes(_marginal_by_transpose(kets, n, keep)), (count, keep)
+        for focus in sorted({0, n // 2, n - 1}):
+            rest = tuple(q for q in range(n) if q != focus)
+            for partners in (rest, rest[::-1]):
+                got = _pair_marginals(kets, _pair_plan(n, focus, partners))
+                assert got.shape == (count, n - 1, 4, 4)
+                for i, b in enumerate(partners):
+                    assert _hexes(got[:, i]) == _hexes(marginal_by_transpose(kets, n, (focus, b))), (count, focus, b)
 
 
-def test_marginal_plan_is_made_once_per_register_shape():
-    plan = monogamy.qstate._marginal_plan
+def test_pair_plan_is_made_once_per_register_shape():
+    plan = monogamy.qstate._pair_plan
     plan.cache_clear()
     kets = np.array([random_ket(np_rng, 32)])
-    for keeps in ([(0, 1), (0, 4)], [[0, 1], [0, 4]], ((0, 1), (0, 4))):
-        monogamy.qstate.marginal_stack(kets, keeps)
+    for order in ([1, 4, 2, 3], (1, 4, 2, 3), np.array([1, 4, 2, 3])):
+        ChainBatch.of(kets, 0, order)
     assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 2)
-    monogamy.qstate.marginal_stack(kets, [(4, 0), (0, 1)])  # another keep order is another plan
+    ChainBatch.of(kets, 0, (4, 1, 2, 3))  # another order is another plan
     assert plan.cache_info().misses == 2
 
 
-def test_marginal_plan_gathers_while_its_index_is_small():
-    # one intp per amplitude and keep: the pair keeps of 11 qubits fit 2^15 entries, those of 12 do not
-    plan = monogamy.qstate._marginal_plan
+def test_pair_plan_gathers_while_its_index_is_small():
+    # one intp per amplitude and pair: the pairs of 11 qubits fit 2^15 entries, those of 12 do not;
+    # the index of a one-qubit register, with no partner, has the shape (0, 4, 0)
+    plan = monogamy.qstate._pair_plan
     try:
-        for n, keeps, gathers in ((11, tuple((0, b) for b in range(1, 11)), True),
-                                  (12, tuple((0, b) for b in range(1, 12)), False),
-                                  (15, ((3,),), True), (16, ((3,),), False)):
-            perms, index = plan(n, keeps)
-            assert len(perms) == len(keeps)
+        for n, gathers in ((1, True), (2, True), (11, True), (12, False)):
+            perms, index = plan(n, 0, tuple(range(1, n)))
+            assert len(perms) == n - 1
             assert (index is not None) == gathers, n
             if gathers:
-                assert index.shape == (len(keeps), 2 ** len(keeps[0]), 2 ** (n - len(keeps[0])))
+                assert index.shape == (n - 1, 4, 2**n // 4)
                 assert not index.flags.writeable
     finally:
         plan.cache_clear()
 
 
 def test_gathered_and_copied_marginals_agree(monkeypatch):
-    # the gather of many keeps per take and the per-keep copy of a register too wide for an index
-    # give the same stack to the bit, in chunks of one keep or of several
+    # the gather of many pairs per take and the per-pair copy of a register too wide for an index
+    # give the same stack to the bit, in chunks of one pair or of several
     kets = np.array([random_ket(np_rng, 2**8) for _ in range(3)])
-    keeps = [(0, b) for b in range(1, 8)] + [(5, 2)]
     stacks = []
     for entries, budget in ((2**15, 3), (2**15, 1), (2**15, 100), (0, 3)):
         monkeypatch.setattr(monogamy.qstate, "_GATHER_ENTRIES", entries)
         monkeypatch.setattr(monogamy.qstate, "_GATHER_KETS", budget)
-        monogamy.qstate._marginal_plan.cache_clear()
-        stacks += [_hexes(monogamy.qstate.marginal_stack(kets[:1], keeps)),
-                   _hexes(monogamy.qstate.marginal_stack(kets, keeps))]
-    monogamy.qstate._marginal_plan.cache_clear()
-    assert all(got == stacks[0] for got in stacks[::2]) and all(got == stacks[1] for got in stacks[1::2])
-
-
-@pytest.mark.parametrize("keep, message", [((), "must keep at least one factor"), ((1, 1), "duplicate indices"),
-                                           ((0, 5), r"keep=\(0, 5\) out of range for 5 factors"),
-                                           ((-1,), "out of range")])
-def test_a_bad_keep_raises_the_same_message_every_time(keep, message):
-    kets = np.array([random_ket(np_rng, 32)])
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            monogamy.qstate.marginal_stack(kets, [(0, 1), keep])
-
-
-@pytest.mark.parametrize("n, keeps", [(3, [(0,), (0, 1)]), (3, [(0, 1), (0,)]), (12, [(0,)] * 9 + [(0, 1)])])
-def test_keeps_of_mixed_sizes_are_rejected(n, keeps):
-    # they used to return a stack of the first keep's size, whose other entries were not their marginals;
-    # at n = 12 the keeps are too many for a gather index, so the copy path is asked
-    kets = np.array([random_ket(np_rng, 2**n)])
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"keeps must all have one size, got sizes \[1, 2\]"):
-            monogamy.qstate.marginal_stack(kets, keeps)
-
-
-@pytest.mark.parametrize("keep", [(0, 1.5), (0, 1.0), (0, "1"), (0, True)])
-def test_marginal_stack_rejects_non_integral_keep_entries(keep):
-    kets = np.array([random_ket(np_rng, 8)])
-    monogamy.qstate.marginal_stack(kets, [(0, 1)])  # an integer keep first, so its plan is cached
-    with pytest.raises(ValueError, match="keep entry must be an integer"):
-        monogamy.qstate.marginal_stack(kets, [keep])
-
-
-def test_marginal_stack_rejects_an_empty_batch():
-    # zero rows used to raise ZeroDivisionError; a register too wide for a gather index takes the other path
-    for n in (3, 16):
-        with pytest.raises(ValueError, match="empty batch"):
-            monogamy.qstate.marginal_stack(np.empty((0, 2**n), dtype=np.complex128), [(0, 1)])
+        monogamy.qstate._pair_plan.cache_clear()
+        for focus, partners in ((0, (1, 2, 3, 4, 5, 6, 7)), (5, (2, 7, 0, 1, 3, 4, 6))):
+            plan = monogamy.qstate._pair_plan(8, focus, partners)
+            assert (plan[1] is None) == (entries == 0)
+            stacks += [_hexes(_pair_marginals(kets[:1], plan)), _hexes(_pair_marginals(kets, plan))]
+    monogamy.qstate._pair_plan.cache_clear()
+    assert all(got == stacks[k % 4] for k, got in enumerate(stacks))
 
 
 def test_the_qubit_count_is_an_int_and_round_trips(tmp_path):
