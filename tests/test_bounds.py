@@ -192,6 +192,40 @@ def test_the_row_width_is_the_register_size():
         ChainBatch.of(kets, 3)
 
 
+@pytest.mark.parametrize("focus, order, rows, message", [
+    (3, None, None, "focus 3 out of range for 3 qubits"),
+    (-1, None, None, "focus -1 out of range for 3 qubits"),
+    (1.0, None, None, "focus must be an integer, got 1.0"),
+    (0, (1, 1), None, r"order \(1, 1\) is not a permutation of the non-focus qubits \[1, 2\]"),
+    (0, (0, 2), None, r"order \(0, 2\) is not a permutation"),
+    (0, (1,), None, r"order \(1,\) is not a permutation"),
+    (0, (1, 3), None, r"order \(1, 3\) is not a permutation"),
+    (0, (1.5, 2), None, "order entry must be an integer, got 1.5"),
+    (0, (1.0, 2), None, "order entry must be an integer, got 1.0"),
+    (0, ("1", 2), None, "order entry must be an integer, got '1'"),
+    (0, (True, 2), None, "order entry must be an integer, got True"),
+    (0, None, "empty", "empty batch"),
+    (0, None, "nan", "kets must be finite"),
+    (0, None, "long", "kets must have unit norm"),
+])
+def test_a_bad_call_is_rejected_before_the_pair_plan(focus, order, rows, message):
+    # the pair plan checks nothing and is cached, so every bad focus, order or row stops in ChainBatch.of
+    # before it: no plan is looked up, and the same message comes every time
+    kets = haar_rows(np.empty((2, 8), dtype=complex), 77)
+    if rows == "empty":
+        kets = kets[:0]
+    elif rows == "nan":
+        kets[1, 3] = np.nan
+    elif rows == "long":
+        kets[1] *= 1.01
+    plan = monogamy.qstate._pair_plan
+    before = plan.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            ChainBatch.of(kets, focus, order)
+    assert plan.cache_info() == before
+
+
 def test_weights_never_below_one():
     for base in (1.0, 1.5, 3.0):
         for count in (2, 3, 5):
